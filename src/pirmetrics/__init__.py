@@ -33,18 +33,12 @@ from .model import (
     ModelError,
     YearWindow,
     derive_ratios,
-    window_contains,
 )
 from .io import (
     Dataset,
-    FixtureClient,
     IngestError,
-    RetryPolicy,
     ScalarMetrics,
-    TransientFetchError,
-    UnknownAuthorError,
     assemble_dataset,
-    fetch_author_records,
     load_events,
     load_impact_table,
     load_scalars,

@@ -33,7 +33,7 @@ from .engine import (
     WindowPolicy,
     compute_profiles,
 )
-from .io import IngestError, load_events, load_impact_table, load_scalars
+from .io import IngestError, load_events, load_impact_table, load_scalars, save_text
 from .model import SJR, SNIP, ModelError, YearWindow
 from .report import ReportError
 
@@ -139,6 +139,8 @@ def _resolve(ctx_params: dict, env: dict) -> RunConfig:
         families = tuple(families)
     if not families:
         raise _fail("at least one indicator family required", EXIT_USAGE)
+    if len({f.lower() for f in families}) != len(set(families)):
+        raise _fail(f"indicator families differ only in case: {', '.join(families)}", EXIT_USAGE)
     try:
         missing = MissingValuePolicy.parse(str(pick("missing_text", "missing", "drop")))
         window_policy = WindowPolicy.parse(
@@ -195,7 +197,7 @@ def _input_format(path: Path) -> str:
 def _write_output(config: RunConfig, dataset: str, report_name: str, text: str, ext: str | None = None) -> Path:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / f"{dataset}.{report_name}.{ext or config.fmt}"
-    path.write_text(text, encoding="utf-8")
+    save_text(text, path)
     _log(f"wrote {path}")
     return path
 

@@ -30,6 +30,7 @@ from .model import (
     JournalRef,
     YearWindow,
     derive_ratios,
+    merge_counts,
 )
 
 
@@ -193,12 +194,9 @@ def weighted_mean_impact(
         and kind != EventKind.PUBLICATION
     )
 
-    merged: dict[tuple[JournalRef, int], int] = {}
-    for e in events:
-        if not (open_years or e.year in window):
-            continue
-        key = (e.journal, e.year)
-        merged[key] = merged.get(key, 0) + e.count
+    merged = merge_counts(events)
+    if not open_years:
+        merged = {key: count for key, count in merged.items() if key[1] in window}
 
     matched_terms: list[float] = []
     matched = 0

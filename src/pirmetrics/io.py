@@ -17,11 +17,12 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
-import time
-from collections.abc import Iterable, Mapping
+import math
+import os
+from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
 
 from .model import (
     AuthorCorpus,
@@ -37,64 +38,66 @@ class IngestError(ValueError):
     """A source file or stream violates its schema."""
 
 
-class UnknownAuthorError(LookupError):
-    """The bibliographic source has no records for the requested author."""
-
-
-class TransientFetchError(ConnectionError):
-    """A retryable transport failure while fetching author records."""
-
-
 # ---------------------------------------------------------------------------
 # row plumbing
 
-def _open_text(source) -> _stdio.TextIOBase:
-    """Accept a path, bytes, or a text/binary stream; return a text stream."""
+@contextmanager
+def _open_text(source) -> Iterator[_stdio.TextIOBase]:
+    """Accept a path, bytes, or a text/binary stream; yield a text stream.
+
+    A path is opened here and closed on exit; a stream stays the caller's.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return _stdio.StringIO(source.decode("utf-8"))
-    if isinstance(source, _stdio.TextIOBase):
-        return source
-    if hasattr(source, "read"):  # binary stream
+        with open(source, "r", encoding="utf-8", newline="") as f:
+            yield f
+    elif isinstance(source, bytes):
+        yield _stdio.StringIO(source.decode("utf-8"))
+    elif isinstance(source, _stdio.TextIOBase):
+        yield source
+    elif hasattr(source, "read"):  # binary stream
         data = source.read()
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        return _stdio.StringIO(data)
-    raise IngestError(f"cannot read from {type(source).__name__}")
+        yield _stdio.StringIO(data)
+    else:
+        raise IngestError(f"cannot read from {type(source).__name__}")
 
 
 def _rows(source, fmt: str, required: list[str], label: str):
-    """Yield (line_number, row_dict) from csv or json input."""
-    if fmt == "csv":
-        stream = _open_text(source)
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise IngestError(f"{label}: empty input, header row required")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise IngestError(f"{label}: missing columns {missing} in header")
-        for lineno, row in enumerate(reader, start=2):
-            if any(row.get(c) is None for c in required):
-                raise IngestError(f"{label}: line {lineno}: short row")
-            yield lineno, row
-    elif fmt == "json":
-        stream = _open_text(source)
-        try:
-            payload = json.load(stream)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{label}: invalid json: {exc}") from exc
-        if not isinstance(payload, list):
-            raise IngestError(f"{label}: expected a json array of row objects")
-        for i, row in enumerate(payload, start=1):
-            if not isinstance(row, dict):
-                raise IngestError(f"{label}: row {i}: expected an object")
-            missing = [c for c in required if c not in row]
-            if missing:
-                raise IngestError(f"{label}: row {i}: missing fields {missing}")
-            yield i, row
-    else:
+    """Yield (line_number, row_dict) from csv or json input.
+
+    A csv row must have exactly as many fields as its header.
+    """
+    if fmt not in ("csv", "json"):
         raise IngestError(f"unknown format {fmt!r}; expected csv or json")
+    with _open_text(source) as stream:
+        if fmt == "csv":
+            reader = csv.DictReader(stream)
+            if reader.fieldnames is None:
+                raise IngestError(f"{label}: empty input, header row required")
+            missing = [c for c in required if c not in reader.fieldnames]
+            if missing:
+                raise IngestError(f"{label}: missing columns {missing} in header")
+            for lineno, row in enumerate(reader, start=2):
+                if None in row.values():
+                    raise IngestError(f"{label}: line {lineno}: short row")
+                if None in row:
+                    raise IngestError(f"{label}: line {lineno}: more fields than the header")
+                yield lineno, row
+        else:
+            try:
+                payload = json.load(stream)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"{label}: invalid json: {exc}") from exc
+            if not isinstance(payload, list):
+                raise IngestError(f"{label}: expected a json array of row objects")
+            for i, row in enumerate(payload, start=1):
+                if not isinstance(row, dict):
+                    raise IngestError(f"{label}: row {i}: expected an object")
+                missing = [c for c in required if c not in row]
+                if missing:
+                    raise IngestError(f"{label}: row {i}: missing fields {missing}")
+                yield i, row
 
 
 def _parse_int(raw, what: str, where: str) -> int:
@@ -118,7 +121,8 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
     """Load (journal, year, indicator) -> value entries.
 
     Duplicate keys are rejected with both offending row locations named;
-    negative values and malformed rows are rejected with their location.
+    negative or non-finite values and malformed rows are rejected with
+    their location.
     """
     entries = []
     first_seen: dict[tuple, object] = {}
@@ -132,6 +136,8 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
             raise IngestError(f"{where}: empty indicator name")
         year = _parse_int(row["year"], "year", where)
         value = _parse_float(row["value"], "value", where)
+        if not math.isfinite(value):
+            raise IngestError(f"{where}: non-finite impact value {value}")
         if value < 0:
             raise IngestError(f"{where}: negative impact value {value}")
         key = (journal, year, indicator)
@@ -347,103 +353,38 @@ def assemble_dataset(
 
 
 # ---------------------------------------------------------------------------
-# bibliographic source clients
-
-class BibliographicClient(Protocol):
-    """Source of recorded author events; implementations must be safe for
-    concurrent fetches of distinct authors."""
-
-    def records(self, author_id: str) -> list[Event]:
-        """All recorded events for the author, any order."""
-        ...
-
-    def group(self, author_id: str) -> str | None:
-        ...
-
-
-@dataclass
-class RetryPolicy:
-    max_retries: int = 3
-    backoff_seconds: float = 0.1
-    sleep: object = time.sleep
-
-    def delay(self, attempt: int) -> float:
-        return self.backoff_seconds * (2 ** attempt)
-
-
-class FixtureClient:
-    """Client replaying recorded responses from loaded corpora.
-
-    Deterministic: the same author id always yields the same records.
-    fail_times simulates transient transport failures for retry tests.
-    """
-
-    def __init__(self, corpora: Iterable[AuthorCorpus], fail_times: int = 0):
-        self._corpora = {c.author_id: c for c in corpora}
-        self._failures_left = fail_times
-
-    def records(self, author_id: str) -> list[Event]:
-        if self._failures_left > 0:
-            self._failures_left -= 1
-            raise TransientFetchError("simulated transport failure")
-        if author_id not in self._corpora:
-            raise UnknownAuthorError(f"no records for author {author_id!r}")
-        return list(self._corpora[author_id].events)
-
-    def group(self, author_id: str) -> str | None:
-        if author_id not in self._corpora:
-            raise UnknownAuthorError(f"no records for author {author_id!r}")
-        return self._corpora[author_id].group
-
-
-def fetch_author_records(
-    client: BibliographicClient,
-    author_id: str,
-    window: YearWindow,
-    retry: RetryPolicy | None = None,
-) -> AuthorCorpus:
-    """Fetch one author's corpus, retrying transient transport failures.
-
-    The window is carried on to the engine untouched; records outside it
-    are kept so window policies stay a computation-time choice.
-    """
-    retry = retry or RetryPolicy()
-    attempt = 0
-    while True:
-        try:
-            events = client.records(author_id)
-            group = client.group(author_id)
-            break
-        except TransientFetchError:
-            if attempt >= retry.max_retries:
-                raise
-            retry.sleep(retry.delay(attempt))
-            attempt += 1
-    return AuthorCorpus(author_id, tuple(events), group=group)
-
-
-# ---------------------------------------------------------------------------
 # shared writer
+
+def save_text(text: str, destination) -> None:
+    """Write text to an open stream, or atomically to a path.
+
+    A path is written through a temporary file in its directory that
+    replaces it only once complete, so a failed write leaves any earlier
+    file untouched and no partial file behind.
+    """
+    if not isinstance(destination, (str, Path)):
+        destination.write(text)
+        return
+    path = Path(destination)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 def _write_rows(rows: list[dict], columns: list[str], destination, fmt: str) -> None:
     if fmt == "csv":
-        if isinstance(destination, (str, Path)):
-            with open(destination, "w", encoding="utf-8", newline="") as f:
-                _write_csv(rows, columns, f)
-        else:
-            _write_csv(rows, columns, destination)
+        buf = _stdio.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
     elif fmt == "json":
         text = json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
-        if isinstance(destination, (str, Path)):
-            Path(destination).write_text(text, encoding="utf-8")
-        else:
-            destination.write(text)
     else:
         raise IngestError(f"unknown format {fmt!r}; expected csv or json")
-
-
-def _write_csv(rows: list[dict], columns: list[str], stream) -> None:
-    writer = csv.DictWriter(stream, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    save_text(text, destination)

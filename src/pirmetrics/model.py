@@ -7,6 +7,7 @@ Instances are safe to share across threads.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -70,11 +71,6 @@ class YearWindow:
             if isinstance(exc, ModelError):
                 raise
             raise ModelError(f"cannot parse year window from {text!r}") from exc
-
-
-def window_contains(window: YearWindow, year: int) -> bool:
-    """Membership test used by every windowed sum."""
-    return window.contains(year)
 
 
 class EventKind(enum.Enum):
@@ -143,19 +139,23 @@ class AuthorCorpus:
 
     def merged_counts(self, kind: EventKind) -> dict[tuple[JournalRef, int], int]:
         """Total count per (journal, year) for one kind; order independent."""
-        totals: dict[tuple[JournalRef, int], int] = {}
-        for e in self.events:
-            if e.kind == kind:
-                key = (e.journal, e.year)
-                totals[key] = totals.get(key, 0) + e.count
-        return totals
+        return merge_counts(self.events_of_kind(kind))
+
+
+def merge_counts(events: Iterable[Event]) -> dict[tuple[JournalRef, int], int]:
+    """Total count per (journal, year) over events; order independent."""
+    totals: dict[tuple[JournalRef, int], int] = {}
+    for e in events:
+        key = (e.journal, e.year)
+        totals[key] = totals.get(key, 0) + e.count
+    return totals
 
 
 class ImpactTable:
     """Lookup of journal impact values keyed by (journal, year, indicator).
 
-    At most one value per key; every value is non-negative. The table is
-    immutable once built.
+    At most one value per key; every value is finite and non-negative.
+    The table is immutable once built.
     """
 
     def __init__(self, entries: Iterable[tuple[JournalRef, int, IndicatorName, float]] = ()):
@@ -174,9 +174,10 @@ class ImpactTable:
             raise ModelError("journal id must be non-empty")
         if not indicator:
             raise ModelError("indicator name must be non-empty")
-        if float(value) < 0:
+        value = float(value)
+        if not math.isfinite(value) or value < 0:
             raise ModelError(
-                f"impact value must be non-negative, got {value} for "
+                f"impact value must be finite and non-negative, got {value} for "
                 f"({journal!r}, {indicator!r})"
             )
 
@@ -195,12 +196,6 @@ class ImpactTable:
 
     def indicators(self) -> set[IndicatorName]:
         return {indicator for (_, _, indicator) in self._table}
-
-    def years(self, journal: JournalRef, indicator: IndicatorName) -> list[int]:
-        """All years with a value for this journal and indicator, ascending."""
-        return sorted(
-            y for (j, y, ind) in self._table if j == journal and ind == indicator
-        )
 
     def scaled(self, factor: float) -> "ImpactTable":
         """New table with every value multiplied by a positive factor."""

@@ -27,11 +27,10 @@ import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import stats
-from .io import IngestError, ScalarMetrics
-from .model import IndicatorName, IndicatorProfile
+from .io import IngestError, ScalarMetrics, _parse_float, _parse_int, _rows, save_text
+from .model import SJR, SNIP, IndicatorName, IndicatorProfile
 
 NA = "NA"
 
@@ -169,29 +168,10 @@ def profile_columns(families: Sequence[IndicatorName]) -> list[str]:
 
 
 def save_profiles(rows: Sequence[AuthorTableRow], destination, fmt: str = "csv") -> None:
-    """Write author rows in the canonical profiles schema."""
-    families: list[IndicatorName] = []
-    for row in rows:
-        for family in row.families:
-            if family not in families:
-                families.append(family)
-    columns = profile_columns(families)
-    out = []
-    for row in rows:
-        rec: dict[str, object] = {
-            "author_id": row.author_id,
-            "group": row.group or "",
-            "papers": row.papers if row.papers is not None else NA,
-            "cites": row.cites if row.cites is not None else NA,
-            "h": row.h if row.h is not None else NA,
-        }
-        for family in families:
-            cells = row.families.get(family)
-            for f in FAMILY_FIELDS:
-                v = getattr(cells, f) if cells else None
-                rec[f"{f}_{family.lower()}"] = fmt3(v)
-        out.append(rec)
-    _write_table(columns, out, destination, fmt)
+    """Write author rows in the canonical profiles schema, as csv or json."""
+    if fmt not in ("csv", "json"):
+        raise ReportError(f"unknown format {fmt!r}; expected csv or json")
+    save_text(render_table(*author_table_export(rows), fmt), destination)
 
 
 def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
@@ -201,59 +181,38 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
     suffixes matching the canonical families come back as SJR / SNIP,
     other suffixes are kept verbatim.
     """
-    if fmt == "csv":
-        stream = _open_text(source)
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise IngestError("profiles: empty input, header row required")
-        header = list(reader.fieldnames)
-        records = list(reader)
-    elif fmt == "json":
-        stream = _open_text(source)
-        payload = json.load(stream)
-        if not isinstance(payload, list):
-            raise IngestError("profiles: expected a json array of row objects")
-        header = list(payload[0]) if payload else []
-        records = payload
-    else:
-        raise IngestError(f"unknown format {fmt!r}; expected csv or json")
-
-    for col in ("author_id", "group"):
-        if records and col not in header:
-            raise IngestError(f"profiles: missing column {col!r}")
-
-    suffixes: list[str] = []
-    for col in header:
-        fieldname, _, suffix = col.partition("_")
-        if fieldname == "p" and suffix and suffix not in suffixes:
-            suffixes.append(suffix)
-    families = [_canonical_family(s) for s in suffixes]
-
     rows = []
     seen: set[str] = set()
-    for lineno, rec in enumerate(records, start=2):
-        author_id = (rec.get("author_id") or "").strip()
+    suffixes: list[str] | None = None
+    for lineno, rec in _rows(source, fmt, ["author_id", "group"], "profiles"):
+        where = f"profiles: line {lineno}" if fmt == "csv" else f"profiles: row {lineno}"
+        if suffixes is None:
+            suffixes = []
+            for col in rec:
+                fieldname, _, suffix = col.partition("_")
+                if fieldname == "p" and suffix and suffix not in suffixes:
+                    suffixes.append(suffix)
+        author_id = (rec["author_id"] or "").strip()
         if not author_id:
-            raise IngestError(f"profiles: line {lineno}: empty author_id")
+            raise IngestError(f"{where}: empty author_id")
         if author_id in seen:
-            raise IngestError(f"profiles: line {lineno}: duplicate author {author_id!r}")
+            raise IngestError(f"{where}: duplicate author {author_id!r}")
         seen.add(author_id)
-        group = (rec.get("group") or "").strip() or None
         rows.append(
             AuthorTableRow(
                 author_id=author_id,
-                group=group,
-                papers=_opt_int(rec.get("papers"), lineno, "papers"),
-                cites=_opt_int(rec.get("cites"), lineno, "cites"),
-                h=_opt_int(rec.get("h"), lineno, "h"),
+                group=(rec["group"] or "").strip() or None,
+                papers=_optional(_parse_int, rec.get("papers"), "papers", where),
+                cites=_optional(_parse_int, rec.get("cites"), "cites", where),
+                h=_optional(_parse_int, rec.get("h"), "h", where),
                 families={
-                    family: DimensionCells(
+                    _canonical_family(suffix): DimensionCells(
                         **{
-                            f: _opt_float(rec.get(f"{f}_{suffix}"), lineno, f"{f}_{suffix}")
+                            f: _optional(_parse_float, rec.get(f"{f}_{suffix}"), f"{f}_{suffix}", where)
                             for f in FAMILY_FIELDS
                         }
                     )
-                    for family, suffix in zip(families, suffixes)
+                    for suffix in suffixes
                 },
             )
         )
@@ -261,8 +220,6 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
 
 
 def _canonical_family(suffix: str) -> IndicatorName:
-    from .model import SJR, SNIP
-
     if suffix == SJR.lower():
         return SJR
     if suffix == SNIP.lower():
@@ -270,22 +227,11 @@ def _canonical_family(suffix: str) -> IndicatorName:
     return suffix
 
 
-def _opt_int(raw, lineno, what) -> int | None:
+def _optional(parse, raw, what: str, where: str):
+    """None for an undefined cell (NA, empty or absent), else the parsed value."""
     if raw is None or raw == "" or raw == NA:
         return None
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise IngestError(f"profiles: line {lineno}: {what} must be an integer, got {raw!r}") from None
-
-
-def _opt_float(raw, lineno, what) -> float | None:
-    if raw is None or raw == "" or raw == NA:
-        return None
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise IngestError(f"profiles: line {lineno}: {what} must be a number, got {raw!r}") from None
+    return parse(raw, what, where)
 
 
 # ---------------------------------------------------------------------------
@@ -807,37 +753,3 @@ def render_boxplot_svg(
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# shared io helpers
-
-def _open_text(source):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return _stdio.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return _stdio.StringIO(data)
-    raise IngestError(f"cannot read from {type(source).__name__}")
-
-
-def _write_table(columns: list[str], rows: list[dict], destination, fmt: str) -> None:
-    if fmt == "csv":
-        buf = _stdio.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
-    else:
-        raise ReportError(f"unknown format {fmt!r}; expected csv or json")
-    if isinstance(destination, (str, Path)):
-        Path(destination).write_text(text, encoding="utf-8")
-    else:
-        destination.write(text)

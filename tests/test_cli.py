@@ -102,6 +102,29 @@ class TestCompute:
         )
         assert result.exit_code == EXIT_INPUT
 
+    def test_non_finite_impact_input_exit(self, runner, tmp_path):
+        impacts = tmp_path / "impacts.csv"
+        impacts.write_text("journal,year,indicator,value\nJ1,2010,SJR,1.5\nJ1,2011,SJR,nan\n")
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["compute", "--events", EVENTS, "--impacts", str(impacts), "--out", str(out)]
+        )
+        assert result.exit_code == EXIT_INPUT
+        assert "line 3" in result.output
+        assert not out.exists()
+
+    def test_case_duplicate_families_usage_error(self, runner, tmp_path):
+        out = tmp_path / "o"
+        args = ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--out", str(out)]
+        result = runner.invoke(main, args + ["--family", "SJR", "--family", "sjr"])
+        assert result.exit_code == 2
+        assert "differ only in case" in result.output
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"families": ["SNIP", "Snip"]}))
+        result = runner.invoke(main, args + ["--config", str(config)])
+        assert result.exit_code == 2
+        assert not out.exists()
+
     def test_missing_required_flag_is_usage_error(self, runner):
         result = runner.invoke(main, ["compute", "--impacts", IMPACTS])
         assert result.exit_code == 2
@@ -178,6 +201,22 @@ class TestSummarize:
         assert result.exit_code == 0
         assert (out / "solo.groups.csv").exists()
         assert not (out / "solo.aggregate.csv").exists()
+
+    def test_truncated_json_profiles_exit(self, runner, tmp_path):
+        profiles = tmp_path / "bad.json"
+        profiles.write_text('[{"author_id": "a", "group": "Phy", "p_sjr": 1.5')
+        result = runner.invoke(main, ["summarize", "--profiles", str(profiles), "--out", str(tmp_path)])
+        assert result.exit_code == EXIT_INPUT
+        assert "profiles: invalid json" in result.output and "line 1" in result.output
+        assert "Traceback" not in result.output
+
+    def test_short_csv_profiles_row_exit(self, runner, tmp_path):
+        lines = Path(PROFILES).read_text(encoding="utf-8").splitlines(keepends=True)
+        profiles = tmp_path / "short.csv"
+        profiles.write_text(lines[0] + lines[1] + lines[2].rsplit(",", 3)[0] + "\n")
+        result = runner.invoke(main, ["summarize", "--profiles", str(profiles), "--out", str(tmp_path)])
+        assert result.exit_code == EXIT_INPUT
+        assert "line 3: short row" in result.output
 
     def test_missing_profiles_flag(self, runner):
         result = runner.invoke(main, ["summarize"])

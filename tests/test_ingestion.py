@@ -1,20 +1,18 @@
+import gc
 import io
 import json
+import warnings
 
 import pytest
 
+import pirmetrics.io as pio
 from pirmetrics.data import fixture_path
 from pirmetrics.engine import compute_profile
 from pirmetrics.io import (
     Dataset,
-    FixtureClient,
     IngestError,
-    RetryPolicy,
     ScalarMetrics,
-    TransientFetchError,
-    UnknownAuthorError,
     assemble_dataset,
-    fetch_author_records,
     load_events,
     load_impact_table,
     load_scalars,
@@ -23,6 +21,7 @@ from pirmetrics.io import (
     save_scalars,
 )
 from pirmetrics.model import AuthorCorpus, Event, EventKind, ImpactTable, YearWindow
+from pirmetrics.report import load_profiles
 
 WIN = YearWindow(2009, 2013)
 
@@ -58,6 +57,16 @@ class TestLoadImpactTable:
         with pytest.raises(IngestError) as excinfo:
             load_impact_table(csv_stream("journal,year,indicator,value\nJ1,2010,SJR,-1\n"))
         assert "line 2" in str(excinfo.value)
+
+    @pytest.mark.parametrize("csv_raw, json_raw", [("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity")])
+    def test_non_finite_value_rejected_with_location(self, csv_raw, json_raw):
+        with pytest.raises(IngestError) as excinfo:
+            load_impact_table(csv_stream(f"journal,year,indicator,value\nJ1,2010,SJR,{csv_raw}\n"))
+        assert "line 2: non-finite" in str(excinfo.value)
+        text = f'[{{"journal": "J1", "year": 2010, "indicator": "SJR", "value": {json_raw}}}]'
+        with pytest.raises(IngestError) as excinfo:
+            load_impact_table(csv_stream(text), fmt="json")
+        assert "row 1: non-finite" in str(excinfo.value)
 
     def test_malformed_year(self):
         with pytest.raises(IngestError) as excinfo:
@@ -253,42 +262,6 @@ class TestAssembleDataset:
         assert diag.total_count == fixture_scalars["Bocci, A."].papers == 412
 
 
-class TestFixtureClient:
-    def test_replay_matches_loaded_corpus(self, bocci_corpus):
-        client = FixtureClient([bocci_corpus])
-        fetched = fetch_author_records(client, "Bocci, A.", WIN)
-        assert fetched == bocci_corpus
-        totals = fetched.merged_counts(EventKind.PUBLICATION)
-        assert sum(totals.values()) == 412
-        assert all(2009 <= y <= 2013 for _, y in totals)
-
-    def test_deterministic_across_fetches(self, bocci_corpus):
-        client = FixtureClient([bocci_corpus])
-        first = fetch_author_records(client, "Bocci, A.", WIN)
-        second = fetch_author_records(client, "Bocci, A.", WIN)
-        assert first == second
-
-    def test_unknown_author(self, bocci_corpus):
-        client = FixtureClient([bocci_corpus])
-        with pytest.raises(UnknownAuthorError):
-            fetch_author_records(client, "nobody", WIN)
-
-    def test_transient_failures_retried(self, bocci_corpus):
-        client = FixtureClient([bocci_corpus], fail_times=2)
-        sleeps = []
-        retry = RetryPolicy(max_retries=3, backoff_seconds=0.01, sleep=sleeps.append)
-        fetched = fetch_author_records(client, "Bocci, A.", WIN, retry=retry)
-        assert fetched == bocci_corpus
-        assert len(sleeps) == 2
-        assert sleeps[1] > sleeps[0]  # exponential backoff
-
-    def test_retries_bounded(self, bocci_corpus):
-        client = FixtureClient([bocci_corpus], fail_times=5)
-        retry = RetryPolicy(max_retries=2, backoff_seconds=0.0, sleep=lambda _: None)
-        with pytest.raises(TransientFetchError):
-            fetch_author_records(client, "Bocci, A.", WIN, retry=retry)
-
-
 class TestJsonMirrors:
     def test_events_json_is_one_object_per_row(self):
         corpora = [
@@ -311,3 +284,71 @@ class TestJsonMirrors:
     def test_unknown_format_rejected(self):
         with pytest.raises(IngestError):
             load_events(csv_stream(""), fmt="xml")
+
+
+class TestRowShape:
+    @pytest.mark.parametrize(
+        "loader, text",
+        [
+            (load_impact_table, "journal,year,indicator,value\nJ1,2010,SJR,1\nJ1,2011,SJR\n"),
+            (load_events, "author_id,group,kind,journal,year,count\na,,citation,J1,2010,1\na,,citation,J1,2011\n"),
+            (load_scalars, "author_id,papers,cites,h\nx,1,1,1\ny,1,1\n"),
+            (load_profiles, "author_id,group,papers,cites,h,p_sjr\nx,Phy,1,1,1,2.0\ny,Phy,1,1,1\n"),
+        ],
+    )
+    def test_short_csv_row_rejected_with_line(self, loader, text):
+        with pytest.raises(IngestError) as excinfo:
+            loader(csv_stream(text))
+        assert "line 3: short row" in str(excinfo.value)
+
+    def test_long_csv_row_rejected_with_line(self):
+        with pytest.raises(IngestError) as excinfo:
+            load_scalars(csv_stream("author_id,papers,cites,h\nx,1,1,1,9\n"))
+        assert "line 2" in str(excinfo.value)
+
+
+class TestPathInputs:
+    def test_loading_from_paths_leaves_no_open_files(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_events(fixture_path("author_events.csv"))
+            load_impact_table(fixture_path("impact_table.csv"))
+            load_scalars(fixture_path("scalars.csv"))
+            load_profiles(fixture_path("profiles.csv"))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "scalars.csv"
+        path.write_bytes(b"old bytes\n")
+        scalars = load_scalars(fixture_path("scalars.csv"))
+        real_open = open
+
+        class FailingFile:
+            """A file that takes half of what it is given, then runs out of space."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pio, "open", lambda *a, **k: FailingFile(real_open(*a, **k)), raising=False)
+        with pytest.raises(OSError):
+            save_scalars(scalars, path)
+        assert path.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+        monkeypatch.undo()
+        save_scalars(scalars, path)
+        assert load_scalars(path) == scalars
+        assert list(tmp_path.iterdir()) == [path]

@@ -11,21 +11,20 @@ from pirmetrics.model import (
     ModelError,
     YearWindow,
     derive_ratios,
-    window_contains,
 )
 
 
 class TestYearWindow:
     def test_contains_membership(self):
         window = YearWindow(2009, 2013)
-        assert window_contains(window, 2009)
-        assert window_contains(window, 2013)
-        assert not window_contains(window, 2014)
-        assert not window_contains(window, 2008)
+        assert 2009 in window
+        assert 2013 in window
+        assert 2014 not in window
+        assert 2008 not in window
         assert 2011 in window
 
     def test_degenerate_single_year(self):
-        assert window_contains(YearWindow(2009, 2009), 2009)
+        assert 2009 in YearWindow(2009, 2009)
 
     def test_length(self):
         assert YearWindow(2009, 2013).length == 5
@@ -103,8 +102,9 @@ class TestImpactTable:
             ImpactTable([("J1", 2010, "SJR", 1.0), ("J1", 2010, "SJR", 2.0)])
 
     def test_negative_value_rejected(self):
-        with pytest.raises(ModelError):
-            ImpactTable([("J1", 2010, "SJR", -0.1)])
+        for value in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ModelError):
+                ImpactTable([("J1", 2010, "SJR", value)])
 
     def test_lookup(self):
         table = ImpactTable([("J1", 2010, "SJR", 1.5), ("J1", 2010, "SNIP", 0.9)])

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import pytest
 
@@ -160,6 +161,26 @@ class TestProfilesRoundTrip:
         assert record["p_sjr"] == "1.000"
         again = load_profiles(io.StringIO(text))
         assert again == rows
+
+    def test_json_is_numbers_and_null(self):
+        rows = [
+            AuthorTableRow(
+                "a",
+                "Phy",
+                12,
+                None,
+                None,
+                {"SJR": DimensionCells(1.6045, None, None, None, None, None, None)},
+            )
+        ]
+        buf = io.StringIO()
+        save_profiles(rows, buf, fmt="json")
+        (record,) = json.loads(buf.getvalue())
+        assert record["papers"] == 12
+        assert record["cites"] is None
+        assert record["p_sjr"] == 1.6045
+        assert record["i_sjr"] is None
+        assert load_profiles(io.StringIO(buf.getvalue()), fmt="json") == rows
 
     def test_canonical_families_recovered_from_header(self, fixture_rows):
         assert set(fixture_rows[0].families) == {SJR, SNIP}
