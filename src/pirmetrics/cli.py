@@ -1,14 +1,17 @@
 """Command line front end: compute, summarize, correlate, report.
 
-Configuration precedence is flags, then a json config file (--config),
-then defaults; the PIRMETRICS_OUT environment variable overrides only
-the default output directory. Logs go to stderr, data to files (or
-stdout with '-'). Outputs are named <dataset>.<report>.<format>.
+Each setting comes from its flag, else from the json config file given
+with --config, else from its default; the PIRMETRICS_OUT environment
+variable stands in only for the default output directory. Config values
+go through the same types and checks as flags, and each command ignores
+the config keys it does not read, so one config file serves the whole
+pipeline. Logs go to stderr, data to files named
+<dataset>.<report>.<format> under the output directory.
 
 Exit codes
     0  success
-    2  usage error (bad flags or arguments)
-    3  malformed input file
+    2  usage error (bad flags, arguments or config values)
+    3  malformed or missing input file
     4  missing impact value under the strict policy
     5  no authors in the input
     6  not enough groups for the requested statistics
@@ -19,7 +22,8 @@ Exit codes
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -34,7 +38,7 @@ from .engine import (
     compute_profiles,
 )
 from .io import IngestError, load_events, load_impact_table, load_scalars, save_text
-from .model import SJR, SNIP, ModelError, YearWindow
+from .model import SJR, SNIP, YearWindow
 from .report import ReportError
 
 EXIT_OK = 0
@@ -48,21 +52,9 @@ EXIT_COMPUTE = 8
 
 DEFAULT_WINDOW = "2009:2013"
 DEFAULT_FAMILIES = (SJR, SNIP)
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings for one command invocation."""
-
-    window: YearWindow
-    families: tuple[str, ...]
-    missing: MissingValuePolicy
-    window_policy: WindowPolicy
-    out_dir: Path
-    fmt: str
-    fail_fast: bool
-    dataset: str | None
-    paths: dict[str, Path] = field(default_factory=dict)
+# the settings a config file may hold; any other key is ignored
+CONFIG_KEYS = frozenset({"events", "impacts", "scalars", "profiles", "out", "format", "window",
+                         "families", "missing", "window_policy", "fail_fast", "name"})
 
 
 class CliFailure(click.ClickException):
@@ -81,158 +73,111 @@ def _log(message: str) -> None:
     click.echo(message, err=True)
 
 
-def shared_options(fn):
-    options = [
-        click.option("--events", "events_path", type=str, help="Event rows (csv/json)."),
-        click.option("--impacts", "impacts_path", type=str, help="Impact table (csv/json)."),
-        click.option("--scalars", "scalars_path", type=str, help="Scalar metrics (csv/json)."),
-        click.option("--profiles", "profiles_path", type=str, help="Precomputed profiles (csv/json)."),
-        click.option("--out", "out_dir", type=str, help="Output directory."),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json", "text"]), help="Output format."),
-        click.option("--window", "window_text", type=str, help="Target window START:END."),
-        click.option("--family", "families", multiple=True, help="Indicator family (repeatable)."),
-        click.option("--missing", "missing_text", type=str, help="strict | drop | nearest:K."),
-        click.option(
-            "--window-policy", "window_policy_text",
-            type=click.Choice([p.value for p in WindowPolicy]), help="Window policy.",
-        ),
-        click.option("--fail-fast", "fail_fast", is_flag=True, default=None, help="Abort on first author failure."),
-        click.option("--config", "config_path", type=str, help="JSON config file (flags win)."),
-        click.option("--name", "dataset", type=str, help="Dataset label used in output file names."),
-    ]
-    for option in reversed(options):
+def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) -> None:
+    """Make the json object in the --config file the command's defaults."""
+    if value is None:
+        return
+    path = Path(value)
+    if not path.exists():
+        raise _fail(f"config file not found: {path}", EXIT_INPUT)
+    try:
+        config = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise _fail(f"config file {path} is not valid json: {exc}", EXIT_INPUT)
+    if not isinstance(config, dict):
+        raise _fail(f"config file {path} must hold a json object", EXIT_INPUT)
+    if isinstance(config.get("families"), str):
+        config["families"] = [config["families"]]
+    # a null value leaves its setting at the default
+    ctx.default_map = {
+        key: value for key, value in config.items() if key in CONFIG_KEYS and value is not None
+    }
+
+
+def _input_file(ctx: click.Context, param: click.Parameter, value: str | None) -> Path | None:
+    path = None if value is None else Path(value)
+    if path is not None and not path.exists():
+        raise _fail(f"{param.name} file not found: {path}", EXIT_INPUT)
+    return path
+
+
+def _parsed_by(parse):
+    """An option callback that parses the value, a ValueError becoming a usage error."""
+
+    def callback(ctx: click.Context, param: click.Parameter, value: str):
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from None
+
+    return callback
+
+
+def _check_families(ctx: click.Context, param: click.Parameter, value: tuple[str, ...]) -> tuple[str, ...]:
+    if not value:
+        raise click.BadParameter("at least one indicator family required")
+    if len({f.lower() for f in value}) != len(set(value)):
+        raise click.BadParameter(f"indicator families differ only in case: {', '.join(value)}")
+    return value
+
+
+def _input_option(flag: str, help: str):
+    return click.option(flag, type=str, callback=_input_file, help=help)
+
+
+scalars_option = _input_option("--scalars", "Scalar metrics (csv/json).")
+profiles_option = _input_option("--profiles", "Precomputed profiles (csv/json).")
+# a callable default rather than envvar=, which would let the environment beat the config
+out_option = click.option(
+    "--out", type=str, default=lambda: os.environ.get("PIRMETRICS_OUT", "out"), help="Output directory."
+)
+format_option = click.option(
+    "--format", type=click.Choice(["csv", "json", "text"]), default="csv", help="Output format."
+)
+config_option = click.option(
+    "--config", type=str, is_eager=True, expose_value=False, callback=_load_config,
+    help="JSON config file (flags win).",
+)
+name_option = click.option("--name", type=str, help="Dataset label used in output file names.")
+
+
+def table_options(fn):
+    """The options of the commands that read a profiles table."""
+    for option in (name_option, config_option, format_option, out_option, profiles_option, scalars_option):
         fn = option(fn)
     return fn
 
 
-def _resolve(ctx_params: dict, env: dict) -> RunConfig:
-    config: dict = {}
-    if ctx_params.get("config_path"):
-        path = Path(ctx_params["config_path"])
-        if not path.exists():
-            raise _fail(f"config file not found: {path}", EXIT_INPUT)
-        try:
-            config = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise _fail(f"config file {path} is not valid json: {exc}", EXIT_INPUT)
-        if not isinstance(config, dict):
-            raise _fail(f"config file {path} must hold a json object", EXIT_INPUT)
-
-    def pick(flag_key: str, config_key: str, default=None):
-        value = ctx_params.get(flag_key)
-        if value is not None and value != ():
-            return value
-        if config_key in config:
-            return config[config_key]
-        return default
-
-    try:
-        window = YearWindow.parse(str(pick("window_text", "window", DEFAULT_WINDOW)))
-    except ModelError as exc:
-        raise _fail(str(exc), EXIT_USAGE)
-    families = pick("families", "families", None)
-    if families is None:
-        families = DEFAULT_FAMILIES
-    elif isinstance(families, str):
-        families = (families,)
-    else:
-        families = tuple(families)
-    if not families:
-        raise _fail("at least one indicator family required", EXIT_USAGE)
-    if len({f.lower() for f in families}) != len(set(families)):
-        raise _fail(f"indicator families differ only in case: {', '.join(families)}", EXIT_USAGE)
-    try:
-        missing = MissingValuePolicy.parse(str(pick("missing_text", "missing", "drop")))
-        window_policy = WindowPolicy.parse(
-            str(pick("window_policy_text", "window_policy", "strict"))
-        )
-    except EngineError as exc:
-        raise _fail(str(exc), EXIT_USAGE)
-
-    out_dir = pick("out_dir", "out", None)
-    if out_dir is None:
-        out_dir = env.get("PIRMETRICS_OUT", "out")
-    fail_fast = pick("fail_fast", "fail_fast", False)
-
-    paths = {}
-    for key in ("events", "impacts", "scalars", "profiles"):
-        value = pick(f"{key}_path", key, None)
-        if value is not None:
-            path = Path(value)
-            if not path.exists():
-                raise _fail(f"{key} file not found: {path}", EXIT_INPUT)
-            paths[key] = path
-
-    return RunConfig(
-        window=window,
-        families=families,
-        missing=missing,
-        window_policy=window_policy,
-        out_dir=Path(out_dir),
-        fmt=str(pick("fmt", "format", "csv")),
-        fail_fast=bool(fail_fast),
-        dataset=pick("dataset", "name", None),
-        paths=paths,
-    )
-
-
-def _require(config: RunConfig, key: str, flag: str) -> Path:
-    if key not in config.paths:
+def _require(path: Path | None, flag: str) -> Path:
+    if path is None:
         raise _fail(f"missing required input: {flag}", EXIT_USAGE)
-    return config.paths[key]
-
-
-def _dataset_label(config: RunConfig, fallback_key: str) -> str:
-    if config.dataset:
-        return config.dataset
-    if fallback_key in config.paths:
-        return config.paths[fallback_key].stem
-    return "dataset"
-
-
-def _input_format(path: Path) -> str:
-    return "json" if path.suffix.lower() == ".json" else "csv"
-
-
-def _write_output(config: RunConfig, dataset: str, report_name: str, text: str, ext: str | None = None) -> Path:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = config.out_dir / f"{dataset}.{report_name}.{ext or config.fmt}"
-    save_text(text, path)
-    _log(f"wrote {path}")
     return path
 
 
-def _load_rows(config: RunConfig) -> list[rpt.AuthorTableRow]:
-    profiles_path = _require(config, "profiles", "--profiles")
+def _read(loader, path: Path):
+    """Load one input file; a malformed one ends the run with exit 3."""
     try:
-        rows = rpt.load_profiles(profiles_path, _input_format(profiles_path))
+        return loader(path, "json" if path.suffix.lower() == ".json" else "csv")
     except IngestError as exc:
         raise _fail(str(exc), EXIT_INPUT)
+
+
+def _write_output(out: str, dataset: str, report_name: str, text: str, ext: str) -> None:
+    Path(out).mkdir(parents=True, exist_ok=True)
+    path = Path(out) / f"{dataset}.{report_name}.{ext}"
+    save_text(text, path)
+    _log(f"wrote {path}")
+
+
+def _load_rows(profiles: Path | None, scalars: Path | None) -> list[rpt.AuthorTableRow]:
+    rows = _read(rpt.load_profiles, _require(profiles, "--profiles"))
     if not rows:
         raise _fail("no authors in profiles input", EXIT_NO_AUTHORS)
-    if "scalars" in config.paths:
-        try:
-            scalars = load_scalars(config.paths["scalars"], _input_format(config.paths["scalars"]))
-        except IngestError as exc:
-            raise _fail(str(exc), EXIT_INPUT)
-        merged = []
-        for row in rows:
-            metrics = scalars.get(row.author_id)
-            if metrics is None:
-                merged.append(row)
-            else:
-                merged.append(
-                    rpt.AuthorTableRow(
-                        author_id=row.author_id,
-                        group=row.group,
-                        papers=metrics.papers,
-                        cites=metrics.cites,
-                        h=metrics.h,
-                        families=row.families,
-                    )
-                )
-        rows = merged
-    return rows
+    metrics = _read(load_scalars, scalars) if scalars else {}
+    return [
+        replace(row, papers=m.papers, cites=m.cites, h=m.h) if (m := metrics.get(row.author_id)) else row
+        for row in rows
+    ]
 
 
 @click.group()
@@ -242,40 +187,48 @@ def main() -> None:
 
 
 @main.command()
-@shared_options
-def compute(**params) -> None:
+@_input_option("--events", "Event rows (csv/json).")
+@_input_option("--impacts", "Impact table (csv/json).")
+@scalars_option
+@out_option
+@format_option
+@click.option("--window", type=str, default=DEFAULT_WINDOW, callback=_parsed_by(YearWindow.parse),
+              help="Target window START:END.")
+@click.option("--family", "families", multiple=True, default=DEFAULT_FAMILIES, callback=_check_families,
+              help="Indicator family (repeatable).")
+@click.option("--missing", type=str, default="drop", callback=_parsed_by(MissingValuePolicy.parse),
+              help="strict | drop | nearest:K.")
+@click.option("--window-policy", type=click.Choice([p.value for p in WindowPolicy]), default="strict",
+              callback=_parsed_by(WindowPolicy.parse), help="Window policy.")
+@click.option("--fail-fast", is_flag=True, help="Abort on first author failure.")
+@config_option
+@name_option
+def compute(
+    events: Path | None, impacts: Path | None, scalars: Path | None, out: str, format: str,
+    window: YearWindow, families: tuple[str, ...], missing: MissingValuePolicy,
+    window_policy: WindowPolicy, fail_fast: bool, name: str | None,
+) -> None:
     """Compute per-author profiles from events and an impact table."""
-    config = _resolve(params, _env())
-    events_path = _require(config, "events", "--events")
-    impacts_path = _require(config, "impacts", "--impacts")
-    try:
-        corpora = load_events(events_path, _input_format(events_path))
-        table = load_impact_table(impacts_path, _input_format(impacts_path))
-        scalars = (
-            load_scalars(config.paths["scalars"], _input_format(config.paths["scalars"]))
-            if "scalars" in config.paths
-            else {}
-        )
-    except IngestError as exc:
-        raise _fail(str(exc), EXIT_INPUT)
+    events, impacts = _require(events, "--events"), _require(impacts, "--impacts")
+    corpora = _read(load_events, events)
+    table = _read(load_impact_table, impacts)
+    scalar_metrics = _read(load_scalars, scalars) if scalars else {}
 
     if not corpora:
         raise _fail("no authors in events input", EXIT_NO_AUTHORS)
 
     profiles_by_family = {}
-    for family in config.families:
+    for family in families:
         try:
             profiles_by_family[family] = compute_profiles(
                 corpora,
                 table,
                 family,
-                config.window,
-                config.missing,
-                config.window_policy,
-                fail_fast=config.fail_fast,
+                window,
+                missing,
+                window_policy,
+                fail_fast=fail_fast,
             )
-        except MissingImpactError as exc:
-            raise _fail(str(exc), EXIT_MISSING_IMPACT)
         except BatchError as exc:
             for author_id, err in exc.failures:
                 _log(f"error: {author_id}: {err}")
@@ -289,33 +242,30 @@ def compute(**params) -> None:
 
     groups = {c.author_id: c.group for c in corpora}
     try:
-        rows = rpt.author_table(profiles_by_family, scalars, groups)
+        rows = rpt.author_table(profiles_by_family, scalar_metrics, groups)
     except ReportError as exc:
         raise _fail(str(exc), EXIT_UNKNOWN_NAME)
 
-    dataset = _dataset_label(config, "events")
     header, data = rpt.author_table_export(rows)
-    fmt = "csv" if config.fmt == "text" else config.fmt
-    _write_output(config, dataset, "profiles", rpt.render_table(header, data, fmt), ext=fmt)
+    fmt = "csv" if format == "text" else format
+    _write_output(out, name or events.stem, "profiles", rpt.render_table(header, data, fmt), fmt)
 
 
 @main.command()
-@shared_options
-def summarize(**params) -> None:
+@table_options
+def summarize(profiles: Path | None, scalars: Path | None, out: str, format: str, name: str | None) -> None:
     """Group summaries, pooled statistics and variance decomposition."""
-    config = _resolve(params, _env())
-    rows = _load_rows(config)
-    dataset = _dataset_label(config, "profiles")
+    rows = _load_rows(profiles, scalars)
+    dataset = name or profiles.stem
 
     try:
         blocks = rpt.group_summary(rows)
     except ReportError as exc:
         raise _fail(str(exc), EXIT_FEW_GROUPS)
     header, data = rpt.group_summary_export(blocks)
-    _write_output(config, dataset, "groups", rpt.render_table(header, data, config.fmt))
+    _write_output(out, dataset, "groups", rpt.render_table(header, data, format), format)
 
-    group_count = len({row.group for row in rows})
-    if group_count < 2:
+    if len({row.group for row in rows}) < 2:
         _log("warning: single group, skipping variance decomposition")
         return
     try:
@@ -323,13 +273,13 @@ def summarize(**params) -> None:
     except ReportError as exc:
         raise _fail(str(exc), EXIT_FEW_GROUPS)
     header, data = rpt.aggregate_export(aggregate)
-    _write_output(config, dataset, "aggregate", rpt.render_table(header, data, config.fmt))
+    _write_output(out, dataset, "aggregate", rpt.render_table(header, data, format), format)
     header, data = rpt.deltas_export(aggregate)
-    _write_output(config, dataset, "deltas", rpt.render_table(header, data, config.fmt))
+    _write_output(out, dataset, "deltas", rpt.render_table(header, data, format), format)
 
 
 @main.command()
-@shared_options
+@table_options
 @click.option(
     "--method",
     type=click.Choice(["pearson", "spearman"]),
@@ -337,31 +287,27 @@ def summarize(**params) -> None:
     show_default=True,
 )
 @click.option("--variable", "variables", multiple=True, help="Variables to correlate (repeatable).")
-def correlate(method: str, variables: tuple[str, ...], **params) -> None:
+def correlate(
+    profiles: Path | None, scalars: Path | None, out: str, format: str, name: str | None,
+    method: str, variables: tuple[str, ...],
+) -> None:
     """Per-group correlation matrices with significance marks."""
-    config = _resolve(params, _env())
-    rows = _load_rows(config)
-    dataset = _dataset_label(config, "profiles")
-    wanted = variables or None
+    rows = _load_rows(profiles, scalars)
+    dataset = name or profiles.stem
     try:
-        matrices = rpt.correlation_report(rows, method=method, variables=wanted)
+        matrices = rpt.correlation_report(rows, method=method, variables=variables or None)
     except ReportError as exc:
         raise _fail(str(exc), EXIT_UNKNOWN_NAME)
-    if config.fmt == "text":
-        text = rpt.render_correlation_text(matrices)
-        _write_output(config, dataset, method, text, ext="txt")
+    if format == "text":
+        _write_output(out, dataset, method, rpt.render_correlation_text(matrices), "txt")
     else:
         header, data = rpt.correlation_export(matrices)
-        _write_output(
-            config,
-            dataset,
-            method,
-            rpt.render_table(header, data, config.fmt, formatters=rpt.CORRELATION_FORMATTERS),
-        )
+        text = rpt.render_table(header, data, format, formatters=rpt.CORRELATION_FORMATTERS)
+        _write_output(out, dataset, method, text, format)
 
 
 @main.command("report")
-@shared_options
+@table_options
 @click.option(
     "--kind",
     "kinds",
@@ -375,18 +321,14 @@ def correlate(method: str, variables: tuple[str, ...], **params) -> None:
 @click.option("--order-family", type=str, help="Family whose impact dimension orders authors.")
 @click.option("--svg", is_flag=True, default=False, help="Also write an SVG for boxplot exports.")
 def report_cmd(
-    kinds: tuple[str, ...],
-    variables: tuple[str, ...],
-    x_var: str | None,
-    y_var: str | None,
-    order_family: str | None,
-    svg: bool,
-    **params,
+    profiles: Path | None, scalars: Path | None, out: str, format: str, name: str | None,
+    kinds: tuple[str, ...], variables: tuple[str, ...], x_var: str | None, y_var: str | None,
+    order_family: str | None, svg: bool,
 ) -> None:
     """Figure-data exports: boxplot summaries, scatter pairs, orderings."""
-    config = _resolve(params, _env())
-    rows = _load_rows(config)
-    dataset = _dataset_label(config, "profiles")
+    rows = _load_rows(profiles, scalars)
+    dataset = name or profiles.stem
+    fmt = "csv" if format == "text" else format
     for kind in kinds or ("boxplot",):
         try:
             if kind == "boxplot":
@@ -399,17 +341,9 @@ def report_cmd(
                 )
         except ReportError as exc:
             raise _fail(str(exc), EXIT_UNKNOWN_NAME)
-        name = {"boxplot": "boxplot", "scatter": "scatter", "ordered": "ordered"}[kind]
-        fmt = "csv" if config.fmt == "text" else config.fmt
-        _write_output(config, dataset, name, rpt.render_table(header, data, fmt), ext=fmt)
+        _write_output(out, dataset, kind, rpt.render_table(header, data, fmt), fmt)
         if svg and kind == "boxplot":
-            _write_output(config, dataset, name, rpt.render_boxplot_svg(data), ext="svg")
-
-
-def _env() -> dict:
-    import os
-
-    return dict(os.environ)
+            _write_output(out, dataset, kind, rpt.render_boxplot_svg(data), "svg")
 
 
 if __name__ == "__main__":

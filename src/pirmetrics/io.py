@@ -66,24 +66,29 @@ def _open_text(source) -> Iterator[_stdio.TextIOBase]:
 def _rows(source, fmt: str, required: list[str], label: str):
     """Yield (line_number, row_dict) from csv or json input.
 
-    A csv row must have exactly as many fields as its header.
+    A csv row must have exactly as many fields as its header; a csv
+    syntax error (say, a bare carriage return in an unquoted field) is
+    an IngestError too.
     """
     if fmt not in ("csv", "json"):
         raise IngestError(f"unknown format {fmt!r}; expected csv or json")
     with _open_text(source) as stream:
         if fmt == "csv":
             reader = csv.DictReader(stream)
-            if reader.fieldnames is None:
-                raise IngestError(f"{label}: empty input, header row required")
-            missing = [c for c in required if c not in reader.fieldnames]
-            if missing:
-                raise IngestError(f"{label}: missing columns {missing} in header")
-            for lineno, row in enumerate(reader, start=2):
-                if None in row.values():
-                    raise IngestError(f"{label}: line {lineno}: short row")
-                if None in row:
-                    raise IngestError(f"{label}: line {lineno}: more fields than the header")
-                yield lineno, row
+            try:
+                if reader.fieldnames is None:
+                    raise IngestError(f"{label}: empty input, header row required")
+                missing = [c for c in required if c not in reader.fieldnames]
+                if missing:
+                    raise IngestError(f"{label}: missing columns {missing} in header")
+                for lineno, row in enumerate(reader, start=2):
+                    if None in row.values():
+                        raise IngestError(f"{label}: line {lineno}: short row")
+                    if None in row:
+                        raise IngestError(f"{label}: line {lineno}: more fields than the header")
+                    yield lineno, row
+            except csv.Error as exc:
+                raise IngestError(f"{label}: line {reader.reader.line_num}: {exc}") from None
         else:
             try:
                 payload = json.load(stream)
@@ -100,18 +105,39 @@ def _rows(source, fmt: str, required: list[str], label: str):
                 yield i, row
 
 
+def _text(row: Mapping, key: str, where: str) -> str:
+    """A text field, stripped; json null reads as empty, other non-strings are rejected."""
+    raw = row[key]
+    if isinstance(raw, str):
+        return raw.strip()
+    if raw is None:
+        return ""
+    raise IngestError(f"{where}: {key} must be a string, got {raw!r}")
+
+
 def _parse_int(raw, what: str, where: str) -> int:
+    """An integer from an int, an integral float or decimal text; not a bool."""
+    if type(raw) is int:  # the common json case, checked first for speed; a bool is not exactly int
+        return raw
     try:
+        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+            raise ValueError
         return int(raw)
     except (TypeError, ValueError):
         raise IngestError(f"{where}: {what} must be an integer, got {raw!r}") from None
 
 
 def _parse_float(raw, what: str, where: str) -> float:
+    """A finite number from a number or its text; not a bool, nan or inf."""
     try:
-        return float(raw)
-    except (TypeError, ValueError):
+        if isinstance(raw, bool):
+            raise ValueError
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
         raise IngestError(f"{where}: {what} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise IngestError(f"{where}: non-finite {what} {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +154,14 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
     first_seen: dict[tuple, object] = {}
     for lineno, row in _rows(source, fmt, ["journal", "year", "indicator", "value"], "impact table"):
         where = f"impact table: line {lineno}" if fmt == "csv" else f"impact table: row {lineno}"
-        journal = (row["journal"] or "").strip()
-        indicator = (row["indicator"] or "").strip()
+        journal = _text(row, "journal", where)
+        indicator = _text(row, "indicator", where)
         if not journal:
             raise IngestError(f"{where}: empty journal id")
         if not indicator:
             raise IngestError(f"{where}: empty indicator name")
         year = _parse_int(row["year"], "year", where)
-        value = _parse_float(row["value"], "value", where)
-        if not math.isfinite(value):
-            raise IngestError(f"{where}: non-finite impact value {value}")
+        value = _parse_float(row["value"], "impact value", where)
         if value < 0:
             raise IngestError(f"{where}: negative impact value {value}")
         key = (journal, year, indicator)
@@ -179,10 +203,10 @@ def load_events(
         source, fmt, ["author_id", "group", "kind", "journal", "year", "count"], "events"
     ):
         where = f"events: line {lineno}" if fmt == "csv" else f"events: row {lineno}"
-        author_id = (row["author_id"] or "").strip()
+        author_id = _text(row, "author_id", where)
         if not author_id:
             raise IngestError(f"{where}: empty author_id")
-        group = (row["group"] or "").strip() or None
+        group = _text(row, "group", where) or None
         try:
             kind = EventKind.parse(str(row["kind"]))
         except ModelError as exc:
@@ -190,7 +214,7 @@ def load_events(
         year = _parse_int(row["year"], "year", where)
         count = _parse_int(row["count"], "count", where)
         try:
-            event = Event(kind, (row["journal"] or "").strip(), year, count)
+            event = Event(kind, _text(row, "journal", where), year, count)
         except ModelError as exc:
             raise IngestError(f"{where}: {exc}") from exc
 
@@ -270,7 +294,7 @@ def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
     out: dict[str, ScalarMetrics] = {}
     for lineno, row in _rows(source, fmt, ["author_id", "papers", "cites", "h"], "scalars"):
         where = f"scalars: line {lineno}" if fmt == "csv" else f"scalars: row {lineno}"
-        author_id = (row["author_id"] or "").strip()
+        author_id = _text(row, "author_id", where)
         if not author_id:
             raise IngestError(f"{where}: empty author_id")
         if author_id in out:

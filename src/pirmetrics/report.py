@@ -29,7 +29,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from . import stats
-from .io import IngestError, ScalarMetrics, _parse_float, _parse_int, _rows, save_text
+from .io import IngestError, ScalarMetrics, _parse_float, _parse_int, _rows, _text, save_text
 from .model import SJR, SNIP, IndicatorName, IndicatorProfile
 
 NA = "NA"
@@ -192,7 +192,7 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
                 fieldname, _, suffix = col.partition("_")
                 if fieldname == "p" and suffix and suffix not in suffixes:
                     suffixes.append(suffix)
-        author_id = (rec["author_id"] or "").strip()
+        author_id = _text(rec, "author_id", where)
         if not author_id:
             raise IngestError(f"{where}: empty author_id")
         if author_id in seen:
@@ -201,7 +201,7 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
         rows.append(
             AuthorTableRow(
                 author_id=author_id,
-                group=(rec["group"] or "").strip() or None,
+                group=_text(rec, "group", where) or None,
                 papers=_optional(_parse_int, rec.get("papers"), "papers", where),
                 cites=_optional(_parse_int, rec.get("cites"), "cites", where),
                 h=_optional(_parse_int, rec.get("h"), "h", where),
@@ -714,6 +714,9 @@ def render_boxplot_svg(
 
     Built purely from the five summary fields; one horizontal box per row.
     """
+    # imported here, as xml.sax.saxutils pulls in urllib.request (~30 ms)
+    from xml.sax.saxutils import escape
+
     if not data:
         return '<svg xmlns="http://www.w3.org/2000/svg" width="0" height="0"></svg>'
     lo = min(row[5] for row in data)
@@ -733,7 +736,7 @@ def render_boxplot_svg(
         cy = 10 + idx * row_height + row_height / 2
         top = cy - row_height * 0.3
         bot = cy + row_height * 0.3
-        parts.append(f'<text x="4" y="{cy + 4:.1f}">{group} {variable}</text>')
+        parts.append(f'<text x="4" y="{cy + 4:.1f}">{escape(f"{group} {variable}")}</text>')
         parts.append(
             f'<line x1="{sx(wlo):.1f}" y1="{cy:.1f}" x2="{sx(q1):.1f}" y2="{cy:.1f}" stroke="black"/>'
         )

@@ -143,6 +143,11 @@ class TestCompute:
         rows = read_rows(out / "solo.profiles.csv")
         assert "p_sjr" in rows[0]
         assert "p_snip" not in rows[0]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"families": "SJR"}))
+        run(runner, "compute", "--events", EVENTS, "--impacts", IMPACTS, "--out", str(out),
+            "--config", str(config), "--name", "solo_config")
+        assert (out / "solo_config.profiles.csv").read_bytes() == (out / "solo.profiles.csv").read_bytes()
 
     def test_config_file_backs_flags(self, runner, tmp_path):
         config = tmp_path / "run.json"
@@ -159,6 +164,10 @@ class TestCompute:
         )
         run(runner, "compute", "--config", str(config))
         assert (tmp_path / "from_config" / "cfg.profiles.csv").exists()
+        # keys a command does not read are ignored, so the same file serves summarize
+        config.write_text(json.dumps({**json.loads(config.read_text()), "profiles": PROFILES}))
+        run(runner, "summarize", "--config", str(config))
+        assert (tmp_path / "from_config" / "cfg.aggregate.csv").exists()
 
     def test_flags_beat_config(self, runner, tmp_path):
         config = tmp_path / "run.json"
@@ -172,6 +181,74 @@ class TestCompute:
         monkeypatch.setenv("PIRMETRICS_OUT", str(tmp_path / "env_out"))
         run(runner, "compute", "--events", EVENTS, "--impacts", IMPACTS, "--name", "env")
         assert (tmp_path / "env_out" / "env.profiles.csv").exists()
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "config_out")}))
+        args = ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--config", str(config), "--name", "env"]
+        run(runner, *args)
+        assert (tmp_path / "config_out" / "env.profiles.csv").exists()
+        run(runner, *args, "--out", str(tmp_path / "flag_out"))
+        assert (tmp_path / "flag_out" / "env.profiles.csv").exists()
+        monkeypatch.delenv("PIRMETRICS_OUT")
+        run(runner, "compute", "--events", EVENTS, "--impacts", IMPACTS, "--name", "env")
+        assert (tmp_path / "out" / "env.profiles.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("compute", {"format": "xml"}),
+            ("summarize", {"format": "xml"}),
+            ("compute", {"fail_fast": "maybe"}),
+            ("compute", {"window": "bogus"}),
+            ("compute", {"missing": "nearest:x"}),
+            ("compute", {"window_policy": "open"}),
+            ("compute", {"families": []}),
+        ],
+    )
+    def test_bad_config_value_usage_error(self, runner, tmp_path, command, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        inputs = ["--events", EVENTS, "--impacts", IMPACTS] if command == "compute" else ["--profiles", PROFILES]
+        result = runner.invoke(main, [command, *inputs, "--out", str(out), "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fail_fast, logged", [("false", ["a", "b"]), (False, ["a", "b"]), (True, [])])
+    def test_config_fail_fast_is_a_boolean(self, runner, tmp_path, fail_fast, logged):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "author_id,group,kind,journal,year,count\n"
+            "a,Phy,publication,Journal of Missing Impacts,2011,4\n"
+            "b,Phy,publication,Journal of Missing Impacts,2012,1\n"
+        )
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"fail_fast": fail_fast, "missing": "strict"}))
+        result = runner.invoke(
+            main, ["compute", "--events", str(events), "--impacts", IMPACTS, "--config", str(config), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == EXIT_MISSING_IMPACT
+        # without fail-fast every author is tried and each failure is logged
+        assert [line.split(":")[1].strip() for line in result.output.splitlines() if line.startswith("error:")] == logged
+
+    def test_missing_input_file_exit(self, runner, tmp_path):
+        missing = str(tmp_path / "absent.csv")
+        result = runner.invoke(main, ["compute", "--events", missing, "--impacts", IMPACTS, "--out", str(tmp_path)])
+        assert result.exit_code == EXIT_INPUT
+        assert "events file not found" in result.output
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"events": EVENTS, "impacts": missing}))
+        result = runner.invoke(main, ["compute", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == EXIT_INPUT
+        assert "impacts file not found" in result.output
+
+    def test_non_string_json_field_exit(self, runner, tmp_path):
+        events = tmp_path / "events.json"
+        row = {"author_id": 5, "group": "Phy", "kind": "publication", "journal": "J1", "year": 2011, "count": 1}
+        events.write_text(json.dumps([row]))
+        result = runner.invoke(main, ["compute", "--events", str(events), "--impacts", IMPACTS, "--out", str(tmp_path)])
+        assert result.exit_code == EXIT_INPUT
+        assert "row 1: author_id must be a string" in result.output
 
 
 class TestSummarize:
@@ -348,6 +425,26 @@ class TestReport:
         svg = (out / "ds.boxplot.svg").read_text()
         assert svg.startswith("<svg")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_profiles_cell_exit(self, runner, tmp_path, cell):
+        source = read_rows(Path(PROFILES))
+        source[0]["i_sjr"] = cell
+        profiles = tmp_path / "bad.csv"
+        with open(profiles, "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, fieldnames=list(source[0].keys()), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(source)
+        out = tmp_path / "o"
+        for kind in ("scatter", "ordered"):
+            result = runner.invoke(
+                main,
+                ["report", "--profiles", str(profiles), "--out", str(out), "--kind", kind,
+                 "--x", "p_sjr", "--y", "i_sjr", "--order-family", "SJR"],
+            )
+            assert result.exit_code == EXIT_INPUT
+            assert "line 2: non-finite i_sjr" in result.output
+        assert not out.exists()
+
     def test_ordered_kind(self, runner, tmp_path):
         out = tmp_path / "out"
         run(
@@ -408,3 +505,50 @@ class TestPipelineComposition:
             }
             outputs.append(tree)
         assert outputs[0] == outputs[1]
+
+
+class TestOptionSets:
+    TABLE = ["scalars", "profiles", "out", "format", "config", "name"]
+    OPTIONS = {
+        "compute": ["events", "impacts", "scalars", "out", "format", "window", "families",
+                    "missing", "window_policy", "fail_fast", "config", "name"],
+        "summarize": TABLE,
+        "correlate": TABLE + ["method", "variables"],
+        "report": TABLE + ["kinds", "variables", "x_var", "y_var", "order_family", "svg"],
+    }
+
+    def test_each_command_takes_only_the_options_it_reads(self):
+        options = {
+            name: [p.name for p in command.params if p.name != "help"]
+            for name, command in main.commands.items()
+        }
+        assert options == self.OPTIONS
+        assert sum(len(names) for names in options.values()) == 38
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["summarize", "--profiles", PROFILES, "--window", "2010:2014"],
+            ["summarize", "--profiles", PROFILES, "--events", "/nonexistent.csv"],
+            ["correlate", "--profiles", PROFILES, "--family", "SJR"],
+            ["report", "--profiles", PROFILES, "--missing", "drop"],
+            ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--profiles", PROFILES],
+        ],
+    )
+    def test_unread_option_is_rejected(self, runner, tmp_path, args):
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+    @pytest.mark.parametrize("command", ["correlate", "report"])
+    def test_config_keys_outside_the_settings_are_ignored(self, runner, tmp_path, command):
+        # method, variables, svg and help exist only as flags; a config cannot set them
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"method": "spearman", "variables": "x", "svg": True, "help": True}))
+        plain, configured = tmp_path / "plain", tmp_path / "configured"
+        run(runner, command, "--profiles", PROFILES, "--out", str(plain), "--name", "ds")
+        run(runner, command, "--profiles", PROFILES, "--out", str(configured), "--name", "ds",
+            "--config", str(config))
+        files = sorted(p.name for p in plain.iterdir())
+        assert files and sorted(p.name for p in configured.iterdir()) == files
+        assert all((configured / f).read_bytes() == (plain / f).read_bytes() for f in files)

@@ -4,6 +4,8 @@ import json
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pirmetrics.io as pio
 from pirmetrics.data import fixture_path
@@ -307,6 +309,12 @@ class TestRowShape:
         assert "line 2" in str(excinfo.value)
 
 
+    def test_csv_syntax_error_rejected_with_line(self):
+        with pytest.raises(IngestError) as excinfo:
+            load_scalars(csv_stream("author_id,papers,cites,h\nx,1,1,1\ny,1,1,\r1\n"))
+        assert "line 3: new-line character seen in unquoted field" in str(excinfo.value)
+
+
 class TestPathInputs:
     def test_loading_from_paths_leaves_no_open_files(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -352,3 +360,110 @@ class TestAtomicWrites:
         save_scalars(scalars, path)
         assert load_scalars(path) == scalars
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestJsonFieldTypes:
+    ROWS = {
+        load_events: {"author_id": "a", "group": "Phy", "kind": "citation", "journal": "J1", "year": 2010, "count": 1},
+        load_impact_table: {"journal": "J1", "year": 2010, "indicator": "SJR", "value": 1.0},
+        load_scalars: {"author_id": "x", "papers": 3, "cites": 9, "h": 1},
+        load_profiles: {"author_id": "a", "group": "Phy", "papers": 3, "cites": 9, "h": 1},
+    }
+
+    def load_with(self, loader, key, value):
+        row = {**self.ROWS[loader], key: value}
+        loader(csv_stream(json.dumps([row])), fmt="json")
+
+    @pytest.mark.parametrize(
+        "loader, key, value",
+        [
+            (load_events, "author_id", 5),
+            (load_events, "group", 7),
+            (load_events, "journal", ["J1"]),
+            (load_impact_table, "journal", 1),
+            (load_impact_table, "indicator", {"n": "SJR"}),
+            (load_scalars, "author_id", 3),
+            (load_profiles, "author_id", True),
+            (load_profiles, "group", 1.5),
+        ],
+    )
+    def test_non_string_text_field_rejected_with_row(self, loader, key, value):
+        with pytest.raises(IngestError) as excinfo:
+            self.load_with(loader, key, value)
+        assert f"row 1: {key} must be a string" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "loader, key, value",
+        [
+            (load_events, "count", 2.7),
+            (load_events, "year", 2010.5),
+            (load_events, "count", True),
+            (load_impact_table, "year", 2010.2),
+            (load_scalars, "papers", 2.7),
+            (load_scalars, "cites", 9.5),
+            (load_scalars, "h", 0.5),
+            (load_profiles, "h", 1.5),
+        ],
+    )
+    def test_non_integral_count_rejected_with_row(self, loader, key, value):
+        with pytest.raises(IngestError) as excinfo:
+            self.load_with(loader, key, value)
+        assert f"row 1: {key} must be an integer" in str(excinfo.value)
+
+    def test_integral_float_and_null_group_still_load(self):
+        row = {"author_id": "a", "group": None, "kind": "citation", "journal": "J1", "year": 2010.0, "count": 3.0}
+        (corpus,) = load_events(csv_stream(json.dumps([row])), fmt="json")
+        assert corpus.group is None
+        assert corpus.events == (Event(EventKind.CITATION, "J1", 2010, 3),)
+
+
+class TestLoaderFuzz:
+    """Whatever the input, a loader returns or raises IngestError, nothing else."""
+
+    COLUMNS = {
+        load_events: ["author_id", "group", "kind", "journal", "year", "count"],
+        load_impact_table: ["journal", "year", "indicator", "value"],
+        load_scalars: ["author_id", "papers", "cites", "h"],
+        load_profiles: ["author_id", "group", "papers", "cites", "h", "p_sjr", "i_sjr", "pi_snip"],
+    }
+    CELLS = st.one_of(
+        st.sampled_from(
+            ["", " ", "NA", "nan", "-inf", "1e400", "-1", "0", "1", "2.7", "2010", "x",
+             "publication", "citation", "reference", "SJR", "\x00", '"', ","]
+        ),
+        st.text(max_size=6),
+    )
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+        | st.sampled_from(["NA", "publication", "SJR", "2010", "2.7"]),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=4,
+    )
+
+    @staticmethod
+    def _loads_or_ingest_error(loader, text, fmt):
+        try:
+            loader(csv_stream(text), fmt=fmt)
+        except IngestError:
+            pass
+
+    @pytest.mark.parametrize("loader", list(COLUMNS), ids=lambda f: f.__name__)
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_csv(self, loader, data):
+        columns = self.COLUMNS[loader]
+        header = data.draw(st.lists(st.sampled_from(columns + ["extra"]), min_size=1, unique=True) | st.just(columns))
+        rows = data.draw(st.lists(st.lists(self.CELLS, min_size=len(header) - 1, max_size=len(header) + 1), max_size=4))
+        text = "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+        self._loads_or_ingest_error(loader, text, "csv")
+
+    @pytest.mark.parametrize("loader", list(COLUMNS), ids=lambda f: f.__name__)
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_json(self, loader, data):
+        columns = self.COLUMNS[loader]
+        row = st.fixed_dictionaries({c: self.JSON_VALUES for c in columns}) | st.dictionaries(
+            st.sampled_from(columns), self.JSON_VALUES
+        )
+        payload = data.draw(st.lists(row, max_size=4) | self.JSON_VALUES)
+        self._loads_or_ingest_error(loader, json.dumps(payload), "json")

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from xml.etree import ElementTree
 
 import pytest
 
@@ -388,3 +389,13 @@ class TestRendering:
         assert svg.startswith("<svg")
         assert svg.count("<rect") == len(data)
         assert svg.strip().endswith("</svg>")
+
+    def test_svg_labels_escaped_and_parse(self):
+        rows = [
+            AuthorTableRow(f"a{i}", group, i, i, 0, {SJR: DimensionCells(1.0 + i, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)})
+            for group in ("R&D <lab>", 'Q"A') for i in range(1, 4)
+        ]
+        header, data = figure_data(rows, "boxplot", variables=["p_sjr"])
+        root = ElementTree.fromstring(render_boxplot_svg(data))
+        labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert labels == ['Q"A p_sjr', "R&D <lab> p_sjr"]
