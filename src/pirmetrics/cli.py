@@ -10,7 +10,8 @@ pipeline. Logs go to stderr, data to files named
 
 Exit codes
     0  success
-    2  usage error (bad flags, arguments or config values)
+    2  usage error (bad flags, arguments or config values, or an output
+       that cannot be written)
     3  malformed or missing input file
     4  missing impact value under the strict policy
     5  no authors in the input
@@ -163,9 +164,15 @@ def _read(loader, path: Path):
 
 
 def _write_output(out: str, dataset: str, report_name: str, text: str, ext: str) -> None:
-    Path(out).mkdir(parents=True, exist_ok=True)
     path = Path(out) / f"{dataset}.{report_name}.{ext}"
-    save_text(text, path)
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _fail(f"cannot create output directory {out}: {exc.strerror or exc}", EXIT_USAGE)
+    try:
+        save_text(text, path)
+    except OSError as exc:
+        raise _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_USAGE)
     _log(f"wrote {path}")
 
 

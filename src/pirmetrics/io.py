@@ -299,13 +299,13 @@ def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
             raise IngestError(f"{where}: empty author_id")
         if author_id in out:
             raise IngestError(f"{where}: duplicate author_id {author_id!r}")
-        metrics = ScalarMetrics(
-            author_id,
-            _parse_int(row["papers"], "papers", where),
-            _parse_int(row["cites"], "cites", where),
-            _parse_int(row["h"], "h", where),
-        )
-        out[author_id] = metrics
+        papers = _parse_int(row["papers"], "papers", where)
+        cites = _parse_int(row["cites"], "cites", where)
+        h = _parse_int(row["h"], "h", where)
+        try:
+            out[author_id] = ScalarMetrics(author_id, papers, cites, h)
+        except IngestError as exc:
+            raise IngestError(f"{where}: {exc}") from exc
     return out
 
 

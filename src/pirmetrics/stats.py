@@ -11,8 +11,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from scipy.stats import t as _student_t
-
 
 class StatsError(ValueError):
     """Invalid input to a statistics operation."""
@@ -102,12 +100,6 @@ class GroupedSample:
 
     def __iter__(self):
         return iter(self._groups.items())
-
-    def names(self) -> list[str]:
-        return list(self._groups)
-
-    def values(self, name: str) -> tuple[float, ...]:
-        return self._groups[name]
 
     def pooled(self) -> list[float]:
         return [v for vals in self._groups.values() for v in vals]
@@ -202,12 +194,9 @@ def variance_decomposition(sample: GroupedSample) -> VarianceDecomposition:
         raise StatsError("variance decomposition needs at least two groups")
     pooled = sample.pooled()
     grand = mean(pooled)
-    within = math.fsum(
-        math.fsum((v - mean(vals)) ** 2 for v in vals) for _, vals in sample
-    )
-    between = math.fsum(
-        len(vals) * (mean(vals) - grand) ** 2 for _, vals in sample
-    )
+    means = [(vals, mean(vals)) for _, vals in sample]
+    within = math.fsum(math.fsum((v - m) ** 2 for v in vals) for vals, m in means)
+    between = math.fsum(len(vals) * (m - grand) ** 2 for vals, m in means)
     total = math.fsum((v - grand) ** 2 for v in pooled)
     pct = 1.0 - between / within if within > 0 else None
     return VarianceDecomposition(
@@ -215,12 +204,31 @@ def variance_decomposition(sample: GroupedSample) -> VarianceDecomposition:
     )
 
 
+def _t_two_tailed_p(t: float, df: int) -> float:
+    """P(|T| >= t) for Student's t with integer df >= 1, t >= 0.
+
+    Exact finite series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4
+    (even df) in theta = atan(t / sqrt(df)); df // 2 terms.
+    """
+    theta = math.atan(t / math.sqrt(df))
+    cos2 = math.cos(theta) ** 2
+    odd = df % 2
+    term, terms = (math.cos(theta) if odd else 1.0), []
+    for k in range(1, df // 2 + 1):
+        terms.append(term)
+        term *= cos2 * (2 * k - 1 + odd) / (2 * k + odd)
+    inside = math.sin(theta) * math.fsum(terms)
+    if odd:
+        inside = 2.0 / math.pi * (theta + inside)
+    return 1.0 - inside
+
+
 def _significance(r: float, n: int) -> int | None:
     """Confidence level of r != 0 from the two-tailed t statistic."""
     if abs(r) >= 1.0:
         return 99
     stat = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(_student_t.sf(stat, n - 2))
+    p = _t_two_tailed_p(stat, n - 2)
     if p < 0.01:
         return 99
     if p < 0.05:
@@ -283,12 +291,7 @@ def average_ranks(values: Sequence[float]) -> list[float]:
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     """Rank correlation: Pearson applied to average-rank vectors."""
-    xs, ys = _check_sample(x), _check_sample(y)
-    if len(xs) != len(ys):
-        raise StatsError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if len(xs) < 3:
-        raise StatsError(f"need at least 3 pairs, got {len(xs)}")
-    return pearson(average_ranks(xs), average_ranks(ys))
+    return pearson(average_ranks(x), average_ranks(y))
 
 
 CORRELATION_METHODS = {"pearson": pearson, "spearman": spearman}

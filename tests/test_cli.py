@@ -299,6 +299,24 @@ class TestSummarize:
         result = runner.invoke(main, ["summarize"])
         assert result.exit_code == 2
 
+    def test_out_naming_a_file_usage_error(self, runner, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        result = runner.invoke(main, ["summarize", "--profiles", PROFILES, "--out", str(blocker)])
+        assert result.exit_code == 2
+        assert f"cannot create output directory {blocker}: " in result.output
+        assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+
+    def test_name_with_missing_directory_usage_error(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["summarize", "--profiles", PROFILES, "--out", str(out), "--name", "a/b"]
+        )
+        assert result.exit_code == 2
+        assert f"cannot write {out / 'a' / 'b.groups.csv'}: " in result.output
+        assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+        assert sorted(p.name for p in out.iterdir()) == []
+
 
 class TestCorrelate:
     def test_pearson_medicine_cell(self, runner, tmp_path):

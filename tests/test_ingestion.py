@@ -203,6 +203,29 @@ class TestLoadScalars:
                 csv_stream("author_id,papers,cites,h\nx,1,1,1\nx,2,2,2\n")
             )
 
+    @pytest.mark.parametrize(
+        "papers, cites, h, message",
+        [
+            (-1, 0, 0, "negative scalar metric"),
+            (3, 9, 5, "h (5) exceeds paper count (3)"),
+            (10, 3, 5, "h (5) exceeds citation count (3)"),
+        ],
+        ids=["negative", "h-above-papers", "h-above-cites"],
+    )
+    @pytest.mark.parametrize("fmt, where", [("csv", "scalars: line 3: "), ("json", "scalars: row 2: ")],
+                             ids=["csv", "json"])
+    def test_range_error_names_its_location(self, papers, cites, h, message, fmt, where):
+        if fmt == "csv":
+            text = f"author_id,papers,cites,h\nok,1,1,1\nx,{papers},{cites},{h}\n"
+        else:
+            text = json.dumps([
+                {"author_id": "ok", "papers": 1, "cites": 1, "h": 1},
+                {"author_id": "x", "papers": papers, "cites": cites, "h": h},
+            ])
+        with pytest.raises(IngestError) as excinfo:
+            load_scalars(io.StringIO(text), fmt=fmt)
+        assert str(excinfo.value) == f"{where}'x': {message}"
+
     def test_round_trip(self):
         scalars = load_scalars(fixture_path("scalars.csv"))
         for fmt in ("csv", "json"):

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pirmetrics
+from pirmetrics.report import correlation_report, variables_for
 from pirmetrics.stats import (
     GroupedSample,
     StatsError,
@@ -17,6 +23,8 @@ from pirmetrics.stats import (
     pearson,
     quantile,
     spearman,
+    _significance,
+    _t_two_tailed_p,
     variance_decomposition,
 )
 
@@ -318,3 +326,43 @@ class TestCorrelationMatrix:
             method="spearman",
         )
         assert grid[0][1].r == pytest.approx(1.0, abs=1e-12)
+
+
+def scipy_significance(r, n):
+    """The significance level computed from scipy's t distribution."""
+    if abs(r) >= 1.0:
+        return 99
+    p = 2 * scipy.stats.t.sf(abs(r) * math.sqrt((n - 2) / (1 - r * r)), n - 2)
+    return 99 if p < 0.01 else 95 if p < 0.05 else 90 if p < 0.10 else None
+
+
+class TestStudentT:
+    def test_p_value_matches_scipy(self):
+        ts = np.concatenate([np.linspace(0.0, 5.0, 21), [6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0]])
+        for df in [*range(1, 601), 1000, 2000, 5000]:
+            expected = 2 * scipy.stats.t.sf(ts, df)
+            for t, p in zip(ts.tolist(), expected.tolist()):
+                assert abs(_t_two_tailed_p(t, df) - p) <= 1e-12, (t, df)
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    def test_significance_matches_scipy_on_fixture_cells(self, fixture_rows, method):
+        checked = 0
+        variables = variables_for(fixture_rows[0])
+        for matrix in correlation_report(fixture_rows, method=method, variables=variables):
+            for a, row in enumerate(matrix.cells):
+                for cell in row[a + 1:]:
+                    assert _significance(cell.r, cell.n) == scipy_significance(cell.r, cell.n)
+                    checked += 1
+        assert checked == 4 * 136  # 4 groups x every pair of the 17 variables
+
+    def test_cli_import_loads_neither_scipy_nor_numpy(self):
+        code = (
+            "import sys, pirmetrics.cli; "
+            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
+        )
+        path = [str(Path(pirmetrics.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "[]"
