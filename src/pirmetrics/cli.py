@@ -254,6 +254,7 @@ def compute(
         raise _fail(str(exc), EXIT_UNKNOWN_NAME)
 
     header, data = rpt.author_table_export(rows)
+    # profiles are read back only as csv or json, so text writes csv
     fmt = "csv" if format == "text" else format
     _write_output(out, name or events.stem, "profiles", rpt.render_table(header, data, fmt), fmt)
 
@@ -335,7 +336,6 @@ def report_cmd(
     """Figure-data exports: boxplot summaries, scatter pairs, orderings."""
     rows = _load_rows(profiles, scalars)
     dataset = name or profiles.stem
-    fmt = "csv" if format == "text" else format
     for kind in kinds or ("boxplot",):
         try:
             if kind == "boxplot":
@@ -348,7 +348,7 @@ def report_cmd(
                 )
         except ReportError as exc:
             raise _fail(str(exc), EXIT_UNKNOWN_NAME)
-        _write_output(out, dataset, kind, rpt.render_table(header, data, fmt), fmt)
+        _write_output(out, dataset, kind, rpt.render_table(header, data, format), format)
         if svg and kind == "boxplot":
             _write_output(out, dataset, kind, rpt.render_boxplot_svg(data), "svg")
 

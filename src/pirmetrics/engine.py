@@ -145,16 +145,10 @@ DEFAULT_MISSING = MissingValuePolicy.drop_and_renormalize()
 DEFAULT_WINDOW_POLICY = WindowPolicy.STRICT
 
 
-def _lookup(
-    table: ImpactTable,
-    journal: JournalRef,
-    year: int,
-    indicator: IndicatorName,
-    missing: MissingValuePolicy,
+def _missing_value(
+    table: ImpactTable, journal: JournalRef, year: int, indicator: IndicatorName, missing: MissingValuePolicy
 ) -> float | None:
-    value = table.get(journal, year, indicator)
-    if value is not None:
-        return value
+    """What stands in for an absent impact value under the missing-value policy."""
     if missing.mode == MissingValuePolicy.STRICT:
         raise MissingImpactError(journal, year, indicator)
     if missing.mode == MissingValuePolicy.NEAREST:
@@ -164,6 +158,40 @@ def _lookup(
                 if value is not None:
                     return value
     return None
+
+
+def _weighted_mean(
+    merged: Sequence[tuple[tuple[JournalRef, int], int]], kind: EventKind | None, table: ImpactTable,
+    indicator: IndicatorName, window: YearWindow, missing: MissingValuePolicy, window_policy: WindowPolicy,
+) -> tuple[float | None, CoverageDiagnostics]:
+    """The one loop behind weighted_mean_impact and compute_profile, over merge_counts pairs.
+
+    Gaps are met in (journal, year) order, so strict names the first;
+    math.fsum makes the sum independent of the order of its terms.
+    """
+    open_years = window_policy == WindowPolicy.OPEN_REFERENCES and kind not in (None, EventKind.PUBLICATION)
+    lo, hi = window.start_year, window.end_year
+    get = table.get
+    matched_terms: list[float] = []
+    matched = 0
+    dropped = 0
+    for (journal, year), count in merged:
+        if not (open_years or lo <= year <= hi):
+            continue
+        value = get(journal, year, indicator)
+        if value is None:
+            value = _missing_value(table, journal, year, indicator, missing)
+        if value is None:
+            dropped += count
+        else:
+            matched += count
+            matched_terms.append(count * value)
+
+    total = matched + dropped
+    if matched == 0:
+        return None, CoverageDiagnostics(total, 0, total)
+    mean = math.fsum(matched_terms) / matched
+    return mean, CoverageDiagnostics(total, matched, dropped)
 
 
 def weighted_mean_impact(
@@ -187,33 +215,7 @@ def weighted_mean_impact(
     if len(kinds) > 1:
         raise EngineError(f"events must share one kind, got {sorted(k.value for k in kinds)}")
     kind = next(iter(kinds)) if kinds else None
-
-    open_years = (
-        window_policy == WindowPolicy.OPEN_REFERENCES
-        and kind is not None
-        and kind != EventKind.PUBLICATION
-    )
-
-    merged = merge_counts(events)
-    if not open_years:
-        merged = {key: count for key, count in merged.items() if key[1] in window}
-
-    matched_terms: list[float] = []
-    matched = 0
-    dropped = 0
-    for (journal, year), count in sorted(merged.items()):
-        value = _lookup(table, journal, year, indicator, missing)
-        if value is None:
-            dropped += count
-        else:
-            matched += count
-            matched_terms.append(count * value)
-
-    total = matched + dropped
-    if matched == 0:
-        return None, CoverageDiagnostics(total, 0, total)
-    mean = math.fsum(matched_terms) / matched
-    return mean, CoverageDiagnostics(total, matched, dropped)
+    return _weighted_mean(merge_counts(events), kind, table, indicator, window, missing, window_policy)
 
 
 def compute_profile(
@@ -227,16 +229,13 @@ def compute_profile(
     """All three dimensions and four ratios for one author.
 
     Zero or undefined denominators never raise; the affected ratios are
-    simply undefined. Strict missing-impact errors propagate.
+    simply undefined. Strict missing-impact errors propagate. The
+    corpus's merged counts are reused across indicator families.
     """
     dims: dict[EventKind, float | None] = {}
     coverage: dict[EventKind, CoverageDiagnostics] = {}
-    for kind in EventKind:
-        value, diag = weighted_mean_impact(
-            corpus.events_of_kind(kind), table, indicator, window, missing, window_policy
-        )
-        dims[kind] = value
-        coverage[kind] = diag
+    for kind, merged in corpus.merged.items():
+        dims[kind], coverage[kind] = _weighted_mean(merged, kind, table, indicator, window, missing, window_policy)
 
     p = dims[EventKind.PUBLICATION]
     i = dims[EventKind.CITATION]

@@ -66,7 +66,8 @@ def _open_text(source) -> Iterator[_stdio.TextIOBase]:
 def _rows(source, fmt: str, required: list[str], label: str):
     """Yield (line_number, row_dict) from csv or json input.
 
-    A csv row must have exactly as many fields as its header; a csv
+    A csv row is numbered by the physical line it ends on, and must have
+    exactly as many fields as its header; blank lines are skipped. A csv
     syntax error (say, a bare carriage return in an unquoted field) is
     an IngestError too.
     """
@@ -74,21 +75,24 @@ def _rows(source, fmt: str, required: list[str], label: str):
         raise IngestError(f"unknown format {fmt!r}; expected csv or json")
     with _open_text(source) as stream:
         if fmt == "csv":
-            reader = csv.DictReader(stream)
+            reader = csv.reader(stream)
             try:
-                if reader.fieldnames is None:
+                header = next(reader, None)
+                if header is None:
                     raise IngestError(f"{label}: empty input, header row required")
-                missing = [c for c in required if c not in reader.fieldnames]
+                missing = [c for c in required if c not in header]
                 if missing:
                     raise IngestError(f"{label}: missing columns {missing} in header")
-                for lineno, row in enumerate(reader, start=2):
-                    if None in row.values():
-                        raise IngestError(f"{label}: line {lineno}: short row")
-                    if None in row:
-                        raise IngestError(f"{label}: line {lineno}: more fields than the header")
-                    yield lineno, row
+                width = len(header)
+                for fields in reader:
+                    if len(fields) != width:
+                        if not fields:
+                            continue
+                        shape = "short row" if len(fields) < width else "more fields than the header"
+                        raise IngestError(f"{label}: line {reader.line_num}: {shape}")
+                    yield reader.line_num, dict(zip(header, fields))
             except csv.Error as exc:
-                raise IngestError(f"{label}: line {reader.reader.line_num}: {exc}") from None
+                raise IngestError(f"{label}: line {reader.line_num}: {exc}") from None
         else:
             try:
                 payload = json.load(stream)
@@ -105,38 +109,48 @@ def _rows(source, fmt: str, required: list[str], label: str):
                 yield i, row
 
 
-def _text(row: Mapping, key: str, where: str) -> str:
+class _FieldError(IngestError):
+    """A bad field or row, raised without its location; see _located."""
+
+
+def _located(exc: Exception, label: str, fmt: str, lineno: int) -> IngestError:
+    """The loader's error for a failed row: its location, then the message."""
+    return IngestError(f"{label}: {'line' if fmt == 'csv' else 'row'} {lineno}: {exc}")
+
+
+def _text(row: Mapping, key: str) -> str:
     """A text field, stripped; json null reads as empty, other non-strings are rejected."""
     raw = row[key]
     if isinstance(raw, str):
         return raw.strip()
     if raw is None:
         return ""
-    raise IngestError(f"{where}: {key} must be a string, got {raw!r}")
+    raise _FieldError(f"{key} must be a string, got {raw!r}")
 
 
-def _parse_int(raw, what: str, where: str) -> int:
+def _parse_int(raw, what: str) -> int:
     """An integer from an int, an integral float or decimal text; not a bool."""
-    if type(raw) is int:  # the common json case, checked first for speed; a bool is not exactly int
+    raw_type = type(raw)  # exact types: a bool is not an int here
+    if raw_type is int:
         return raw
     try:
-        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-            raise ValueError
-        return int(raw)
-    except (TypeError, ValueError):
-        raise IngestError(f"{where}: {what} must be an integer, got {raw!r}") from None
+        if raw_type is str or (raw_type is float and raw.is_integer()):
+            return int(raw)
+    except ValueError:
+        pass
+    raise _FieldError(f"{what} must be an integer, got {raw!r}")
 
 
-def _parse_float(raw, what: str, where: str) -> float:
+def _parse_float(raw, what: str) -> float:
     """A finite number from a number or its text; not a bool, nan or inf."""
     try:
         if isinstance(raw, bool):
             raise ValueError
         value = float(raw)
     except (TypeError, ValueError, OverflowError):
-        raise IngestError(f"{where}: {what} must be a number, got {raw!r}") from None
+        raise _FieldError(f"{what} must be a number, got {raw!r}") from None
     if not math.isfinite(value):
-        raise IngestError(f"{where}: non-finite {what} {value}")
+        raise _FieldError(f"non-finite {what} {value}")
     return value
 
 
@@ -150,29 +164,31 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
     negative or non-finite values and malformed rows are rejected with
     their location.
     """
-    entries = []
-    first_seen: dict[tuple, object] = {}
-    for lineno, row in _rows(source, fmt, ["journal", "year", "indicator", "value"], "impact table"):
-        where = f"impact table: line {lineno}" if fmt == "csv" else f"impact table: row {lineno}"
-        journal = _text(row, "journal", where)
-        indicator = _text(row, "indicator", where)
-        if not journal:
-            raise IngestError(f"{where}: empty journal id")
-        if not indicator:
-            raise IngestError(f"{where}: empty indicator name")
-        year = _parse_int(row["year"], "year", where)
-        value = _parse_float(row["value"], "impact value", where)
-        if value < 0:
-            raise IngestError(f"{where}: negative impact value {value}")
-        key = (journal, year, indicator)
-        if key in first_seen:
-            raise IngestError(
-                f"impact table: duplicate key {key} at line {lineno} "
-                f"(first seen at line {first_seen[key]})"
-            )
-        first_seen[key] = lineno
-        entries.append((journal, year, indicator, value))
-    return ImpactTable(entries)
+    values: dict[tuple[str, int, str], float] = {}
+    first_seen: dict[tuple[str, int, str], int] = {}
+    try:
+        for lineno, row in _rows(source, fmt, ["journal", "year", "indicator", "value"], "impact table"):
+            journal = _text(row, "journal")
+            indicator = _text(row, "indicator")
+            if not journal:
+                raise _FieldError("empty journal id")
+            if not indicator:
+                raise _FieldError("empty indicator name")
+            year = _parse_int(row["year"], "year")
+            value = _parse_float(row["value"], "impact value")
+            if value < 0:
+                raise _FieldError(f"negative impact value {value}")
+            key = (journal, year, indicator)
+            if key in first_seen:
+                raise IngestError(
+                    f"impact table: duplicate key {key} at line {lineno} "
+                    f"(first seen at line {first_seen[key]})"
+                )
+            first_seen[key] = lineno
+            values[key] = value
+    except _FieldError as exc:
+        raise _located(exc, "impact table", fmt, lineno) from None
+    return ImpactTable._of_checked(values)
 
 
 def save_impact_table(table: ImpactTable, destination, fmt: str = "csv") -> None:
@@ -185,6 +201,9 @@ def save_impact_table(table: ImpactTable, destination, fmt: str = "csv") -> None
 
 # ---------------------------------------------------------------------------
 # author events
+
+_KINDS = {kind.value: kind for kind in EventKind}
+
 
 def load_events(
     source,
@@ -199,37 +218,36 @@ def load_events(
     """
     events: dict[str, list[Event]] = {}
     groups: dict[str, str | None] = {}
-    for lineno, row in _rows(
-        source, fmt, ["author_id", "group", "kind", "journal", "year", "count"], "events"
-    ):
-        where = f"events: line {lineno}" if fmt == "csv" else f"events: row {lineno}"
-        author_id = _text(row, "author_id", where)
-        if not author_id:
-            raise IngestError(f"{where}: empty author_id")
-        group = _text(row, "group", where) or None
-        try:
-            kind = EventKind.parse(str(row["kind"]))
-        except ModelError as exc:
-            raise IngestError(f"{where}: {exc}") from exc
-        year = _parse_int(row["year"], "year", where)
-        count = _parse_int(row["count"], "count", where)
-        try:
-            event = Event(kind, _text(row, "journal", where), year, count)
-        except ModelError as exc:
-            raise IngestError(f"{where}: {exc}") from exc
+    try:
+        for lineno, row in _rows(
+            source, fmt, ["author_id", "group", "kind", "journal", "year", "count"], "events"
+        ):
+            author_id = _text(row, "author_id")
+            if not author_id:
+                raise _FieldError("empty author_id")
+            group = _text(row, "group") or None
+            try:
+                kind = _KINDS[row["kind"]]
+            except (KeyError, TypeError):  # any other spelling, or a json non-string
+                kind = EventKind.parse(str(row["kind"]))
+            year = _parse_int(row["year"], "year")
+            count = _parse_int(row["count"], "count")
+            event = Event(kind, _text(row, "journal"), year, count)
 
-        if author_id not in events:
-            events[author_id] = []
-            groups[author_id] = group
-        elif group is not None:
-            if groups[author_id] is None:
+            if author_id not in events:
+                events[author_id] = []
                 groups[author_id] = group
-            elif groups[author_id] != group:
-                raise IngestError(
-                    f"{where}: author {author_id!r} has conflicting groups "
-                    f"{groups[author_id]!r} and {group!r}"
-                )
-        events[author_id].append(event)
+            elif group is not None:
+                if groups[author_id] is None:
+                    groups[author_id] = group
+                elif groups[author_id] != group:
+                    raise _FieldError(
+                        f"author {author_id!r} has conflicting groups "
+                        f"{groups[author_id]!r} and {group!r}"
+                    )
+            events[author_id].append(event)
+    except (_FieldError, ModelError) as exc:
+        raise _located(exc, "events", fmt, lineno) from None
 
     if group_overrides:
         for author_id, group in group_overrides.items():
@@ -278,13 +296,13 @@ class ScalarMetrics:
 
     def __post_init__(self):
         if min(self.papers, self.cites, self.h) < 0:
-            raise IngestError(f"{self.author_id!r}: negative scalar metric")
+            raise _FieldError(f"{self.author_id!r}: negative scalar metric")
         if self.h > self.papers:
-            raise IngestError(
+            raise _FieldError(
                 f"{self.author_id!r}: h ({self.h}) exceeds paper count ({self.papers})"
             )
         if self.papers > 0 and self.h > self.cites:
-            raise IngestError(
+            raise _FieldError(
                 f"{self.author_id!r}: h ({self.h}) exceeds citation count ({self.cites})"
             )
 
@@ -292,20 +310,19 @@ class ScalarMetrics:
 def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
     """Load per-author paper/citation/h counters, keyed by author id."""
     out: dict[str, ScalarMetrics] = {}
-    for lineno, row in _rows(source, fmt, ["author_id", "papers", "cites", "h"], "scalars"):
-        where = f"scalars: line {lineno}" if fmt == "csv" else f"scalars: row {lineno}"
-        author_id = _text(row, "author_id", where)
-        if not author_id:
-            raise IngestError(f"{where}: empty author_id")
-        if author_id in out:
-            raise IngestError(f"{where}: duplicate author_id {author_id!r}")
-        papers = _parse_int(row["papers"], "papers", where)
-        cites = _parse_int(row["cites"], "cites", where)
-        h = _parse_int(row["h"], "h", where)
-        try:
+    try:
+        for lineno, row in _rows(source, fmt, ["author_id", "papers", "cites", "h"], "scalars"):
+            author_id = _text(row, "author_id")
+            if not author_id:
+                raise _FieldError("empty author_id")
+            if author_id in out:
+                raise _FieldError(f"duplicate author_id {author_id!r}")
+            papers = _parse_int(row["papers"], "papers")
+            cites = _parse_int(row["cites"], "cites")
+            h = _parse_int(row["h"], "h")
             out[author_id] = ScalarMetrics(author_id, papers, cites, h)
-        except IngestError as exc:
-            raise IngestError(f"{where}: {exc}") from exc
+    except _FieldError as exc:
+        raise _located(exc, "scalars", fmt, lineno) from None
     return out
 
 

@@ -10,6 +10,7 @@ import enum
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # A journal identifier is an opaque string compared by exact equality.
 # Title normalisation and aliasing belong to data preparation, not here.
@@ -47,12 +48,9 @@ class YearWindow:
     def length(self) -> int:
         return self.end_year - self.start_year + 1
 
-    def contains(self, year: int) -> bool:
+    def __contains__(self, year: int) -> bool:
         """True iff start_year <= year <= end_year."""
         return self.start_year <= year <= self.end_year
-
-    def __contains__(self, year: int) -> bool:
-        return self.contains(year)
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.start_year, self.end_year + 1))
@@ -96,7 +94,7 @@ class EventKind(enum.Enum):
             ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A counted bibliographic event in one journal and year."""
 
@@ -139,16 +137,21 @@ class AuthorCorpus:
 
     def merged_counts(self, kind: EventKind) -> dict[tuple[JournalRef, int], int]:
         """Total count per (journal, year) for one kind; order independent."""
-        return merge_counts(self.events_of_kind(kind))
+        return dict(self.merged[kind])
+
+    @cached_property
+    def merged(self) -> Mapping[EventKind, tuple[tuple[tuple[JournalRef, int], int], ...]]:
+        """merge_counts of each kind's events, made on first use and kept for every family."""
+        return {kind: tuple(merge_counts(self.events_of_kind(kind))) for kind in EventKind}
 
 
-def merge_counts(events: Iterable[Event]) -> dict[tuple[JournalRef, int], int]:
-    """Total count per (journal, year) over events; order independent."""
+def merge_counts(events: Iterable[Event]) -> list[tuple[tuple[JournalRef, int], int]]:
+    """((journal, year), total count) pairs in (journal, year) order; event order does not matter."""
     totals: dict[tuple[JournalRef, int], int] = {}
     for e in events:
         key = (e.journal, e.year)
         totals[key] = totals.get(key, 0) + e.count
-    return totals
+    return [(key, totals[key]) for key in sorted(totals)]
 
 
 class ImpactTable:
@@ -167,6 +170,13 @@ class ImpactTable:
                 raise ModelError(f"duplicate impact entry for {key}")
             table[key] = float(value)
         self._table = table
+
+    @classmethod
+    def _of_checked(cls, values: dict[tuple[JournalRef, int, IndicatorName], float]) -> "ImpactTable":
+        """A table over entries io.load_impact_table has checked row by row, not checked again."""
+        table = cls.__new__(cls)
+        table._table = values
+        return table
 
     @staticmethod
     def _validate(journal, indicator, value):

@@ -29,7 +29,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from . import stats
-from .io import IngestError, ScalarMetrics, _parse_float, _parse_int, _rows, _text, save_text
+from .io import ScalarMetrics, _FieldError, _located, _parse_float, _parse_int, _rows, _text, save_text
 from .model import SJR, SNIP, IndicatorName, IndicatorProfile
 
 NA = "NA"
@@ -184,38 +184,40 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
     rows = []
     seen: set[str] = set()
     suffixes: list[str] | None = None
-    for lineno, rec in _rows(source, fmt, ["author_id", "group"], "profiles"):
-        where = f"profiles: line {lineno}" if fmt == "csv" else f"profiles: row {lineno}"
-        if suffixes is None:
-            suffixes = []
-            for col in rec:
-                fieldname, _, suffix = col.partition("_")
-                if fieldname == "p" and suffix and suffix not in suffixes:
-                    suffixes.append(suffix)
-        author_id = _text(rec, "author_id", where)
-        if not author_id:
-            raise IngestError(f"{where}: empty author_id")
-        if author_id in seen:
-            raise IngestError(f"{where}: duplicate author {author_id!r}")
-        seen.add(author_id)
-        rows.append(
-            AuthorTableRow(
-                author_id=author_id,
-                group=_text(rec, "group", where) or None,
-                papers=_optional(_parse_int, rec.get("papers"), "papers", where),
-                cites=_optional(_parse_int, rec.get("cites"), "cites", where),
-                h=_optional(_parse_int, rec.get("h"), "h", where),
-                families={
-                    _canonical_family(suffix): DimensionCells(
-                        **{
-                            f: _optional(_parse_float, rec.get(f"{f}_{suffix}"), f"{f}_{suffix}", where)
-                            for f in FAMILY_FIELDS
-                        }
-                    )
-                    for suffix in suffixes
-                },
+    try:
+        for lineno, rec in _rows(source, fmt, ["author_id", "group"], "profiles"):
+            if suffixes is None:
+                suffixes = []
+                for col in rec:
+                    fieldname, _, suffix = col.partition("_")
+                    if fieldname == "p" and suffix and suffix not in suffixes:
+                        suffixes.append(suffix)
+            author_id = _text(rec, "author_id")
+            if not author_id:
+                raise _FieldError("empty author_id")
+            if author_id in seen:
+                raise _FieldError(f"duplicate author {author_id!r}")
+            seen.add(author_id)
+            rows.append(
+                AuthorTableRow(
+                    author_id=author_id,
+                    group=_text(rec, "group") or None,
+                    papers=_optional(_parse_int, rec.get("papers"), "papers"),
+                    cites=_optional(_parse_int, rec.get("cites"), "cites"),
+                    h=_optional(_parse_int, rec.get("h"), "h"),
+                    families={
+                        _canonical_family(suffix): DimensionCells(
+                            **{
+                                f: _optional(_parse_float, rec.get(f"{f}_{suffix}"), f"{f}_{suffix}")
+                                for f in FAMILY_FIELDS
+                            }
+                        )
+                        for suffix in suffixes
+                    },
+                )
             )
-        )
+    except _FieldError as exc:
+        raise _located(exc, "profiles", fmt, lineno) from None
     return rows
 
 
@@ -227,11 +229,11 @@ def _canonical_family(suffix: str) -> IndicatorName:
     return suffix
 
 
-def _optional(parse, raw, what: str, where: str):
+def _optional(parse, raw, what: str):
     """None for an undefined cell (NA, empty or absent), else the parsed value."""
     if raw is None or raw == "" or raw == NA:
         return None
-    return parse(raw, what, where)
+    return parse(raw, what)
 
 
 # ---------------------------------------------------------------------------

@@ -257,13 +257,15 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     mx, my = mean(xs), mean(ys)
     dx = [v - mx for v in xs]
     dy = [v - my for v in ys]
+    # the float mean can be an ulp off: take out the deviations' own mean too (corrected two-pass mean)
+    cx, cy = math.fsum(dx) / n, math.fsum(dy) / n
     # scale deviations to unit magnitude so squaring cannot under/overflow
-    scale_x = max(abs(v) for v in dx)
-    scale_y = max(abs(v) for v in dy)
+    scale_x = max(abs(v - cx) for v in dx)
+    scale_y = max(abs(v - cy) for v in dy)
     if scale_x == 0.0 or scale_y == 0.0:
         return CorrelationCell(r=None, n=n, note="constant input")
-    dx = [v / scale_x for v in dx]
-    dy = [v / scale_y for v in dy]
+    dx = [(v - cx) / scale_x for v in dx]
+    dy = [(v - cy) / scale_y for v in dy]
     sxx = math.fsum(v * v for v in dx)
     syy = math.fsum(v * v for v in dy)
     sxy = math.fsum(a * b for a, b in zip(dx, dy))

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,14 @@ class TestCompute:
     def test_missing_required_flag_is_usage_error(self, runner):
         result = runner.invoke(main, ["compute", "--impacts", IMPACTS])
         assert result.exit_code == 2
+
+    def test_text_format_writes_csv_profiles(self, runner, tmp_path):
+        out = tmp_path / "out"
+        args = ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--name", "bocci"]
+        run(runner, *args, "--out", str(out), "--format", "text")
+        run(runner, *args, "--out", str(tmp_path / "csv"))
+        assert [p.name for p in out.iterdir()] == ["bocci.profiles.csv"]
+        assert (out / "bocci.profiles.csv").read_bytes() == (tmp_path / "csv" / "bocci.profiles.csv").read_bytes()
 
     def test_single_family_flag(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -478,6 +487,23 @@ class TestReport:
         assert len(rows) == 120
         impact = [float(r["i_sjr"]) for r in rows]
         assert impact == sorted(impact, reverse=True)
+
+    def test_text_format_writes_aligned_tables(self, runner, tmp_path):
+        out = tmp_path / "out"
+        args = ["report", "--profiles", PROFILES, "--name", "ds", "--kind", "boxplot", "--kind", "ordered",
+                "--order-family", "SJR"]
+        run(runner, *args, "--out", str(out), "--format", "text")
+        run(runner, *args, "--out", str(tmp_path / "csv"))
+        assert sorted(p.name for p in out.iterdir()) == ["ds.boxplot.text", "ds.ordered.text"]
+        for kind in ("boxplot", "ordered"):
+            with open(tmp_path / "csv" / f"ds.{kind}.csv", newline="", encoding="utf-8") as f:
+                csv_rows = list(csv.reader(f))
+            lines = (out / f"ds.{kind}.text").read_text(encoding="utf-8").splitlines()
+            # the dashed rule under the header marks each column's span
+            spans = [m.span() for m in re.finditer("-+", lines[1])]
+            assert len(spans) == len(csv_rows[0])
+            cells = [[line[a:b].strip() for a, b in spans] for line in [lines[0], *lines[2:]]]
+            assert cells == csv_rows
 
 
 class TestPipelineComposition:

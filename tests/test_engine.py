@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from pirmetrics.engine import (
 )
 from pirmetrics.model import (
     AuthorCorpus,
+    CoverageDiagnostics,
     Event,
     EventKind,
     ImpactTable,
@@ -379,3 +381,108 @@ def test_convexity_bound(raw_events, impacts):
         if (j, y) in impacts
     ]
     assert min(matched_values) - 1e-9 <= value <= max(matched_values) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# reference check on a seeded synthetic batch
+
+FAMILIES = ("SJR", "SNIP")
+JOURNALS = [f"J{k}" for k in range(8)]
+FULLY_COVERED = JOURNALS[:2]  # authors whose events use only these survive the strict policy
+
+
+def synthetic_batch(seed: int):
+    """Corpora with repeated (kind, journal, year) rows, out-of-window years and impact gaps."""
+    rng = random.Random(seed)
+    impacts = {
+        (j, y, fam): round(rng.uniform(0.05, 9.0), rng.choice((1, 3, 7)))
+        for j in JOURNALS
+        for y in range(2003, 2020)
+        for fam in FAMILIES
+        if j in FULLY_COVERED or rng.random() < 0.6
+    }
+    corpora = []
+    for a in range(30):
+        journals = FULLY_COVERED if a % 5 == 0 else JOURNALS
+        events = [
+            Event(rng.choice(list(EventKind)), rng.choice(journals), rng.randint(2005, 2017), rng.randint(1, 9))
+            for _ in range(rng.randint(0, 40))
+        ]
+        events += events[: len(events) // 4]  # the same rows again
+        rng.shuffle(events)
+        corpora.append(AuthorCorpus(f"author-{rng.randrange(10**6):06d}-{a}", tuple(events), group=None))
+    return corpora, impacts
+
+
+def reference_stream(events, kind, impacts, family, mode, distance, open_years):
+    """Merge, filter, sort and fsum one stream directly; ("missing", journal, year) under strict."""
+    counts: dict[tuple, int] = {}
+    for e in events:
+        if e.kind is kind and (open_years or WIN.start_year <= e.year <= WIN.end_year):
+            counts[(e.journal, e.year)] = counts.get((e.journal, e.year), 0) + e.count
+    terms, matched, dropped = [], 0, 0
+    for journal, year in sorted(counts):
+        value = impacts.get((journal, year, family))
+        if value is None and mode == "strict":
+            return ("missing", journal, year)
+        for d in range(1, distance + 1):
+            if value is not None:
+                break
+            value = impacts.get((journal, year - d, family))
+            if value is None:
+                value = impacts.get((journal, year + d, family))
+        if value is None:
+            dropped += counts[(journal, year)]
+        else:
+            matched += counts[(journal, year)]
+            terms.append(counts[(journal, year)] * value)
+    mean = math.fsum(terms) / matched if matched else None
+    return mean, CoverageDiagnostics(matched + dropped, matched, dropped)
+
+
+@pytest.mark.parametrize("policy", ["strict", "drop", "nearest:2"])
+@pytest.mark.parametrize("window_policy", list(WindowPolicy))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_engine_matches_direct_reference_bitwise(policy, window_policy, seed):
+    corpora, impacts = synthetic_batch(seed)
+    table = ImpactTable((j, y, fam, v) for (j, y, fam), v in impacts.items())
+    missing = MissingValuePolicy.parse(policy)
+    distance = missing.max_distance
+    open_refs = window_policy is WindowPolicy.OPEN_REFERENCES
+    by_author = {c.author_id: c for c in corpora}
+    for family in FAMILIES:  # the second family reuses each corpus's cached merge
+        try:
+            profiles, failures = compute_profiles(corpora, table, family, WIN, missing, window_policy), []
+        except BatchError as exc:
+            profiles, failures = exc.profiles, exc.failures
+        assert len(profiles) + len(failures) == len(corpora)
+        for author_id, exc in failures:
+            assert policy == "strict" and isinstance(exc, MissingImpactError)
+            streams = [
+                reference_stream(by_author[author_id].events, kind, impacts, family, "strict", 0,
+                                 open_refs and kind is not PUB)
+                for kind in EventKind
+            ]
+            first = next(s for s in streams if s[0] == "missing")
+            assert (exc.journal, exc.year, exc.indicator) == (first[1], first[2], family)
+        if policy == "strict":
+            assert profiles and failures  # both outcomes are exercised
+        for profile in profiles:
+            events = by_author[profile.author_id].events
+            dims = {}
+            for kind in EventKind:
+                args = (impacts, family, missing.mode, distance, open_refs and kind is not PUB)
+                want = reference_stream(events, kind, *args)
+                assert want[0] != "missing"
+                dims[kind] = want[0]
+                assert profile.coverage[kind] == want[1]
+                direct = weighted_mean_impact(
+                    [e for e in events if e.kind is kind], table, family, WIN, missing, window_policy
+                )
+                assert direct == want
+            p, i, r = dims[PUB], dims[EventKind.CITATION], dims[EventKind.REFERENCE]
+            assert (profile.p, profile.i, profile.r) == (p, i, r)
+            assert profile.p_over_i == (p / i if p is not None and i else None)
+            assert profile.p_over_r == (p / r if p is not None and r else None)
+            assert profile.i_over_r == (i / r if i is not None and r else None)
+            assert profile.pi_over_2r == ((p + i) / (2.0 * r) if p is not None and i is not None and r else None)

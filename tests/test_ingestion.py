@@ -490,3 +490,70 @@ class TestLoaderFuzz:
         )
         payload = data.draw(st.lists(row, max_size=4) | self.JSON_VALUES)
         self._loads_or_ingest_error(loader, json.dumps(payload), "json")
+
+
+class TestPhysicalLineNumbers:
+    """A csv location is the physical line the row ends on: blank lines and quoted newlines count."""
+
+    def test_events(self):
+        text = 'author_id,group,kind,journal,year,count\na,,citation,"J\n1",2010,1\n\na,,citation,J1,2010,x\n'
+        with pytest.raises(IngestError, match=r"^events: line 5: count must be an integer, got 'x'$"):
+            load_events(csv_stream(text))
+
+    def test_impact_table_duplicate_names_both_physical_lines(self):
+        text = 'journal,year,indicator,value\nJ1,2010,SJR,1.0\n\n"J\n2",2010,SJR,2.0\nJ1,2010,SJR,3.0\n'
+        with pytest.raises(IngestError) as excinfo:
+            load_impact_table(csv_stream(text))
+        assert str(excinfo.value) == (
+            "impact table: duplicate key ('J1', 2010, 'SJR') at line 6 (first seen at line 2)"
+        )
+
+    def test_scalars(self):
+        text = 'author_id,papers,cites,h\n"x\ny",1,1,1\n\nz,1,1,-1\n'
+        with pytest.raises(IngestError, match=r"^scalars: line 5: 'z': negative scalar metric$"):
+            load_scalars(csv_stream(text))
+
+    def test_profiles(self):
+        text = 'author_id,group,papers,cites,h,p_sjr\n\n"x\ny",Phy,1,1,1,2.0\nz,Phy,1,1,1,abc\n'
+        with pytest.raises(IngestError, match=r"^profiles: line 5: p_sjr must be a number, got 'abc'$"):
+            load_profiles(csv_stream(text))
+
+    def test_blank_lines_between_rows_are_skipped(self):
+        text = "author_id,papers,cites,h\n\nx,1,1,1\n\n\ny,2,2,1\n"
+        assert list(load_scalars(csv_stream(text))) == ["x", "y"]
+
+    def test_blank_first_line_is_an_empty_header(self):
+        with pytest.raises(IngestError, match="missing columns"):
+            load_scalars(csv_stream("\nauthor_id,papers,cites,h\nx,1,1,1\n"))
+
+
+class TestEventLoaderParity:
+    """Kind spellings, json oddities and syntax errors read as they always have."""
+
+    def load_json(self, **fields):
+        row = {"author_id": "a", "group": "", "kind": "citation", "journal": "J1", "year": 2010, "count": 1}
+        return load_events(csv_stream(json.dumps([{**row, **fields}])), fmt="json")
+
+    def test_padded_mixed_case_kind(self):
+        (corpus,) = load_events(csv_stream("author_id,group,kind,journal,year,count\na,, Citation ,J1,2010,1\n"))
+        assert corpus.events == (Event(EventKind.CITATION, "J1", 2010, 1),)
+        (corpus,) = self.load_json(kind=" Citation ")
+        assert corpus.events == (Event(EventKind.CITATION, "J1", 2010, 1),)
+
+    @pytest.mark.parametrize("kind, shown", [(5, "'5'"), (None, "'None'"), (["citation"], "\"['citation']\"")])
+    def test_non_string_json_kind(self, kind, shown):
+        with pytest.raises(IngestError) as excinfo:
+            self.load_json(kind=kind)
+        assert str(excinfo.value) == (
+            f"events: row 1: unknown event kind {shown}; "
+            "expected one of ['publication', 'citation', 'reference']"
+        )
+
+    def test_null_json_journal(self):
+        with pytest.raises(IngestError, match=r"^events: row 1: journal id must be non-empty$"):
+            self.load_json(journal=None)
+
+    def test_csv_syntax_error_location(self):
+        text = "author_id,group,kind,journal,year,count\na,,citation,J1,2010,1\na,,citation,J\r1,2010,1\n"
+        with pytest.raises(IngestError, match=r"^events: line 3: new-line character seen in unquoted field"):
+            load_events(csv_stream(text))

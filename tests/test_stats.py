@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pirmetrics
@@ -185,6 +185,8 @@ class TestPearson:
         st.floats(0.01, 10.0),
         st.floats(-5.0, 5.0),
     )
+    # x + 1 = (1, 1, 1 + 2**-52): the mean rounds away a third of the spread
+    @example(pairs=[(0.0, 0.0), (0.0, 0.0), (2**-52, 1.0)], a=1.0, b=1.0)
     def test_affine_equivariance(self, pairs, a, b):
         x = [p[0] for p in pairs]
         y = [p[1] for p in pairs]
