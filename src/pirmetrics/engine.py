@@ -190,7 +190,10 @@ def _weighted_mean(
     total = matched + dropped
     if matched == 0:
         return None, CoverageDiagnostics(total, 0, total)
-    mean = math.fsum(matched_terms) / matched
+    try:
+        mean = math.fsum(matched_terms) / matched
+    except OverflowError:  # the terms are non-negative, so the sum overflows
+        mean = math.inf
     return mean, CoverageDiagnostics(total, matched, dropped)
 
 
@@ -229,8 +232,10 @@ def compute_profile(
     """All three dimensions and four ratios for one author.
 
     Zero or undefined denominators never raise; the affected ratios are
-    simply undefined. Strict missing-impact errors propagate. The
-    corpus's merged counts are reused across indicator families.
+    simply undefined. A dimension or ratio that overflows to infinity
+    raises EngineError naming its cell, and strict missing-impact errors
+    propagate. The corpus's merged counts are reused across indicator
+    families.
     """
     dims: dict[EventKind, float | None] = {}
     coverage: dict[EventKind, CoverageDiagnostics] = {}
@@ -241,6 +246,10 @@ def compute_profile(
     i = dims[EventKind.CITATION]
     r = dims[EventKind.REFERENCE]
     p_over_i, p_over_r, i_over_r, pi_over_2r = derive_ratios(p, i, r)
+    cells = (p, i, r, p_over_i, p_over_r, i_over_r, pi_over_2r)
+    for name, value in zip(("p", "i", "r", "pi", "pr", "ir", "pi2r"), cells):
+        if value is not None and not math.isfinite(value):
+            raise EngineError(f"{indicator} cell {name}_{indicator.lower()} is not finite ({value})")
     return IndicatorProfile(
         author_id=corpus.author_id,
         indicator=indicator,

@@ -19,7 +19,7 @@ import io as _stdio
 import json
 import math
 import os
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,18 +46,20 @@ def _open_text(source) -> Iterator[_stdio.TextIOBase]:
     """Accept a path, bytes, or a text/binary stream; yield a text stream.
 
     A path is opened here and closed on exit; a stream stays the caller's.
+    Bytes are decoded as UTF-8, dropping a leading byte order mark (which
+    spreadsheet exports write).
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as f:
+        with open(source, "r", encoding="utf-8-sig", newline="") as f:
             yield f
     elif isinstance(source, bytes):
-        yield _stdio.StringIO(source.decode("utf-8"))
+        yield _stdio.StringIO(source.decode("utf-8-sig"))
     elif isinstance(source, _stdio.TextIOBase):
         yield source
     elif hasattr(source, "read"):  # binary stream
         data = source.read()
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         yield _stdio.StringIO(data)
     else:
         raise IngestError(f"cannot read from {type(source).__name__}")
@@ -180,9 +182,10 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
                 raise _FieldError(f"negative impact value {value}")
             key = (journal, year, indicator)
             if key in first_seen:
+                unit = "line" if fmt == "csv" else "row"
                 raise IngestError(
-                    f"impact table: duplicate key {key} at line {lineno} "
-                    f"(first seen at line {first_seen[key]})"
+                    f"impact table: duplicate key {key} at {unit} {lineno} "
+                    f"(first seen at {unit} {first_seen[key]})"
                 )
             first_seen[key] = lineno
             values[key] = value
@@ -192,11 +195,8 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
 
 
 def save_impact_table(table: ImpactTable, destination, fmt: str = "csv") -> None:
-    rows = [
-        {"journal": j, "year": y, "indicator": ind, "value": v}
-        for j, y, ind, v in sorted(table.entries())
-    ]
-    _write_rows(rows, ["journal", "year", "indicator", "value"], destination, fmt)
+    header = ["journal", "year", "indicator", "value"]
+    save_text(_encode_table(header, sorted(table.entries()), fmt), destination)
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +261,13 @@ def load_events(
 
 
 def save_events(corpora: Iterable[AuthorCorpus], destination, fmt: str = "csv") -> None:
-    rows = []
-    for corpus in corpora:
-        for e in corpus.events:
-            rows.append(
-                {
-                    "author_id": corpus.author_id,
-                    "group": corpus.group or "",
-                    "kind": e.kind.value,
-                    "journal": e.journal,
-                    "year": e.year,
-                    "count": e.count,
-                }
-            )
-    _write_rows(rows, ["author_id", "group", "kind", "journal", "year", "count"], destination, fmt)
+    header = ["author_id", "group", "kind", "journal", "year", "count"]
+    data = [
+        [c.author_id, c.group or "", e.kind.value, e.journal, e.year, e.count]
+        for c in corpora
+        for e in c.events
+    ]
+    save_text(_encode_table(header, data, fmt), destination)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +320,8 @@ def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
 
 
 def save_scalars(scalars: Mapping[str, ScalarMetrics], destination, fmt: str = "csv") -> None:
-    rows = [
-        {"author_id": m.author_id, "papers": m.papers, "cites": m.cites, "h": m.h}
-        for m in scalars.values()
-    ]
-    _write_rows(rows, ["author_id", "papers", "cites", "h"], destination, fmt)
+    data = [[m.author_id, m.papers, m.cites, m.h] for m in scalars.values()]
+    save_text(_encode_table(["author_id", "papers", "cites", "h"], data, fmt), destination)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +384,7 @@ def assemble_dataset(
 
 
 # ---------------------------------------------------------------------------
-# shared writer
+# shared writers
 
 def save_text(text: str, destination) -> None:
     """Write text to an open stream, or atomically to a path.
@@ -417,15 +407,18 @@ def save_text(text: str, destination) -> None:
         raise
 
 
-def _write_rows(rows: list[dict], columns: list[str], destination, fmt: str) -> None:
+def _encode_table(header: Sequence[str], data: Iterable[Sequence], fmt: str) -> str:
+    """The one csv/json encoding of a table: every save_* writer and report table uses it.
+
+    csv writes the cells as given (a float as its repr, None as empty);
+    json writes an array with one object per row and the raw values.
+    """
     if fmt == "csv":
         buf = _stdio.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
-    else:
-        raise IngestError(f"unknown format {fmt!r}; expected csv or json")
-    save_text(text, destination)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(data)
+        return buf.getvalue()
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in data], indent=2, ensure_ascii=False) + "\n"
+    raise IngestError(f"unknown format {fmt!r}; expected csv or json")

@@ -21,15 +21,14 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io as _stdio
-import json
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from . import stats
-from .io import ScalarMetrics, _FieldError, _located, _parse_float, _parse_int, _rows, _text, save_text
+from .io import (
+    ScalarMetrics, _encode_table, _FieldError, _located, _parse_float, _parse_int, _rows, _text, save_text,
+)
 from .model import SJR, SNIP, IndicatorName, IndicatorProfile
 
 NA = "NA"
@@ -92,11 +91,11 @@ class AuthorTableRow:
                 if family.lower() == suffix:
                     return getattr(cells, fieldname)
         raise ReportError(
-            f"unknown variable {variable!r}; available: {', '.join(variables_for(self))}"
+            f"unknown variable {variable!r}; available: {', '.join(_variable_names(self))}"
         )
 
 
-def variables_for(row: AuthorTableRow) -> list[str]:
+def _variable_names(row: AuthorTableRow) -> list[str]:
     """All variable names defined by a row, scalar counters first."""
     names = list(SCALAR_FIELDS)
     for family in row.families:
@@ -114,7 +113,8 @@ def author_table(
     Every author must appear in every requested family. groups maps
     author ids to their group labels (profiles do not carry them). Rows
     are ordered by (group, h descending, cites descending, papers
-    descending, author id), the conventional presentation order.
+    descending, author id), the conventional presentation order; an
+    absent counter sorts last.
     """
     if not profiles_by_family:
         raise ReportError("at least one profile family required")
@@ -141,31 +141,20 @@ def author_table(
                 },
             )
         )
-    return sort_rows(rows)
-
-
-def sort_rows(rows: Iterable[AuthorTableRow]) -> list[AuthorTableRow]:
-    def key(row: AuthorTableRow):
-        return (
+    return sorted(
+        rows,
+        key=lambda row: (
             row.group or "",
             -(row.h if row.h is not None else -1),
             -(row.cites if row.cites is not None else -1),
             -(row.papers if row.papers is not None else -1),
             row.author_id,
-        )
-
-    return sorted(rows, key=key)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
 # profiles file schema
-
-def profile_columns(families: Sequence[IndicatorName]) -> list[str]:
-    cols = ["author_id", "group", "papers", "cites", "h"]
-    for family in families:
-        cols.extend(f"{f}_{family.lower()}" for f in FAMILY_FIELDS)
-    return cols
-
 
 def save_profiles(rows: Sequence[AuthorTableRow], destination, fmt: str = "csv") -> None:
     """Write author rows in the canonical profiles schema, as csv or json."""
@@ -179,19 +168,27 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
 
     Family names are recovered from the column suffixes; lowercase
     suffixes matching the canonical families come back as SJR / SNIP,
-    other suffixes are kept verbatim.
+    other suffixes are kept verbatim. The columns are the csv header, or
+    the first json row's fields, which every later json row must carry
+    exactly.
     """
     rows = []
     seen: set[str] = set()
-    suffixes: list[str] | None = None
+    columns = None
     try:
         for lineno, rec in _rows(source, fmt, ["author_id", "group"], "profiles"):
-            if suffixes is None:
+            if columns is None:
+                columns = rec.keys()
                 suffixes = []
                 for col in rec:
                     fieldname, _, suffix = col.partition("_")
                     if fieldname == "p" and suffix and suffix not in suffixes:
                         suffixes.append(suffix)
+            elif rec.keys() != columns:
+                raise _FieldError(
+                    f"fields differ from the first row's: missing {[c for c in columns if c not in rec]}, "
+                    f"extra {[c for c in rec if c not in columns]}"
+                )
             author_id = _text(rec, "author_id")
             if not author_id:
                 raise _FieldError("empty author_id")
@@ -281,23 +278,35 @@ class AggregateReport:
         object.__setattr__(self, "deltas", tuple(self.deltas))
 
 
-def _column(rows: Sequence[AuthorTableRow], variable: str) -> tuple[list[float], int]:
-    """Defined values of one variable, plus how many rows were excluded."""
-    values = []
-    excluded = 0
+def _group_columns(
+    rows: Sequence[AuthorTableRow],
+    variables: Sequence[str] | None,
+    group_of: Callable[[AuthorTableRow], str | None],
+) -> tuple[list[str], dict[str | None, dict[str, list[float | None]]]]:
+    """Each group's column of every variable, each cell read once.
+
+    group_of gives a row's group key, and may raise for a row that has
+    none. Variables default to those of the first row. Groups come in
+    first-seen order and cells in row order, so the columns of a group
+    line up; an undefined or non-finite cell is None.
+    """
+    variables = list(variables) if variables else _variable_names(rows[0])
+    members: dict[str | None, list[AuthorTableRow]] = {}
     for row in rows:
-        v = row.value(variable)
-        if v is None or not math.isfinite(v):
-            excluded += 1
-        else:
-            values.append(v)
-    return values, excluded
+        members.setdefault(group_of(row), []).append(row)
+    columns = {}
+    for group, group_rows in members.items():
+        columns[group] = {}
+        for variable in variables:
+            cells = [row.value(variable) for row in group_rows]
+            columns[group][variable] = [v if v is not None and math.isfinite(v) else None for v in cells]
+    return variables, columns
 
 
-def default_variables(rows: Sequence[AuthorTableRow]) -> list[str]:
-    if not rows:
-        raise ReportError("no rows")
-    return variables_for(rows[0])
+def _required_group(row: AuthorTableRow) -> str:
+    if row.group is None:
+        raise ReportError(f"author {row.author_id!r} has no group")
+    return row.group
 
 
 def group_summary(
@@ -311,25 +320,19 @@ def group_summary(
     """
     if not rows:
         raise ReportError("no rows")
-    variables = list(variables) if variables else default_variables(rows)
-    groups: dict[str, list[AuthorTableRow]] = {}
-    for row in rows:
-        if row.group is None:
-            raise ReportError(f"author {row.author_id!r} has no group")
-        groups.setdefault(row.group, []).append(row)
-
+    _, columns = _group_columns(rows, variables, _required_group)
     blocks = []
-    for group in sorted(groups):
+    for group in sorted(columns):
         summaries: dict[str, stats.DescriptiveSummary] = {}
         excluded: dict[str, int] = {}
-        for variable in variables:
-            values, dropped = _column(groups[group], variable)
+        for variable, column in columns[group].items():
+            values = [v for v in column if v is not None]
             if not values:
                 raise ReportError(
                     f"group {group!r}: no defined values for {variable!r}"
                 )
             summaries[variable] = stats.describe(values)
-            excluded[variable] = dropped
+            excluded[variable] = len(column) - len(values)
         blocks.append(GroupSummaryBlock(group, summaries, excluded))
     return blocks
 
@@ -340,27 +343,30 @@ def aggregate_report(
 ) -> AggregateReport:
     """Pooled summaries plus within/between decomposition per variable.
 
-    Needs at least two groups. For every ratio variable present in two or
-    more families, relative median/mean deltas between family pairs are
+    Needs at least two groups. Rows without a group count in the pooled
+    summaries only. For every ratio variable present in two or more
+    families, relative median/mean deltas between family pairs are
     included (first family listed against each later one).
     """
     if not rows:
         raise ReportError("no rows")
-    variables = list(variables) if variables else default_variables(rows)
-    group_names = sorted({row.group for row in rows if row.group is not None})
+    variables, columns = _group_columns(rows, variables, lambda row: row.group)
+    group_names = sorted(group for group in columns if group is not None)
     if len(group_names) < 2:
         raise ReportError("aggregate report needs at least two groups")
+    # pooled in row order: the min, max and median of equal 0.0 and -0.0 depend on it
+    everyone = _group_columns(rows, variables, lambda row: None)[1][None]
 
     pooled: dict[str, stats.DescriptiveSummary] = {}
     decompositions: dict[str, stats.VarianceDecomposition] = {}
     for variable in variables:
-        values, _ = _column(rows, variable)
+        values = [v for v in everyone[variable] if v is not None]
         if not values:
             raise ReportError(f"no defined values for {variable!r}")
         pooled[variable] = stats.describe(values)
         grouped: dict[str, list[float]] = {}
         for group in group_names:
-            vals, _ = _column([r for r in rows if r.group == group], variable)
+            vals = [v for v in columns[group][variable] if v is not None]
             if vals:
                 grouped[group] = vals
         if len(grouped) >= 2:
@@ -426,19 +432,10 @@ def correlation_report(
     """
     if not rows:
         raise ReportError("no rows")
-    variables = tuple(variables) if variables else DEFAULT_CORRELATION_VARIABLES
-    groups: dict[str, list[AuthorTableRow]] = {}
-    for row in rows:
-        if row.group is None:
-            raise ReportError(f"author {row.author_id!r} has no group")
-        groups.setdefault(row.group, []).append(row)
-
+    _, columns = _group_columns(rows, variables or DEFAULT_CORRELATION_VARIABLES, _required_group)
     out = []
-    for group in sorted(groups):
-        columns = {}
-        for variable in variables:
-            columns[variable] = [row.value(variable) for row in groups[group]]
-        names, grid = stats.correlation_matrix(columns, method=method)
+    for group in sorted(columns):
+        names, grid = stats.correlation_matrix(columns[group], method=method)
         out.append(
             GroupCorrelationMatrix(
                 group=group,
@@ -471,15 +468,12 @@ def figure_data(
     if not rows:
         raise ReportError("no rows")
     if kind == "boxplot":
-        variables = list(variables) if variables else default_variables(rows)
-        groups: dict[str, list[AuthorTableRow]] = {}
-        for row in rows:
-            groups.setdefault(row.group or "", []).append(row)
+        variables, columns = _group_columns(rows, variables, lambda row: row.group or "")
         header = ["group", "variable", "q1", "q2", "q3", "whisker_low", "whisker_high"]
         data = []
-        for group in sorted(groups):
+        for group in sorted(columns):
             for variable in variables:
-                values, _ = _column(groups[group], variable)
+                values = [v for v in columns[group][variable] if v is not None]
                 if not values:
                     continue
                 box = stats.boxplot(values)
@@ -526,14 +520,6 @@ def fmt2(v: float | None) -> str:
     return NA if v is None else f"{round(v, 2):.2f}"
 
 
-def render_cell(v) -> str:
-    if v is None:
-        return NA
-    if isinstance(v, float):
-        return fmt3(v)
-    return str(v)
-
-
 def render_table(
     header: list[str],
     data: list[list],
@@ -542,38 +528,34 @@ def render_table(
 ) -> str:
     """Render a generic header+rows table as csv, json or aligned text.
 
-    formatters maps column names to display formatters for csv/text
-    (e.g. fmt2 for correlation columns); json always carries raw values.
+    csv and text show None as NA and a float at 3 decimals, unless
+    formatters maps its column to another display formatter (e.g. fmt2
+    for correlation columns); json always carries raw values.
     """
+    if fmt == "json":
+        return _encode_table(header, data, fmt)
+    if fmt not in ("csv", "text"):
+        raise ReportError(f"unknown format {fmt!r}; expected csv, json or text")
+    formatters = formatters or {}
 
     def show(col: str, v) -> str:
-        if formatters and col in formatters and isinstance(v, float):
-            return formatters[col](v)  # type: ignore[operator]
-        return render_cell(v)
+        if v is None:
+            return NA
+        if isinstance(v, float):
+            return formatters.get(col, fmt3)(v)  # type: ignore[operator]
+        return str(v)
 
+    shown = ([show(c, v) for c, v in zip(header, row)] for row in data)
     if fmt == "csv":
-        buf = _stdio.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in data:
-            writer.writerow([show(c, v) for c, v in zip(header, row)])
-        return buf.getvalue()
-    if fmt == "json":
-        payload = [
-            {col: (None if v is None else v) for col, v in zip(header, row)}
-            for row in data
-        ]
-        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    if fmt == "text":
-        cells = [header] + [[show(c, v) for c, v in zip(header, row)] for row in data]
-        widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
-        lines = []
-        for i, row in enumerate(cells):
-            lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines) + "\n"
-    raise ReportError(f"unknown format {fmt!r}; expected csv, json or text")
+        return _encode_table(header, shown, fmt)
+    cells = [header, *shown]
+    widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
+    lines = []
+    for i, row in enumerate(cells):
+        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+        if i == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
 
 
 def author_table_export(rows: Sequence[AuthorTableRow]) -> tuple[list[str], list[list]]:
@@ -582,7 +564,8 @@ def author_table_export(rows: Sequence[AuthorTableRow]) -> tuple[list[str], list
         for family in row.families:
             if family not in families:
                 families.append(family)
-    header = profile_columns(families)
+    header = ["author_id", "group", "papers", "cites", "h"]
+    header.extend(f"{f}_{family.lower()}" for family in families for f in FAMILY_FIELDS)
     data = []
     for row in rows:
         rec: list = [row.author_id, row.group or "", row.papers, row.cites, row.h]

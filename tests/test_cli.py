@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from pirmetrics.cli import (
+    EXIT_COMPUTE,
     EXIT_INPUT,
     EXIT_MISSING_IMPACT,
     EXIT_NO_AUTHORS,
@@ -113,6 +114,44 @@ class TestCompute:
         assert result.exit_code == EXIT_INPUT
         assert "line 3" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "impacts, cell",
+        [
+            ("J1,2010,SJR,1.5\nJ2,2010,SJR,1e-310\n", "pi_sjr"),  # P / I overflows
+            ("J1,2010,SJR,1e308\nJ2,2010,SJR,1.0\n", "p_sjr"),  # 2 x 1e308 overflows
+        ],
+    )
+    def test_non_finite_cell_exit(self, runner, tmp_path, impacts, cell):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "author_id,group,kind,journal,year,count\n"
+            "a,Phy,publication,J1,2010,2\na,Phy,citation,J2,2010,1\n"
+            "b,Phy,publication,J2,2010,1\nb,Phy,citation,J2,2010,1\n"
+        )
+        (tmp_path / "impacts.csv").write_text("journal,year,indicator,value\n" + impacts)
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["compute", "--events", str(events), "--impacts", str(tmp_path / "impacts.csv"),
+             "--family", "SJR", "--out", str(out)],
+        )
+        assert result.exit_code == EXIT_COMPUTE
+        assert f"error: a: SJR cell {cell} is not finite (inf)" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_bom_prefixed_inputs(self, runner, tmp_path):
+        bom = []
+        for name in ("author_events.csv", "impact_table.csv", "scalars.csv"):
+            path = tmp_path / name
+            path.write_bytes(b"\xef\xbb\xbf" + fixture_path(name).read_bytes())
+            bom.append(str(path))
+        for (events, impacts, scalars), out in ((bom, "bom"), ((EVENTS, IMPACTS, SCALARS), "plain")):
+            run(runner, "compute", "--events", events, "--impacts", impacts, "--scalars", scalars,
+                "--name", "golden", "--out", str(tmp_path / out))
+        bom_bytes = (tmp_path / "bom/golden.profiles.csv").read_bytes()
+        assert bom_bytes == (tmp_path / "plain/golden.profiles.csv").read_bytes()
 
     def test_case_duplicate_families_usage_error(self, runner, tmp_path):
         out = tmp_path / "o"
@@ -295,6 +334,16 @@ class TestSummarize:
         assert result.exit_code == EXIT_INPUT
         assert "profiles: invalid json" in result.output and "line 1" in result.output
         assert "Traceback" not in result.output
+
+    def test_json_profiles_row_with_other_fields_exit(self, runner, tmp_path):
+        profiles = tmp_path / "p.json"
+        profiles.write_text(
+            '[{"author_id": "a", "group": "G", "p_sjr": 1},'
+            ' {"author_id": "b", "group": "G", "p_sjr": 1, "p_snip": 2, "i_snip": 3}]'
+        )
+        result = runner.invoke(main, ["summarize", "--profiles", str(profiles), "--out", str(tmp_path)])
+        assert result.exit_code == EXIT_INPUT
+        assert "profiles: row 2: fields differ from the first row's" in result.output
 
     def test_short_csv_profiles_row_exit(self, runner, tmp_path):
         lines = Path(PROFILES).read_text(encoding="utf-8").splitlines(keepends=True)

@@ -232,6 +232,24 @@ class TestComputeProfile:
         assert profile.coverage[EventKind.REFERENCE].dropped_count == 3
         assert profile.coverage[EventKind.CITATION].total_count == 0
 
+    @pytest.mark.parametrize(
+        "entries, events, cell",
+        [
+            # a subnormal citing-journal impact: P/I overflows
+            ([("A", 2010, 1.5), ("B", 2010, 1e-310)], [pub("A", 2010, 1), ("B", 2010, 1)], "pi_sjr"),
+            # count * impact overflows
+            ([("A", 2010, 1e308)], [pub("A", 2010, 2)], "p_sjr"),
+            # the sum of two finite terms overflows
+            ([("A", 2010, 1e308), ("B", 2010, 1e308)], [pub("A", 2010, 1), pub("B", 2010, 1)], "p_sjr"),
+        ],
+    )
+    def test_non_finite_cell_raises_naming_it(self, entries, events, cell):
+        corpus = AuthorCorpus(
+            "x", tuple(e if isinstance(e, Event) else Event(EventKind.CITATION, *e) for e in events)
+        )
+        with pytest.raises(EngineError, match=rf"^SJR cell {cell} is not finite \(inf\)$"):
+            compute_profile(corpus, table_of(*entries), "SJR", WIN)
+
 
 class TestComputeProfiles:
     def test_empty_batch(self):

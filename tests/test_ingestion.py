@@ -55,6 +55,19 @@ class TestLoadImpactTable:
         message = str(excinfo.value)
         assert "line 4" in message and "line 2" in message
 
+    @pytest.mark.parametrize(
+        "fmt, text, where",
+        [
+            ("csv", "journal,year,indicator,value\nJ1,2010,SJR,1\nJ1,2010,SJR,2\n", "line 3 (first seen at line 2)"),
+            ("json", json.dumps([{"journal": "J1", "year": 2010, "indicator": "SJR", "value": v} for v in (1, 2)]),
+             "row 2 (first seen at row 1)"),
+        ],
+    )
+    def test_duplicate_key_location_words(self, fmt, text, where):
+        with pytest.raises(IngestError) as excinfo:
+            load_impact_table(io.StringIO(text), fmt)
+        assert str(excinfo.value) == f"impact table: duplicate key ('J1', 2010, 'SJR') at {where}"
+
     def test_negative_value_rejected_with_line(self):
         with pytest.raises(IngestError) as excinfo:
             load_impact_table(csv_stream("journal,year,indicator,value\nJ1,2010,SJR,-1\n"))
@@ -557,3 +570,101 @@ class TestEventLoaderParity:
         text = "author_id,group,kind,journal,year,count\na,,citation,J1,2010,1\na,,citation,J\r1,2010,1\n"
         with pytest.raises(IngestError, match=r"^events: line 3: new-line character seen in unquoted field"):
             load_events(csv_stream(text))
+
+
+class TestSavedBytes:
+    """The exact bytes of every save_* writer, in csv and json."""
+
+    CORPORA = [
+        AuthorCorpus(
+            "Müller, J.",
+            (
+                Event(EventKind.PUBLICATION, "Bocci, A.", 2010, 3),
+                Event(EventKind.CITATION, "Zeitschrift für Physik", 2011, 1),
+            ),
+            group="Phy",
+        ),
+        AuthorCorpus("b", (Event(EventKind.REFERENCE, "J1", 2012, 2),)),
+    ]
+    TABLE = ImpactTable(
+        [("Zeitschrift für Physik", 2011, "SNIP", 2.5), ("Bocci, A.", 2010, "SJR", 0.1 + 0.2)]
+    )
+    SCALARS = {"Müller, J.": ScalarMetrics("Müller, J.", 3, 10, 2), "b": ScalarMetrics("b", 0, 0, 0)}
+
+    EXPECTED = {
+        ("events", "csv"): (
+            "author_id,group,kind,journal,year,count\n"
+            '"Müller, J.",Phy,publication,"Bocci, A.",2010,3\n'
+            '"Müller, J.",Phy,citation,Zeitschrift für Physik,2011,1\n'
+            "b,,reference,J1,2012,2\n"
+        ),
+        ("events", "json"): (
+            "[\n"
+            '  {\n    "author_id": "Müller, J.",\n    "group": "Phy",\n    "kind": "publication",\n'
+            '    "journal": "Bocci, A.",\n    "year": 2010,\n    "count": 3\n  },\n'
+            '  {\n    "author_id": "Müller, J.",\n    "group": "Phy",\n    "kind": "citation",\n'
+            '    "journal": "Zeitschrift für Physik",\n    "year": 2011,\n    "count": 1\n  },\n'
+            '  {\n    "author_id": "b",\n    "group": "",\n    "kind": "reference",\n'
+            '    "journal": "J1",\n    "year": 2012,\n    "count": 2\n  }\n'
+            "]\n"
+        ),
+        ("impacts", "csv"): (
+            "journal,year,indicator,value\n"
+            '"Bocci, A.",2010,SJR,0.30000000000000004\n'
+            "Zeitschrift für Physik,2011,SNIP,2.5\n"
+        ),
+        ("impacts", "json"): (
+            "[\n"
+            '  {\n    "journal": "Bocci, A.",\n    "year": 2010,\n    "indicator": "SJR",\n'
+            '    "value": 0.30000000000000004\n  },\n'
+            '  {\n    "journal": "Zeitschrift für Physik",\n    "year": 2011,\n    "indicator": "SNIP",\n'
+            '    "value": 2.5\n  }\n'
+            "]\n"
+        ),
+        ("scalars", "csv"): 'author_id,papers,cites,h\n"Müller, J.",3,10,2\nb,0,0,0\n',
+        ("scalars", "json"): (
+            "[\n"
+            '  {\n    "author_id": "Müller, J.",\n    "papers": 3,\n    "cites": 10,\n    "h": 2\n  },\n'
+            '  {\n    "author_id": "b",\n    "papers": 0,\n    "cites": 0,\n    "h": 0\n  }\n'
+            "]\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("what", ["events", "impacts", "scalars"])
+    def test_golden_bytes(self, tmp_path, what, fmt):
+        save, data = {
+            "events": (save_events, self.CORPORA),
+            "impacts": (save_impact_table, self.TABLE),
+            "scalars": (save_scalars, self.SCALARS),
+        }[what]
+        path = tmp_path / f"{what}.{fmt}"
+        save(data, path, fmt)
+        assert path.read_bytes() == self.EXPECTED[(what, fmt)].encode("utf-8")
+
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(IngestError, match=r"^unknown format 'xml'; expected csv or json$"):
+            save_scalars(self.SCALARS, tmp_path / "s.xml", "xml")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark, as spreadsheet exports write, is not part of the header."""
+
+    @pytest.mark.parametrize(
+        "loader, name",
+        [
+            (load_events, "author_events.csv"),
+            (load_impact_table, "impact_table.csv"),
+            (load_scalars, "scalars.csv"),
+            (load_profiles, "profiles.csv"),
+        ],
+    )
+    def test_loaders_read_bom_prefixed_csv_as_plain(self, tmp_path, loader, name):
+        plain = fixture_path(name).read_bytes()
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + plain)
+        expected = loader(fixture_path(name))
+        assert loader(path) == expected
+        assert loader(path.read_bytes()) == expected
+        assert loader(io.BytesIO(path.read_bytes())) == expected

@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import math
 from xml.etree import ElementTree
 
 import pytest
 
-from pirmetrics.io import ScalarMetrics
+from pirmetrics.io import IngestError, ScalarMetrics
 from pirmetrics.model import SJR, SNIP, IndicatorProfile, YearWindow
 from pirmetrics.report import (
     NA,
@@ -29,9 +30,8 @@ from pirmetrics.report import (
     render_correlation_text,
     render_table,
     save_profiles,
-    sort_rows,
-    variables_for,
 )
+from pirmetrics.stats import GroupedSample, describe, variance_decomposition
 
 WIN = YearWindow(2009, 2013)
 
@@ -87,21 +87,35 @@ class TestAuthorTable:
         assert (cells.p, cells.i, cells.r, cells.pi) == (2.817, 1.936, 2.727, 1.455)
 
     def test_fixture_order_is_presentation_order(self, fixture_rows):
-        assert sort_rows(fixture_rows) == list(fixture_rows)
+        shuffled = list(reversed(fixture_rows))
+        profiles = {
+            family: [
+                IndicatorProfile(row.author_id, family, WIN, c.p, c.i, c.r, c.pi, c.pr, c.ir, c.pi2r)
+                for row in shuffled
+                for c in [row.families[family]]
+            ]
+            for family in (SJR, SNIP)
+        }
+        scalars = {r.author_id: ScalarMetrics(r.author_id, r.papers, r.cites, r.h) for r in shuffled}
+        groups = {r.author_id: r.group for r in shuffled}
+        assert author_table(profiles, scalars, groups) == list(fixture_rows)
 
     def test_sort_keys(self):
-        def row(author_id, group, papers, cites, h):
-            return AuthorTableRow(author_id, group, papers, cites, h, {})
-
-        rows = [
-            row("d", "Phy", 10, 100, 5),
-            row("c", "Chem", 10, 100, 5),
-            row("b", "Chem", 10, 200, 5),
-            row("a", "Chem", 20, 200, 5),
-            row("e", "Chem", 10, 100, 9),
-        ]
-        ordered = [r.author_id for r in sort_rows(rows)]
-        assert ordered == ["e", "a", "b", "c", "d"]
+        keys = {
+            "d": ("Phy", 10, 100, 5),
+            "c": ("Chem", 10, 100, 5),
+            "f": ("Chem", None, None, None),
+            "b": ("Chem", 10, 200, 5),
+            "a": ("Chem", 20, 200, 5),
+            "e": ("Chem", 10, 100, 9),
+        }
+        rows = author_table(
+            {SJR: [profile(a, SJR, 1.0, 1.0, 1.0) for a in keys]},
+            {a: ScalarMetrics(a, *counts) for a, (_, *counts) in keys.items() if counts[0] is not None},
+            groups={a: group for a, (group, *_) in keys.items()},
+        )
+        # an author without scalar counters sorts last in its group
+        assert [r.author_id for r in rows] == ["e", "a", "b", "c", "f", "d"]
 
     def test_ratio_cells_reproduce_dimension_quotients(self, fixture_rows):
         for row in fixture_rows:
@@ -120,13 +134,35 @@ class TestAuthorTable:
         assert "g_factor" in message and "pi_sjr" in message
 
     def test_variables_for(self, fixture_rows):
-        names = variables_for(fixture_rows[0])
+        names = list(group_summary(fixture_rows)[0].summaries)
         assert names[:3] == ["papers", "cites", "h"]
         assert "p_sjr" in names and "pi2r_snip" in names
         assert len(names) == 17
 
 
 class TestProfilesRoundTrip:
+    @pytest.mark.parametrize(
+        "second, missing, extra",
+        [
+            ({"author_id": "b", "group": "G", "p_sjr": 1, "i_sjr": 2, "p_snip": 2, "i_snip": 3},
+             [], ["p_snip", "i_snip"]),
+            ({"author_id": "b", "group": "G", "p_sjr": 1}, ["i_sjr"], []),
+            ({"author_id": "b", "group": "G", "i_sjr": 2, "h": 1}, ["p_sjr"], ["h"]),
+        ],
+    )
+    def test_json_rows_carry_the_first_rows_fields(self, second, missing, extra):
+        first = {"author_id": "a", "group": "G", "p_sjr": 1, "i_sjr": 2}
+        with pytest.raises(IngestError) as excinfo:
+            load_profiles(io.StringIO(json.dumps([first, second])), "json")
+        assert str(excinfo.value) == (
+            f"profiles: row 2: fields differ from the first row's: missing {missing}, extra {extra}"
+        )
+
+    def test_json_fields_in_another_order_load(self):
+        rows = [{"author_id": "a", "group": "G", "p_sjr": 1}, {"p_sjr": 2, "group": "G", "author_id": "b"}]
+        loaded = load_profiles(io.StringIO(json.dumps(rows)), "json")
+        assert [r.families[SJR].p for r in loaded] == [1, 2]
+
     def test_fixture_round_trip_is_identity(self, fixture_rows):
         buf = io.StringIO()
         save_profiles(fixture_rows, buf)
@@ -262,6 +298,20 @@ class TestAggregateReport:
         rows = [AuthorTableRow("a", "G", 1, 1, 1, {}), AuthorTableRow("b", "G", 2, 2, 2, {})]
         with pytest.raises(ReportError):
             aggregate_report(rows, variables=["h"])
+
+    def test_pooled_sample_is_every_row_in_row_order(self):
+        def row(author_id, group, p):
+            return AuthorTableRow(author_id, group, 1, 1, 1, {SJR: DimensionCells(p, *[None] * 6)})
+
+        rows = [row("a", "G1", 0.0), row("b", "G2", -0.0), row("c", "G1", 0.0), row("d", None, 5.0), row("e", "G2", 6.0)]
+        report = aggregate_report(rows, variables=["p_sjr"])
+        # the row without a group is pooled, but stays out of the decomposition
+        assert report.pooled["p_sjr"] == describe([0.0, -0.0, 0.0, 5.0, 6.0])
+        assert report.decompositions["p_sjr"] == variance_decomposition(
+            GroupedSample({"G1": [0.0, 0.0], "G2": [-0.0, 6.0]})
+        )
+        # the median of the equal zeros is the one in the middle row, so its sign shows the order
+        assert math.copysign(1.0, report.pooled["p_sjr"].median) == 1.0
 
 
 class TestCorrelationReport:

@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pirmetrics
-from pirmetrics.report import correlation_report, variables_for
+from pirmetrics.report import author_table_export, correlation_report
 from pirmetrics.stats import (
     GroupedSample,
     StatsError,
@@ -349,7 +349,7 @@ class TestStudentT:
     @pytest.mark.parametrize("method", ["pearson", "spearman"])
     def test_significance_matches_scipy_on_fixture_cells(self, fixture_rows, method):
         checked = 0
-        variables = variables_for(fixture_rows[0])
+        variables = author_table_export(fixture_rows)[0][2:]  # the profiles columns after author_id, group
         for matrix in correlation_report(fixture_rows, method=method, variables=variables):
             for a, row in enumerate(matrix.cells):
                 for cell in row[a + 1:]:
