@@ -35,10 +35,8 @@ from .model import (
     derive_ratios,
 )
 from .io import (
-    Dataset,
     IngestError,
     ScalarMetrics,
-    assemble_dataset,
     load_events,
     load_impact_table,
     load_scalars,

@@ -16,7 +16,8 @@ Exit codes
     4  missing impact value under the strict policy
     5  no authors in the input
     6  not enough groups for the requested statistics
-    7  unknown author, variable or report element
+    7  unknown author, variable or report element, or a family the
+       impact table lacks
     8  per-author computation failures
 """
 
@@ -42,7 +43,6 @@ from .io import IngestError, load_events, load_impact_table, load_scalars, save_
 from .model import SJR, SNIP, YearWindow
 from .report import ReportError
 
-EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_MISSING_IMPACT = 4
@@ -117,6 +117,8 @@ def _parsed_by(parse):
 def _check_families(ctx: click.Context, param: click.Parameter, value: tuple[str, ...]) -> tuple[str, ...]:
     if not value:
         raise click.BadParameter("at least one indicator family required")
+    if not all(f.strip() for f in value):
+        raise click.BadParameter("indicator family names must not be blank")
     if len({f.lower() for f in value}) != len(set(value)):
         raise click.BadParameter(f"indicator families differ only in case: {', '.join(value)}")
     return value
@@ -223,6 +225,11 @@ def compute(
 
     if not corpora:
         raise _fail("no authors in events input", EXIT_NO_AUTHORS)
+    known = table.indicators()
+    for family in families:
+        if family not in known:
+            raise _fail(f"impact table has no {family} values; it has {', '.join(sorted(known)) or 'none'}",
+                        EXIT_UNKNOWN_NAME)
 
     profiles_by_family = {}
     for family in families:

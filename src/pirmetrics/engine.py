@@ -92,10 +92,6 @@ class MissingValuePolicy:
         return cls(cls.STRICT)
 
     @classmethod
-    def drop_and_renormalize(cls) -> "MissingValuePolicy":
-        return cls(cls.DROP)
-
-    @classmethod
     def nearest_year(cls, max_distance: int) -> "MissingValuePolicy":
         return cls(cls.NEAREST, max_distance)
 
@@ -106,9 +102,9 @@ class MissingValuePolicy:
         if text == cls.STRICT:
             return cls.strict()
         if text == cls.DROP:
-            return cls.drop_and_renormalize()
-        if text.startswith(cls.NEAREST):
-            _, _, dist = text.partition(":")
+            return cls(cls.DROP)
+        mode, _, dist = text.partition(":")
+        if mode == cls.NEAREST:
             try:
                 return cls.nearest_year(int(dist))
             except ValueError:
@@ -141,7 +137,7 @@ class WindowPolicy(enum.Enum):
             ) from None
 
 
-DEFAULT_MISSING = MissingValuePolicy.drop_and_renormalize()
+DEFAULT_MISSING = MissingValuePolicy(MissingValuePolicy.DROP)
 DEFAULT_WINDOW_POLICY = WindowPolicy.STRICT
 
 

@@ -24,14 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import (
-    AuthorCorpus,
-    Event,
-    EventKind,
-    ImpactTable,
-    ModelError,
-    YearWindow,
-)
+from .model import AuthorCorpus, Event, EventKind, ImpactTable, ModelError
 
 
 class IngestError(ValueError):
@@ -43,24 +36,17 @@ class IngestError(ValueError):
 
 @contextmanager
 def _open_text(source) -> Iterator[_stdio.TextIOBase]:
-    """Accept a path, bytes, or a text/binary stream; yield a text stream.
+    """Accept a path or a text stream; yield a text stream.
 
-    A path is opened here and closed on exit; a stream stays the caller's.
-    Bytes are decoded as UTF-8, dropping a leading byte order mark (which
-    spreadsheet exports write).
+    A path is opened here as UTF-8, dropping a leading byte order mark
+    (which spreadsheet exports write), and closed on exit; a text stream
+    stays the caller's.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as f:
             yield f
-    elif isinstance(source, bytes):
-        yield _stdio.StringIO(source.decode("utf-8-sig"))
     elif isinstance(source, _stdio.TextIOBase):
         yield source
-    elif hasattr(source, "read"):  # binary stream
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8-sig")
-        yield _stdio.StringIO(data)
     else:
         raise IngestError(f"cannot read from {type(source).__name__}")
 
@@ -205,11 +191,7 @@ def save_impact_table(table: ImpactTable, destination, fmt: str = "csv") -> None
 _KINDS = {kind.value: kind for kind in EventKind}
 
 
-def load_events(
-    source,
-    fmt: str = "csv",
-    group_overrides: Mapping[str, str] | None = None,
-) -> list[AuthorCorpus]:
+def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
     """Group event rows into one corpus per author, in first-seen order.
 
     Repeated (author, kind, journal, year) rows are kept as separate
@@ -248,11 +230,6 @@ def load_events(
             events[author_id].append(event)
     except (_FieldError, ModelError) as exc:
         raise _located(exc, "events", fmt, lineno) from None
-
-    if group_overrides:
-        for author_id, group in group_overrides.items():
-            if author_id in groups:
-                groups[author_id] = group
 
     return [
         AuthorCorpus(author_id, tuple(evs), group=groups[author_id])
@@ -322,65 +299,6 @@ def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
 def save_scalars(scalars: Mapping[str, ScalarMetrics], destination, fmt: str = "csv") -> None:
     data = [[m.author_id, m.papers, m.cites, m.h] for m in scalars.values()]
     save_text(_encode_table(["author_id", "papers", "cites", "h"], data, fmt), destination)
-
-
-# ---------------------------------------------------------------------------
-# dataset assembly
-
-@dataclass(frozen=True)
-class Dataset:
-    """Impact table, corpora and scalar metrics bound to one window."""
-
-    impacts: ImpactTable
-    corpora: tuple[AuthorCorpus, ...]
-    scalars: Mapping[str, ScalarMetrics]
-    window: YearWindow
-
-    def __post_init__(self):
-        object.__setattr__(self, "corpora", tuple(self.corpora))
-        object.__setattr__(self, "scalars", dict(self.scalars))
-
-
-def assemble_dataset(
-    impacts: ImpactTable,
-    corpora: Iterable[AuthorCorpus],
-    scalars: Mapping[str, ScalarMetrics],
-    window: YearWindow,
-    on_mismatch: str = "warn",
-    warn=None,
-) -> Dataset:
-    """Bind the three inputs together, validating cross references.
-
-    Every scalars key must name a known corpus. When an author has
-    publication events, their in-window total is checked against the
-    scalar paper count; on_mismatch chooses 'warn' (default, reported via
-    the warn callback) or 'error'.
-    """
-    if on_mismatch not in ("warn", "error"):
-        raise IngestError(f"on_mismatch must be 'warn' or 'error', got {on_mismatch!r}")
-    corpora = list(corpora)
-    known = {c.author_id for c in corpora}
-    for author_id in scalars:
-        if author_id not in known:
-            raise IngestError(f"scalars reference unknown author {author_id!r}")
-    for corpus in corpora:
-        metrics = scalars.get(corpus.author_id)
-        if metrics is None:
-            continue
-        totals = corpus.merged_counts(EventKind.PUBLICATION)
-        if not totals:
-            continue
-        in_window = sum(c for (j, y), c in totals.items() if y in window)
-        if in_window != metrics.papers:
-            message = (
-                f"author {corpus.author_id!r}: in-window publication count "
-                f"{in_window} != supplied paper count {metrics.papers}"
-            )
-            if on_mismatch == "error":
-                raise IngestError(message)
-            if warn is not None:
-                warn(message)
-    return Dataset(impacts, tuple(corpora), dict(scalars), window)
 
 
 # ---------------------------------------------------------------------------

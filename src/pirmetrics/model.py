@@ -28,7 +28,7 @@ class ModelError(ValueError):
     """Invalid construction of a domain value."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class YearWindow:
     """Inclusive range of calendar years under evaluation.
 
@@ -44,16 +44,9 @@ class YearWindow:
                 f"window start {self.start_year} is after end {self.end_year}"
             )
 
-    @property
-    def length(self) -> int:
-        return self.end_year - self.start_year + 1
-
     def __contains__(self, year: int) -> bool:
         """True iff start_year <= year <= end_year."""
         return self.start_year <= year <= self.end_year
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.start_year, self.end_year + 1))
 
     def __str__(self) -> str:
         return f"{self.start_year}:{self.end_year}"
@@ -193,9 +186,6 @@ class ImpactTable:
 
     def get(self, journal: JournalRef, year: int, indicator: IndicatorName) -> float | None:
         return self._table.get((journal, year, indicator))
-
-    def __contains__(self, key: tuple[JournalRef, int, IndicatorName]) -> bool:
-        return key in self._table
 
     def __len__(self) -> int:
         return len(self._table)

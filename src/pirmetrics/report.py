@@ -227,10 +227,13 @@ def _canonical_family(suffix: str) -> IndicatorName:
 
 
 def _optional(parse, raw, what: str):
-    """None for an undefined cell (NA, empty or absent), else the parsed value."""
+    """None for an undefined cell (NA, empty or absent), else the parsed, non-negative value."""
     if raw is None or raw == "" or raw == NA:
         return None
-    return parse(raw, what)
+    value = parse(raw, what)
+    if value < 0:
+        raise _FieldError(f"negative {what} {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -690,14 +693,11 @@ def render_correlation_text(matrices: Sequence[GroupCorrelationMatrix]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_boxplot_svg(
-    data: list[list],
-    width: int = 640,
-    row_height: int = 28,
-) -> str:
+def render_boxplot_svg(data: list[list]) -> str:
     """Minimal SVG of boxplot summary rows (group, variable, q1..whiskers).
 
-    Built purely from the five summary fields; one horizontal box per row.
+    Built purely from the five summary fields; one horizontal box per
+    row, 28 px high, in a 640 px wide image.
     """
     # imported here, as xml.sax.saxutils pulls in urllib.request (~30 ms)
     from xml.sax.saxutils import escape
@@ -707,7 +707,7 @@ def render_boxplot_svg(
     lo = min(row[5] for row in data)
     hi = max(row[6] for row in data)
     span = (hi - lo) or 1.0
-    label_w = 220
+    width, row_height, label_w = 640, 28, 220
     plot_w = width - label_w - 20
 
     def sx(v: float) -> float:

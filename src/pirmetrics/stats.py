@@ -88,8 +88,6 @@ class GroupedSample:
             vals = tuple(float(v) for v in values)
             if not vals:
                 raise StatsError(f"group {name!r} is empty")
-            if name in cleaned:
-                raise StatsError(f"duplicate group name {name!r}")
             cleaned[name] = vals
         if not cleaned:
             raise StatsError("at least one group required")

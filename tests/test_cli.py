@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from pirmetrics.cli import (
     EXIT_COMPUTE,
+    EXIT_FEW_GROUPS,
     EXIT_INPUT,
     EXIT_MISSING_IMPACT,
     EXIT_NO_AUTHORS,
@@ -141,6 +142,27 @@ class TestCompute:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_family_missing_from_impact_table_exit(self, runner, tmp_path):
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--family", "SJR", "--family", "XYZ",
+             "--out", str(out)],
+        )
+        assert result.exit_code == EXIT_UNKNOWN_NAME
+        assert "impact table has no XYZ values; it has SJR, SNIP" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["", "  "], ids=["empty", "blank"])
+    def test_blank_family_usage_error(self, runner, tmp_path, family):
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--family", family, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "indicator family names must not be blank" in result.output
+        assert not out.exists()
+
     def test_bom_prefixed_inputs(self, runner, tmp_path):
         bom = []
         for name in ("author_events.csv", "impact_table.csv", "scalars.csv"):
@@ -250,6 +272,7 @@ class TestCompute:
             ("compute", {"missing": "nearest:x"}),
             ("compute", {"window_policy": "open"}),
             ("compute", {"families": []}),
+            ("compute", {"missing": "nearestfoo:2"}),
         ],
     )
     def test_bad_config_value_usage_error(self, runner, tmp_path, command, config):
@@ -326,6 +349,22 @@ class TestSummarize:
         assert result.exit_code == 0
         assert (out / "solo.groups.csv").exists()
         assert not (out / "solo.aggregate.csv").exists()
+
+    def test_group_without_defined_values_exit(self, runner, tmp_path):
+        source = read_rows(Path(PROFILES))
+        for row in source:
+            if row["group"] == "Chem":
+                row["group"], row["r_sjr"] = "G1", "NA"
+        profiles = tmp_path / "g1.csv"
+        with open(profiles, "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, fieldnames=list(source[0].keys()), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(source)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["summarize", "--profiles", str(profiles), "--out", str(out)])
+        assert result.exit_code == EXIT_FEW_GROUPS
+        assert "group 'G1': no defined values for 'r_sjr'" in result.output
+        assert not out.exists()
 
     def test_truncated_json_profiles_exit(self, runner, tmp_path):
         profiles = tmp_path / "bad.json"
@@ -501,8 +540,15 @@ class TestReport:
         svg = (out / "ds.boxplot.svg").read_text()
         assert svg.startswith("<svg")
 
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_non_finite_profiles_cell_exit(self, runner, tmp_path, cell):
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            pytest.param("nan", "line 2: non-finite i_sjr", id="nan"),
+            pytest.param("inf", "line 2: non-finite i_sjr", id="inf"),
+            pytest.param("-2.5", "profiles: line 2: negative i_sjr -2.5", id="negative"),
+        ],
+    )
+    def test_non_finite_profiles_cell_exit(self, runner, tmp_path, cell, message):
         source = read_rows(Path(PROFILES))
         source[0]["i_sjr"] = cell
         profiles = tmp_path / "bad.csv"
@@ -518,7 +564,7 @@ class TestReport:
                  "--x", "p_sjr", "--y", "i_sjr", "--order-family", "SJR"],
             )
             assert result.exit_code == EXIT_INPUT
-            assert "line 2: non-finite i_sjr" in result.output
+            assert message in result.output
         assert not out.exists()
 
     def test_ordered_kind(self, runner, tmp_path):

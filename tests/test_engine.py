@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -504,3 +506,12 @@ def test_engine_matches_direct_reference_bitwise(policy, window_policy, seed):
             assert profile.p_over_r == (p / r if p is not None and r else None)
             assert profile.i_over_r == (i / r if i is not None and r else None)
             assert profile.pi_over_2r == ((p + i) / (2.0 * r) if p is not None and i is not None and r else None)
+
+
+def test_readme_library_example_runs():
+    """The python block under the README's "Library" heading runs as written."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    namespace = {}
+    exec(snippet, namespace)
+    assert abs(namespace["profile"].p - 5.264) <= 1e-12

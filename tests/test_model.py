@@ -26,10 +26,6 @@ class TestYearWindow:
     def test_degenerate_single_year(self):
         assert 2009 in YearWindow(2009, 2009)
 
-    def test_length(self):
-        assert YearWindow(2009, 2013).length == 5
-        assert YearWindow(2009, 2009).length == 1
-
     def test_inverted_window_rejected(self):
         with pytest.raises(ModelError):
             YearWindow(2013, 2009)
