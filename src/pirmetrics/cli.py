@@ -124,6 +124,12 @@ def _check_families(ctx: click.Context, param: click.Parameter, value: tuple[str
     return value
 
 
+def _check_variables(ctx: click.Context, param: click.Parameter, value: tuple[str, ...]) -> tuple[str, ...]:
+    if value and len(set(value)) < 2:
+        raise click.BadParameter(f"at least two distinct variables required, got {', '.join(dict.fromkeys(value))}")
+    return value
+
+
 def _input_option(flag: str, help: str):
     return click.option(flag, type=str, callback=_input_file, help=help)
 
@@ -301,7 +307,8 @@ def summarize(profiles: Path | None, scalars: Path | None, out: str, format: str
     default="pearson",
     show_default=True,
 )
-@click.option("--variable", "variables", multiple=True, help="Variables to correlate (repeatable).")
+@click.option("--variable", "variables", multiple=True, callback=_check_variables,
+              help="Variables to correlate (repeatable; at least two distinct).")
 def correlate(
     profiles: Path | None, scalars: Path | None, out: str, format: str, name: str | None,
     method: str, variables: tuple[str, ...],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .model import (
@@ -142,7 +142,8 @@ DEFAULT_WINDOW_POLICY = WindowPolicy.STRICT
 
 
 def _missing_value(
-    table: ImpactTable, journal: JournalRef, year: int, indicator: IndicatorName, missing: MissingValuePolicy
+    values: Mapping[tuple[JournalRef, int], float], journal: JournalRef, year: int, indicator: IndicatorName,
+    missing: MissingValuePolicy,
 ) -> float | None:
     """What stands in for an absent impact value under the missing-value policy."""
     if missing.mode == MissingValuePolicy.STRICT:
@@ -150,7 +151,7 @@ def _missing_value(
     if missing.mode == MissingValuePolicy.NEAREST:
         for distance in range(1, missing.max_distance + 1):
             for candidate in (year - distance, year + distance):
-                value = table.get(journal, candidate, indicator)
+                value = values.get((journal, candidate))
                 if value is not None:
                     return value
     return None
@@ -162,21 +163,23 @@ def _weighted_mean(
 ) -> tuple[float | None, CoverageDiagnostics]:
     """The one loop behind weighted_mean_impact and compute_profile, over merge_counts pairs.
 
-    Gaps are met in (journal, year) order, so strict names the first;
-    math.fsum makes the sum independent of the order of its terms.
+    Each merged (journal, year) key is looked up as it is in the family's
+    value dict. Gaps are met in (journal, year) order, so strict names the
+    first; math.fsum makes the sum independent of the order of its terms.
     """
     open_years = window_policy == WindowPolicy.OPEN_REFERENCES and kind not in (None, EventKind.PUBLICATION)
     lo, hi = window.start_year, window.end_year
-    get = table.get
+    values = table.family(indicator)
+    get = values.get
     matched_terms: list[float] = []
     matched = 0
     dropped = 0
-    for (journal, year), count in merged:
-        if not (open_years or lo <= year <= hi):
+    for key, count in merged:
+        if not (open_years or lo <= key[1] <= hi):
             continue
-        value = get(journal, year, indicator)
+        value = get(key)
         if value is None:
-            value = _missing_value(table, journal, year, indicator, missing)
+            value = _missing_value(values, *key, indicator, missing)
         if value is None:
             dropped += count
         else:

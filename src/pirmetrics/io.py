@@ -22,6 +22,7 @@ import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .model import AuthorCorpus, Event, EventKind, ImpactTable, ModelError
@@ -51,8 +52,16 @@ def _open_text(source) -> Iterator[_stdio.TextIOBase]:
         raise IngestError(f"cannot read from {type(source).__name__}")
 
 
-def _rows(source, fmt: str, required: list[str], label: str):
-    """Yield (line_number, row_dict) from csv or json input.
+def _rows(source, fmt: str, required: list[str], label: str, pick=None):
+    """Yield (line_number, fields) from csv or json input.
+
+    fields holds the row's values of the required columns, in that order.
+    Each column is found once: by its position in the csv header, or by
+    key in a json row. Column order is free and other columns are
+    ignored, but a repeated csv column name is an error. pick, when
+    given, chooses the columns read from the header (the csv header, or
+    the first json row's fields), and every later json row must then
+    carry exactly the first row's fields.
 
     A csv row is numbered by the physical line it ends on, and must have
     exactly as many fields as its header; blank lines are skipped. A csv
@@ -68,9 +77,14 @@ def _rows(source, fmt: str, required: list[str], label: str):
                 header = next(reader, None)
                 if header is None:
                     raise IngestError(f"{label}: empty input, header row required")
+                repeated = [c for i, c in enumerate(header) if c in header[:i]]
+                if repeated:
+                    raise IngestError(f"{label}: duplicate column {repeated[0]!r} in header")
                 missing = [c for c in required if c not in header]
                 if missing:
                     raise IngestError(f"{label}: missing columns {missing} in header")
+                columns = pick(header) if pick else required
+                get = itemgetter(*map(header.index, columns))
                 width = len(header)
                 for fields in reader:
                     if len(fields) != width:
@@ -78,7 +92,7 @@ def _rows(source, fmt: str, required: list[str], label: str):
                             continue
                         shape = "short row" if len(fields) < width else "more fields than the header"
                         raise IngestError(f"{label}: line {reader.line_num}: {shape}")
-                    yield reader.line_num, dict(zip(header, fields))
+                    yield reader.line_num, get(fields)
             except csv.Error as exc:
                 raise IngestError(f"{label}: line {reader.line_num}: {exc}") from None
         else:
@@ -88,13 +102,27 @@ def _rows(source, fmt: str, required: list[str], label: str):
                 raise IngestError(f"{label}: invalid json: {exc}") from exc
             if not isinstance(payload, list):
                 raise IngestError(f"{label}: expected a json array of row objects")
+            first = None
             for i, row in enumerate(payload, start=1):
                 if not isinstance(row, dict):
                     raise IngestError(f"{label}: row {i}: expected an object")
-                missing = [c for c in required if c not in row]
-                if missing:
-                    raise IngestError(f"{label}: row {i}: missing fields {missing}")
-                yield i, row
+                if first is None or (pick and row.keys() != first):
+                    missing = [c for c in required if c not in row]
+                    if missing:
+                        raise IngestError(f"{label}: row {i}: missing fields {missing}")
+                    if first is not None:
+                        raise IngestError(
+                            f"{label}: row {i}: fields differ from the first row's: "
+                            f"missing {[c for c in first if c not in row]}, extra {[c for c in row if c not in first]}"
+                        )
+                    first = row.keys()
+                    get = itemgetter(*(pick(list(first)) if pick else required))
+                try:
+                    fields = get(row)
+                except KeyError:  # a later row without pick lacks a required field
+                    missing = [c for c in required if c not in row]
+                    raise IngestError(f"{label}: row {i}: missing fields {missing}") from None
+                yield i, fields
 
 
 class _FieldError(IngestError):
@@ -106,9 +134,8 @@ def _located(exc: Exception, label: str, fmt: str, lineno: int) -> IngestError:
     return IngestError(f"{label}: {'line' if fmt == 'csv' else 'row'} {lineno}: {exc}")
 
 
-def _text(row: Mapping, key: str) -> str:
+def _text(raw, key: str) -> str:
     """A text field, stripped; json null reads as empty, other non-strings are rejected."""
-    raw = row[key]
     if isinstance(raw, str):
         return raw.strip()
     if raw is None:
@@ -152,32 +179,45 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
     negative or non-finite values and malformed rows are rejected with
     their location.
     """
-    values: dict[tuple[str, int, str], float] = {}
-    first_seen: dict[tuple[str, int, str], int] = {}
+    # indicator -> ({(journal, year): value}, {(journal, year): first line})
+    families: dict[str, tuple[dict[tuple[str, int], float], dict[tuple[str, int], int]]] = {}
     try:
-        for lineno, row in _rows(source, fmt, ["journal", "year", "indicator", "value"], "impact table"):
-            journal = _text(row, "journal")
-            indicator = _text(row, "indicator")
+        for lineno, (journal, year, indicator, value) in _rows(
+            source, fmt, ["journal", "year", "indicator", "value"], "impact table"
+        ):
+            journal = journal.strip() if type(journal) is str else _text(journal, "journal")
+            indicator = indicator.strip() if type(indicator) is str else _text(indicator, "indicator")
             if not journal:
                 raise _FieldError("empty journal id")
             if not indicator:
                 raise _FieldError("empty indicator name")
-            year = _parse_int(row["year"], "year")
-            value = _parse_float(row["value"], "impact value")
-            if value < 0:
+            try:
+                year = int(year) if type(year) is str else _parse_int(year, "year")
+            except ValueError:  # int() refused a text field; _parse_int words the error
+                year = _parse_int(year, "year")
+            try:
+                value = float(value) if type(value) is str else _parse_float(value, "impact value")
+            except ValueError:  # float() refused a text field; _parse_float words the error
+                value = _parse_float(value, "impact value")
+            if not 0 <= value < math.inf:  # negative, nan or inf
+                _parse_float(value, "impact value")  # raises for nan and inf
                 raise _FieldError(f"negative impact value {value}")
-            key = (journal, year, indicator)
-            if key in first_seen:
+            family = families.get(indicator)
+            if family is None:
+                family = families[indicator] = ({}, {})
+            values, first_seen = family
+            key = (journal, year)
+            if key in values:
                 unit = "line" if fmt == "csv" else "row"
                 raise IngestError(
-                    f"impact table: duplicate key {key} at {unit} {lineno} "
+                    f"impact table: duplicate key {(journal, year, indicator)} at {unit} {lineno} "
                     f"(first seen at {unit} {first_seen[key]})"
                 )
             first_seen[key] = lineno
             values[key] = value
     except _FieldError as exc:
         raise _located(exc, "impact table", fmt, lineno) from None
-    return ImpactTable._of_checked(values)
+    return ImpactTable._of_checked({indicator: values for indicator, (values, _) in families.items()})
 
 
 def save_impact_table(table: ImpactTable, destination, fmt: str = "csv") -> None:
@@ -201,23 +241,28 @@ def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
     events: dict[str, list[Event]] = {}
     groups: dict[str, str | None] = {}
     try:
-        for lineno, row in _rows(
+        for lineno, (author_id, group, kind, journal, year, count) in _rows(
             source, fmt, ["author_id", "group", "kind", "journal", "year", "count"], "events"
         ):
-            author_id = _text(row, "author_id")
+            author_id = author_id.strip() if type(author_id) is str else _text(author_id, "author_id")
             if not author_id:
                 raise _FieldError("empty author_id")
-            group = _text(row, "group") or None
+            group = (group.strip() if type(group) is str else _text(group, "group")) or None
             try:
-                kind = _KINDS[row["kind"]]
+                kind = _KINDS[kind]
             except (KeyError, TypeError):  # any other spelling, or a json non-string
-                kind = EventKind.parse(str(row["kind"]))
-            year = _parse_int(row["year"], "year")
-            count = _parse_int(row["count"], "count")
-            event = Event(kind, _text(row, "journal"), year, count)
+                kind = EventKind.parse(str(kind))
+            try:
+                year = int(year) if type(year) is str else _parse_int(year, "year")
+                count = int(count) if type(count) is str else _parse_int(count, "count")
+            except ValueError:  # int() refused a text field; _parse_int words the error
+                year = _parse_int(year, "year")
+                count = _parse_int(count, "count")
+            event = Event(kind, journal.strip() if type(journal) is str else _text(journal, "journal"), year, count)
 
-            if author_id not in events:
-                events[author_id] = []
+            author_events = events.get(author_id)
+            if author_events is None:
+                author_events = events[author_id] = []
                 groups[author_id] = group
             elif group is not None:
                 if groups[author_id] is None:
@@ -227,7 +272,7 @@ def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
                         f"author {author_id!r} has conflicting groups "
                         f"{groups[author_id]!r} and {group!r}"
                     )
-            events[author_id].append(event)
+            author_events.append(event)
     except (_FieldError, ModelError) as exc:
         raise _located(exc, "events", fmt, lineno) from None
 
@@ -281,15 +326,17 @@ def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
     """Load per-author paper/citation/h counters, keyed by author id."""
     out: dict[str, ScalarMetrics] = {}
     try:
-        for lineno, row in _rows(source, fmt, ["author_id", "papers", "cites", "h"], "scalars"):
-            author_id = _text(row, "author_id")
+        for lineno, (author_id, papers, cites, h) in _rows(
+            source, fmt, ["author_id", "papers", "cites", "h"], "scalars"
+        ):
+            author_id = author_id.strip() if type(author_id) is str else _text(author_id, "author_id")
             if not author_id:
                 raise _FieldError("empty author_id")
             if author_id in out:
                 raise _FieldError(f"duplicate author_id {author_id!r}")
-            papers = _parse_int(row["papers"], "papers")
-            cites = _parse_int(row["cites"], "cites")
-            h = _parse_int(row["h"], "h")
+            papers = _parse_int(papers, "papers")
+            cites = _parse_int(cites, "cites")
+            h = _parse_int(h, "h")
             out[author_id] = ScalarMetrics(author_id, papers, cites, h)
     except _FieldError as exc:
         raise _located(exc, "scalars", fmt, lineno) from None

@@ -11,6 +11,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 # A journal identifier is an opaque string compared by exact equality.
 # Title normalisation and aliasing belong to data preparation, not here.
@@ -87,23 +88,32 @@ class EventKind(enum.Enum):
             ) from None
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """A counted bibliographic event in one journal and year."""
-
+class _EventFields(NamedTuple):
     kind: EventKind
     journal: JournalRef
     year: int
     count: int
 
-    def __post_init__(self):
-        if not self.journal:
+
+class Event(_EventFields):
+    """A counted bibliographic event in one journal and year.
+
+    A named tuple (kind, journal, year, count), checked when made: one is
+    built per event row, and a tuple is the cheapest value to build and
+    to unpack.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: EventKind, journal: JournalRef, year: int, count: int):
+        if not journal:
             raise ModelError("journal id must be non-empty")
-        if self.count < 1:
+        if count < 1:
             raise ModelError(
-                f"event count must be >= 1, got {self.count} "
-                f"({self.kind.value}, {self.journal!r}, {self.year})"
+                f"event count must be >= 1, got {count} "
+                f"({kind.value}, {journal!r}, {year})"
             )
+        return tuple.__new__(cls, (kind, journal, year, count))
 
 
 @dataclass(frozen=True)
@@ -141,9 +151,9 @@ class AuthorCorpus:
 def merge_counts(events: Iterable[Event]) -> list[tuple[tuple[JournalRef, int], int]]:
     """((journal, year), total count) pairs in (journal, year) order; event order does not matter."""
     totals: dict[tuple[JournalRef, int], int] = {}
-    for e in events:
-        key = (e.journal, e.year)
-        totals[key] = totals.get(key, 0) + e.count
+    for _, journal, year, count in events:
+        key = (journal, year)
+        totals[key] = totals.get(key, 0) + count
     return [(key, totals[key]) for key in sorted(totals)]
 
 
@@ -151,24 +161,26 @@ class ImpactTable:
     """Lookup of journal impact values keyed by (journal, year, indicator).
 
     At most one value per key; every value is finite and non-negative.
-    The table is immutable once built.
+    Values are held as one {(journal, year): value} dict per indicator
+    family. The table is immutable once built.
     """
 
     def __init__(self, entries: Iterable[tuple[JournalRef, int, IndicatorName, float]] = ()):
-        table: dict[tuple[JournalRef, int, IndicatorName], float] = {}
+        families: dict[IndicatorName, dict[tuple[JournalRef, int], float]] = {}
         for journal, year, indicator, value in entries:
             self._validate(journal, indicator, value)
-            key = (journal, int(year), indicator)
-            if key in table:
-                raise ModelError(f"duplicate impact entry for {key}")
-            table[key] = float(value)
-        self._table = table
+            year = int(year)
+            values = families.setdefault(indicator, {})
+            if (journal, year) in values:
+                raise ModelError(f"duplicate impact entry for {(journal, year, indicator)}")
+            values[journal, year] = float(value)
+        self._families = families
 
     @classmethod
-    def _of_checked(cls, values: dict[tuple[JournalRef, int, IndicatorName], float]) -> "ImpactTable":
+    def _of_checked(cls, families: dict[IndicatorName, dict[tuple[JournalRef, int], float]]) -> "ImpactTable":
         """A table over entries io.load_impact_table has checked row by row, not checked again."""
         table = cls.__new__(cls)
-        table._table = values
+        table._families = families
         return table
 
     @staticmethod
@@ -185,17 +197,22 @@ class ImpactTable:
             )
 
     def get(self, journal: JournalRef, year: int, indicator: IndicatorName) -> float | None:
-        return self._table.get((journal, year, indicator))
+        return self.family(indicator).get((journal, year))
+
+    def family(self, indicator: IndicatorName) -> Mapping[tuple[JournalRef, int], float]:
+        """One family's {(journal, year): value} dict, empty for an unknown family; not to be changed."""
+        return self._families.get(indicator, {})
 
     def __len__(self) -> int:
-        return len(self._table)
+        return sum(map(len, self._families.values()))
 
     def entries(self) -> Iterator[tuple[JournalRef, int, IndicatorName, float]]:
-        for (journal, year, indicator), value in self._table.items():
-            yield journal, year, indicator, value
+        for indicator, values in self._families.items():
+            for (journal, year), value in values.items():
+                yield journal, year, indicator, value
 
     def indicators(self) -> set[IndicatorName]:
-        return {indicator for (_, _, indicator) in self._table}
+        return set(self._families)
 
     def scaled(self, factor: float) -> "ImpactTable":
         """New table with every value multiplied by a positive factor."""
@@ -206,10 +223,10 @@ class ImpactTable:
         )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ImpactTable) and self._table == other._table
+        return isinstance(other, ImpactTable) and self._families == other._families
 
     def __repr__(self) -> str:
-        return f"ImpactTable({len(self._table)} entries)"
+        return f"ImpactTable({len(self)} entries)"
 
 
 @dataclass(frozen=True)

@@ -174,22 +174,25 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
     """
     rows = []
     seen: set[str] = set()
-    columns = None
+    suffixes: list[str] = []
+    position: dict[str, int] = {}
+
+    def every_column(header: list[str]) -> list[str]:
+        for i, col in enumerate(header):
+            position[col] = i
+            fieldname, _, suffix = col.partition("_")
+            if fieldname == "p" and suffix and suffix not in suffixes:
+                suffixes.append(suffix)
+        return header
+
+    def cell(fields, name: str):
+        """A row's value in the named column, None for a column the input lacks."""
+        i = position.get(name)
+        return None if i is None else fields[i]
+
     try:
-        for lineno, rec in _rows(source, fmt, ["author_id", "group"], "profiles"):
-            if columns is None:
-                columns = rec.keys()
-                suffixes = []
-                for col in rec:
-                    fieldname, _, suffix = col.partition("_")
-                    if fieldname == "p" and suffix and suffix not in suffixes:
-                        suffixes.append(suffix)
-            elif rec.keys() != columns:
-                raise _FieldError(
-                    f"fields differ from the first row's: missing {[c for c in columns if c not in rec]}, "
-                    f"extra {[c for c in rec if c not in columns]}"
-                )
-            author_id = _text(rec, "author_id")
+        for lineno, fields in _rows(source, fmt, ["author_id", "group"], "profiles", every_column):
+            author_id = _text(cell(fields, "author_id"), "author_id")
             if not author_id:
                 raise _FieldError("empty author_id")
             if author_id in seen:
@@ -198,14 +201,14 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
             rows.append(
                 AuthorTableRow(
                     author_id=author_id,
-                    group=_text(rec, "group") or None,
-                    papers=_optional(_parse_int, rec.get("papers"), "papers"),
-                    cites=_optional(_parse_int, rec.get("cites"), "cites"),
-                    h=_optional(_parse_int, rec.get("h"), "h"),
+                    group=_text(cell(fields, "group"), "group") or None,
+                    papers=_optional(_parse_int, cell(fields, "papers"), "papers"),
+                    cites=_optional(_parse_int, cell(fields, "cites"), "cites"),
+                    h=_optional(_parse_int, cell(fields, "h"), "h"),
                     families={
                         _canonical_family(suffix): DimensionCells(
                             **{
-                                f: _optional(_parse_float, rec.get(f"{f}_{suffix}"), f"{f}_{suffix}")
+                                f: _optional(_parse_float, cell(fields, f"{f}_{suffix}"), f"{f}_{suffix}")
                                 for f in FAMILY_FIELDS
                             }
                         )

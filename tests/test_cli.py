@@ -175,6 +175,15 @@ class TestCompute:
         bom_bytes = (tmp_path / "bom/golden.profiles.csv").read_bytes()
         assert bom_bytes == (tmp_path / "plain/golden.profiles.csv").read_bytes()
 
+    def test_repeated_header_column_exit(self, runner, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text("author_id,group,kind,journal,year,count,year\na,G,publication,J1,2010,1,1999\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["compute", "--events", str(events), "--impacts", IMPACTS, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT
+        assert "events: duplicate column 'year' in header" in result.output
+        assert not out.exists()
+
     def test_case_duplicate_families_usage_error(self, runner, tmp_path):
         out = tmp_path / "o"
         args = ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--out", str(out)]
@@ -466,6 +475,16 @@ class TestCorrelate:
             ],
         )
         assert result.exit_code == EXIT_UNKNOWN_NAME
+
+    @pytest.mark.parametrize("variables", [["p_sjr"], ["p_sjr", "p_sjr"]], ids=["one", "repeated"])
+    def test_fewer_than_two_distinct_variables_usage_error(self, runner, tmp_path, variables):
+        out = tmp_path / "out"
+        args = ["correlate", "--profiles", PROFILES, "--out", str(out)]
+        result = runner.invoke(main, args + [a for v in variables for a in ("--variable", v)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "at least two distinct variables required, got p_sjr" in result.output
+        assert not out.exists()
 
     def test_text_format_matrix(self, runner, tmp_path):
         out = tmp_path / "out"

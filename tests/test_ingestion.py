@@ -1,3 +1,4 @@
+import csv
 import gc
 import io
 import json
@@ -612,3 +613,65 @@ class TestByteOrderMark:
         path.write_bytes(b"\xef\xbb\xbf" + plain)
         expected = loader(fixture_path(name))
         assert loader(path) == expected
+
+
+class TestColumnLookup:
+    """Each column is found once by name: order is free, other columns are ignored, repeats are rejected."""
+
+    CANONICAL = {
+        load_events: (
+            "author_id,group,kind,journal,year,count\n"
+            "a,Phy,publication,J1,2010,2\na,,citation,J2,2011,1\nb,Med,reference,J1,2009,4\n"
+        ),
+        load_impact_table: "journal,year,indicator,value\nJ1,2010,SJR,1.5\nJ1,2010,SNIP,0.9\nJ2,2011,SJR,2.25\n",
+        load_scalars: "author_id,papers,cites,h\na,3,9,1\nb,0,0,0\n",
+    }
+
+    @staticmethod
+    def rearranged(text: str) -> str:
+        """The same table with its columns reversed and an unused column in the middle."""
+        lines = [line.split(",") for line in text.splitlines()]
+        out = []
+        for i, fields in enumerate(lines):
+            fields = fields[::-1]
+            fields.insert(2, "note" if i == 0 else f"n{i}")
+            out.append(",".join(fields))
+        return "\n".join(out) + "\n"
+
+    @pytest.mark.parametrize("loader", list(CANONICAL), ids=lambda f: f.__name__)
+    def test_csv_columns_in_another_order_with_an_extra_column(self, loader):
+        text = self.CANONICAL[loader]
+        assert self.rearranged(text).splitlines()[0] != text.splitlines()[0]
+        assert loader(csv_stream(self.rearranged(text))) == loader(csv_stream(text))
+
+    @pytest.mark.parametrize("loader", list(CANONICAL), ids=lambda f: f.__name__)
+    def test_json_rows_with_an_extra_key(self, loader):
+        rows = list(csv.DictReader(io.StringIO(self.CANONICAL[loader])))
+        extra = [{"note": i, **row} for i, row in enumerate(rows)]
+        assert loader(csv_stream(json.dumps(extra)), "json") == loader(csv_stream(self.CANONICAL[loader]))
+
+    def test_error_in_a_moved_column_names_it(self):
+        text = "count,year,journal,kind,group,author_id\n1,2010,J1,citation,,a\nx,2010,J1,citation,,a\n"
+        with pytest.raises(IngestError, match=r"^events: line 3: count must be an integer, got 'x'$"):
+            load_events(csv_stream(text))
+
+    @pytest.mark.parametrize(
+        "loader, header, row, repeated",
+        [
+            (load_events, "author_id,group,kind,journal,year,count,year", "a,G,publication,J1,2010,1,1999", "year"),
+            (load_impact_table, "journal,year,indicator,value,year", "J1,2010,SJR,1.5,1999", "year"),
+            (load_scalars, "author_id,papers,cites,h,papers", "a,3,9,1,5", "papers"),
+            (load_profiles, "author_id,group,p_sjr,group", "a,G,1.5,H", "group"),
+        ],
+        ids=["events", "impact_table", "scalars", "profiles"],
+    )
+    def test_repeated_csv_column_rejected(self, loader, header, row, repeated):
+        label = {load_events: "events", load_impact_table: "impact table",
+                 load_scalars: "scalars", load_profiles: "profiles"}[loader]
+        with pytest.raises(IngestError) as excinfo:
+            loader(csv_stream(f"{header}\n{row}\n"))
+        assert str(excinfo.value) == f"{label}: duplicate column '{repeated}' in header"
+
+    def test_repeated_unused_column_rejected(self):
+        with pytest.raises(IngestError, match=r"^scalars: duplicate column 'note' in header$"):
+            load_scalars(csv_stream("note,author_id,papers,cites,h,note\n,a,3,9,1,\n"))
