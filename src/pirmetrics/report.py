@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import stats
 from .io import (
@@ -174,46 +175,43 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
     """
     rows = []
     seen: set[str] = set()
-    suffixes: list[str] = []
-    position: dict[str, int] = {}
+    # (parse, position, name) of every scalar and family cell, and where each
+    # family's seven cells start in it; both worked out once, from the header
+    layout: list[tuple[Callable, int | None, str]] = []
+    families: list[tuple[IndicatorName, int]] = []
 
     def every_column(header: list[str]) -> list[str]:
-        for i, col in enumerate(header):
-            position[col] = i
+        """author_id and group, then the whole header; layout gives the cells' positions."""
+        position = {col: i for i, col in enumerate(header, start=2)}
+        suffixes: list[str] = []
+        for col in header:
             fieldname, _, suffix = col.partition("_")
             if fieldname == "p" and suffix and suffix not in suffixes:
                 suffixes.append(suffix)
-        return header
-
-    def cell(fields, name: str):
-        """A row's value in the named column, None for a column the input lacks."""
-        i = position.get(name)
-        return None if i is None else fields[i]
+        layout.extend((_parse_int, position.get(name), name) for name in SCALAR_FIELDS)
+        for suffix in suffixes:
+            families.append((_canonical_family(suffix), len(layout)))
+            layout.extend((_parse_float, position.get(f"{f}_{suffix}"), f"{f}_{suffix}") for f in FAMILY_FIELDS)
+        return ["author_id", "group", *header]
 
     try:
         for lineno, fields in _rows(source, fmt, ["author_id", "group"], "profiles", every_column):
-            author_id = _text(cell(fields, "author_id"), "author_id")
+            author_id = _text(fields[0], "author_id")
             if not author_id:
                 raise _FieldError("empty author_id")
             if author_id in seen:
                 raise _FieldError(f"duplicate author {author_id!r}")
             seen.add(author_id)
+            group = _text(fields[1], "group") or None
+            cells = [None if i is None else _optional(parse, fields[i], name) for parse, i, name in layout]
             rows.append(
                 AuthorTableRow(
                     author_id=author_id,
-                    group=_text(cell(fields, "group"), "group") or None,
-                    papers=_optional(_parse_int, cell(fields, "papers"), "papers"),
-                    cites=_optional(_parse_int, cell(fields, "cites"), "cites"),
-                    h=_optional(_parse_int, cell(fields, "h"), "h"),
-                    families={
-                        _canonical_family(suffix): DimensionCells(
-                            **{
-                                f: _optional(_parse_float, cell(fields, f"{f}_{suffix}"), f"{f}_{suffix}")
-                                for f in FAMILY_FIELDS
-                            }
-                        )
-                        for suffix in suffixes
-                    },
+                    group=group,
+                    papers=cells[0],
+                    cites=cells[1],
+                    h=cells[2],
+                    families={family: DimensionCells(*cells[k:k + 7]) for family, k in families},
                 )
             )
     except _FieldError as exc:
@@ -230,13 +228,18 @@ def _canonical_family(suffix: str) -> IndicatorName:
 
 
 def _optional(parse, raw, what: str):
-    """None for an undefined cell (NA, empty or absent), else the parsed, non-negative value."""
+    """None for an undefined cell (NA or empty), else the parsed, non-negative value.
+
+    A -0 cell reads as 0, so it renders as 0.000, not -0.000.
+    """
+    if parse is _parse_float and raw.__class__ is float and 0.0 <= raw < math.inf:
+        return abs(raw)  # the usual json family cell, checked in one step
     if raw is None or raw == "" or raw == NA:
         return None
     value = parse(raw, what)
     if value < 0:
         raise _FieldError(f"negative {what} {value}")
-    return value
+    return abs(value)
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +287,55 @@ class AggregateReport:
         object.__setattr__(self, "deltas", tuple(self.deltas))
 
 
+def _column(rows: Sequence[AuthorTableRow], variable: str) -> list[float | None]:
+    """Every row's value of a variable, as AuthorTableRow.value gives it.
+
+    The variable is matched to its scalar field, or to its family and
+    field, once, against the first row; a row without that family falls
+    back to AuthorTableRow.value.
+    """
+    first = rows[0]
+    if variable in SCALAR_FIELDS:
+        return [None if v is None else float(v) for v in map(attrgetter(variable), rows)]
+    fieldname, _, suffix = variable.partition("_")
+    family = None
+    if fieldname in FAMILY_FIELDS and suffix:
+        family = next((f for f in first.families if f.lower() == suffix), None)
+    if family is None:
+        first.value(variable)  # raises the unknown-variable error
+    get = attrgetter(fieldname)
+    return [
+        row.value(variable) if (cells := row.families.get(family)) is None else get(cells)
+        for row in rows
+    ]
+
+
 def _group_columns(
     rows: Sequence[AuthorTableRow],
     variables: Sequence[str] | None,
     group_of: Callable[[AuthorTableRow], str | None],
-) -> tuple[list[str], dict[str | None, dict[str, list[float | None]]]]:
-    """Each group's column of every variable, each cell read once.
+) -> tuple[list[str], dict[str, list[float | None]], dict[str | None, dict[str, list[float | None]]]]:
+    """The pooled column of every variable, and each group's slice of it.
 
     group_of gives a row's group key, and may raise for a row that has
-    none. Variables default to those of the first row. Groups come in
-    first-seen order and cells in row order, so the columns of a group
-    line up; an undefined or non-finite cell is None.
+    none. Variables default to those of the first row. Pooled columns
+    are in row order, groups in first-seen order and a group's cells in
+    row order, so the columns of a group line up; an undefined or
+    non-finite cell is None.
     """
     variables = list(variables) if variables else _variable_names(rows[0])
-    members: dict[str | None, list[AuthorTableRow]] = {}
-    for row in rows:
-        members.setdefault(group_of(row), []).append(row)
-    columns = {}
-    for group, group_rows in members.items():
-        columns[group] = {}
-        for variable in variables:
-            cells = [row.value(variable) for row in group_rows]
-            columns[group][variable] = [v if v is not None and math.isfinite(v) else None for v in cells]
-    return variables, columns
+    members: dict[str | None, list[int]] = {}
+    for index, row in enumerate(rows):
+        members.setdefault(group_of(row), []).append(index)
+    pooled = {
+        variable: [v if v is not None and math.isfinite(v) else None for v in _column(rows, variable)]
+        for variable in variables
+    }
+    columns = {
+        group: {variable: [column[i] for i in indices] for variable, column in pooled.items()}
+        for group, indices in members.items()
+    }
+    return variables, pooled, columns
 
 
 def _required_group(row: AuthorTableRow) -> str:
@@ -326,7 +355,7 @@ def group_summary(
     """
     if not rows:
         raise ReportError("no rows")
-    _, columns = _group_columns(rows, variables, _required_group)
+    _, _, columns = _group_columns(rows, variables, _required_group)
     blocks = []
     for group in sorted(columns):
         summaries: dict[str, stats.DescriptiveSummary] = {}
@@ -356,12 +385,11 @@ def aggregate_report(
     """
     if not rows:
         raise ReportError("no rows")
-    variables, columns = _group_columns(rows, variables, lambda row: row.group)
+    # pooled in row order: the min, max and median of equal 0.0 and -0.0 depend on it
+    variables, everyone, columns = _group_columns(rows, variables, lambda row: row.group)
     group_names = sorted(group for group in columns if group is not None)
     if len(group_names) < 2:
         raise ReportError("aggregate report needs at least two groups")
-    # pooled in row order: the min, max and median of equal 0.0 and -0.0 depend on it
-    everyone = _group_columns(rows, variables, lambda row: None)[1][None]
 
     pooled: dict[str, stats.DescriptiveSummary] = {}
     decompositions: dict[str, stats.VarianceDecomposition] = {}
@@ -438,7 +466,7 @@ def correlation_report(
     """
     if not rows:
         raise ReportError("no rows")
-    _, columns = _group_columns(rows, variables or DEFAULT_CORRELATION_VARIABLES, _required_group)
+    _, _, columns = _group_columns(rows, variables or DEFAULT_CORRELATION_VARIABLES, _required_group)
     out = []
     for group in sorted(columns):
         names, grid = stats.correlation_matrix(columns[group], method=method)
@@ -474,7 +502,7 @@ def figure_data(
     if not rows:
         raise ReportError("no rows")
     if kind == "boxplot":
-        variables, columns = _group_columns(rows, variables, lambda row: row.group or "")
+        variables, _, columns = _group_columns(rows, variables, lambda row: row.group or "")
         header = ["group", "variable", "q1", "q2", "q3", "whisker_low", "whisker_high"]
         data = []
         for group in sorted(columns):
@@ -491,22 +519,24 @@ def figure_data(
         if not x or not y:
             raise ReportError("scatter needs x and y variable names")
         header = ["author_id", "group", x, y]
-        data = []
-        for row in rows:
-            vx, vy = row.value(x), row.value(y)
-            data.append([row.author_id, row.group or "", vx, vy])
+        data = [
+            [row.author_id, row.group or "", vx, vy]
+            for row, vx, vy in zip(rows, _column(rows, x), _column(rows, y))
+        ]
         return header, data
     if kind == "ordered_dimensions":
         family = order_family or next(iter(rows[0].families))
         suffix = family.lower()
         order_var = f"i_{suffix}"
         header = ["author_id", "group", f"p_{suffix}", order_var, f"r_{suffix}"]
-        defined = [r for r in rows if r.value(order_var) is not None]
-        ordered = sorted(defined, key=lambda r: (-r.value(order_var), r.author_id))
-        data = [
-            [r.author_id, r.group or "", r.value(f"p_{suffix}"), r.value(order_var), r.value(f"r_{suffix}")]
-            for r in ordered
+        order = _column(rows, order_var)  # first, so a lookup error names order_var
+        defined = [
+            (row, p, i, r)
+            for row, p, i, r in zip(rows, _column(rows, f"p_{suffix}"), order, _column(rows, f"r_{suffix}"))
+            if i is not None
         ]
+        defined.sort(key=lambda d: (-d[2], d[0].author_id))
+        data = [[row.author_id, row.group or "", p, i, r] for row, p, i, r in defined]
         return header, data
     raise ReportError(
         f"unknown figure kind {kind!r}; expected boxplot, scatter or ordered_dimensions"

@@ -85,7 +85,7 @@ class GroupedSample:
     def __init__(self, groups: Mapping[str, Sequence[float]]):
         cleaned: dict[str, tuple[float, ...]] = {}
         for name, values in groups.items():
-            vals = tuple(float(v) for v in values)
+            vals = tuple(map(float, values))
             if not vals:
                 raise StatsError(f"group {name!r} is empty")
             cleaned[name] = vals
@@ -104,35 +104,57 @@ class GroupedSample:
 
 
 def _check_sample(values: Sequence[float]) -> list[float]:
-    vals = [float(v) for v in values]
+    vals = list(map(float, values))
     if not vals:
         raise StatsError("empty sample")
-    if any(not math.isfinite(v) for v in vals):
+    if not all(map(math.isfinite, vals)):
         raise StatsError("sample contains non-finite values")
     return vals
 
 
-def mean(values: Sequence[float]) -> float:
-    vals = _check_sample(values)
+# The public functions check their input once, on entry, through
+# _check_sample; the private helpers below take a checked sample.
+
+def _mean(vals: list[float]) -> float:
     return math.fsum(vals) / len(vals)
+
+
+def _median(ordered: list[float]) -> float:
+    n = len(ordered)
+    mid = n // 2
+    if n % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def _sample_std(vals: list[float]) -> float:
+    if len(vals) == 1:
+        return 0.0
+    m = _mean(vals)
+    return math.sqrt(math.fsum((v - m) ** 2 for v in vals) / (len(vals) - 1))
+
+
+def _quantile(ordered: list[float], q: float) -> float:
+    pos = (len(ordered) - 1) * q
+    lo = math.floor(pos)
+    hi = math.ceil(pos)
+    if lo == hi:
+        return ordered[lo]
+    frac = pos - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+def mean(values: Sequence[float]) -> float:
+    return _mean(_check_sample(values))
 
 
 def median(values: Sequence[float]) -> float:
     """Middle order statistic; mean of the two middle values for even n."""
-    vals = sorted(_check_sample(values))
-    n = len(vals)
-    mid = n // 2
-    if n % 2:
-        return vals[mid]
-    return (vals[mid - 1] + vals[mid]) / 2.0
+    return _median(sorted(_check_sample(values)))
 
 
 def sample_std(values: Sequence[float]) -> float:
-    vals = _check_sample(values)
-    if len(vals) == 1:
-        return 0.0
-    m = math.fsum(vals) / len(vals)
-    return math.sqrt(math.fsum((v - m) ** 2 for v in vals) / (len(vals) - 1))
+    return _sample_std(_check_sample(values))
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -143,25 +165,20 @@ def quantile(values: Sequence[float], q: float) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise StatsError(f"quantile must be in [0, 1], got {q}")
-    vals = sorted(_check_sample(values))
-    pos = (len(vals) - 1) * q
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
-    if lo == hi:
-        return vals[lo]
-    frac = pos - lo
-    return vals[lo] * (1.0 - frac) + vals[hi] * frac
+    return _quantile(sorted(_check_sample(values)), q)
 
 
 def describe(values: Sequence[float]) -> DescriptiveSummary:
     """Median, mean, sample std, min, max and range of a non-empty sample."""
     vals = _check_sample(values)
+    # min and max scan the sample in its own order, as the first of equal
+    # 0.0 and -0.0 is the one they return
     lo, hi = min(vals), max(vals)
     return DescriptiveSummary(
         n=len(vals),
-        median=median(vals),
-        mean=mean(vals),
-        sample_std=sample_std(vals),
+        median=_median(sorted(vals)),
+        mean=_mean(vals),
+        sample_std=_sample_std(vals),
         min=lo,
         max=hi,
         value_range=hi - lo,
@@ -171,10 +188,11 @@ def describe(values: Sequence[float]) -> DescriptiveSummary:
 def boxplot(values: Sequence[float]) -> BoxplotSummary:
     """Quartile summary with whiskers at the sample extremes."""
     vals = _check_sample(values)
+    ordered = sorted(vals)
     return BoxplotSummary(
-        q1=quantile(vals, 0.25),
-        q2=median(vals),
-        q3=quantile(vals, 0.75),
+        q1=_quantile(ordered, 0.25),
+        q2=_median(ordered),
+        q3=_quantile(ordered, 0.75),
         whisker_low=min(vals),
         whisker_high=max(vals),
     )
@@ -190,9 +208,9 @@ def variance_decomposition(sample: GroupedSample) -> VarianceDecomposition:
     """
     if len(sample) < 2:
         raise StatsError("variance decomposition needs at least two groups")
-    pooled = sample.pooled()
-    grand = mean(pooled)
-    means = [(vals, mean(vals)) for _, vals in sample]
+    pooled = _check_sample(sample.pooled())
+    grand = _mean(pooled)
+    means = [(vals, _mean(vals)) for _, vals in sample]
     within = math.fsum(math.fsum((v - m) ** 2 for v in vals) for vals, m in means)
     between = math.fsum(len(vals) * (m - grand) ** 2 for vals, m in means)
     total = math.fsum((v - grand) ** 2 for v in pooled)
@@ -242,7 +260,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     Requires equal lengths, n >= 3; a constant vector yields an undefined
     cell (r None, with a note) rather than a silent zero.
     """
-    xs, ys = _check_sample(x), _check_sample(y)
+    return _pearson(_check_sample(x), _check_sample(y))
+
+
+def _pearson(xs: list[float], ys: list[float]) -> CorrelationCell:
     if len(xs) != len(ys):
         raise StatsError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
@@ -252,7 +273,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     # vector can round to a nearby float, leaving spurious deviations
     if all(v == xs[0] for v in xs) or all(v == ys[0] for v in ys):
         return CorrelationCell(r=None, n=n, note="constant input")
-    mx, my = mean(xs), mean(ys)
+    mx, my = _mean(xs), _mean(ys)
     dx = [v - mx for v in xs]
     dy = [v - my for v in ys]
     # the float mean can be an ulp off: take out the deviations' own mean too (corrected two-pass mean)
@@ -274,8 +295,11 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
 
 def average_ranks(values: Sequence[float]) -> list[float]:
     """Ascending ranks 1..n with ties sharing their average rank."""
-    vals = _check_sample(values)
-    order = sorted(range(len(vals)), key=lambda k: vals[k])
+    return _average_ranks(_check_sample(values))
+
+
+def _average_ranks(vals: list[float]) -> list[float]:
+    order = sorted(range(len(vals)), key=vals.__getitem__)
     ranks = [0.0] * len(vals)
     start = 0
     while start < len(vals):
@@ -291,10 +315,15 @@ def average_ranks(values: Sequence[float]) -> list[float]:
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     """Rank correlation: Pearson applied to average-rank vectors."""
-    return pearson(average_ranks(x), average_ranks(y))
+    return _spearman(_check_sample(x), _check_sample(y))
 
 
-CORRELATION_METHODS = {"pearson": pearson, "spearman": spearman}
+def _spearman(xs: list[float], ys: list[float]) -> CorrelationCell:
+    return _pearson(_average_ranks(xs), _average_ranks(ys))
+
+
+# the unchecked forms: correlation_matrix passes them finite floats only
+_CORRELATIONS = {"pearson": _pearson, "spearman": _spearman}
 
 
 def correlation_matrix(
@@ -307,11 +336,11 @@ def correlation_matrix(
     Statistically undefined cells (constant column, fewer than 3 usable
     pairs) are flagged per cell instead of raising.
     """
-    if method not in CORRELATION_METHODS:
+    if method not in _CORRELATIONS:
         raise StatsError(
-            f"unknown method {method!r}; expected one of {sorted(CORRELATION_METHODS)}"
+            f"unknown method {method!r}; expected one of {sorted(_CORRELATIONS)}"
         )
-    corr = CORRELATION_METHODS[method]
+    corr = _CORRELATIONS[method]
     names = list(columns)
     if len(names) < 2:
         raise StatsError("need at least two columns")
@@ -322,28 +351,22 @@ def correlation_matrix(
             raise StatsError(
                 f"column {name!r} has length {len(data[name])}, expected {length}"
             )
-
-    def usable(v) -> bool:
-        return v is not None and math.isfinite(v)
+    # each cell is found usable or not once, here; None marks an unusable one
+    usable = [[float(v) if v is not None and math.isfinite(v) else None for v in data[name]] for name in names]
 
     grid: list[list[CorrelationCell]] = [[None] * len(names) for _ in names]  # type: ignore[list-item]
     for a in range(len(names)):
-        xs_all = data[names[a]]
-        grid[a][a] = CorrelationCell(r=1.0, n=sum(1 for v in xs_all if usable(v)))
+        xs_all = usable[a]
+        grid[a][a] = CorrelationCell(r=1.0, n=sum(1 for v in xs_all if v is not None))
         for b in range(a + 1, len(names)):
-            ys_all = data[names[b]]
-            pairs = [
-                (xv, yv) for xv, yv in zip(xs_all, ys_all) if usable(xv) and usable(yv)
-            ]
+            pairs = [(xv, yv) for xv, yv in zip(xs_all, usable[b]) if xv is not None and yv is not None]
             if len(pairs) < 3:
                 cell = CorrelationCell(
                     r=None, n=len(pairs), note=f"only {len(pairs)} usable pairs"
                 )
             else:
-                try:
-                    cell = corr([p[0] for p in pairs], [p[1] for p in pairs])
-                except StatsError as exc:
-                    cell = CorrelationCell(r=None, n=len(pairs), note=str(exc))
+                xs, ys = zip(*pairs)
+                cell = corr(list(xs), list(ys))
             grid[a][b] = cell
             grid[b][a] = cell
     return names, grid

@@ -375,6 +375,31 @@ class TestSummarize:
         assert "group 'G1': no defined values for 'r_sjr'" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_cells_read_as_zero(self, runner, tmp_path, fmt):
+        # json has no -0 text: its -0 is the integer 0, so both of its cells are -0.0
+        p_cells = [0.5, 1.0, -0.0, 0.0, 2.0, "-0" if fmt == "csv" else -0.0, 0.0, 3.0]
+        rows = [
+            {"author_id": f"a{k}", "group": f"G{k % 2}", "papers": k + 1, "cites": k, "h": 1, "p_sjr": p}
+            | {f"{f}_sjr": 1.0 for f in ("i", "r", "pi", "pr", "ir", "pi2r")}
+            for k, p in enumerate(p_cells)
+        ]
+        profiles = tmp_path / f"negzero.{fmt}"
+        if fmt == "json":
+            profiles.write_text(json.dumps(rows), encoding="utf-8")
+        else:
+            with open(profiles, "w", newline="", encoding="utf-8") as f:
+                writer = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(rows)
+        out = tmp_path / "out"
+        run(runner, "summarize", "--profiles", str(profiles), "--out", str(out), "--name", "z")
+        groups = {(r["group"], r["variable"]): r for r in read_rows(out / "z.groups.csv")}
+        # each group holds a -0 cell and a 0.0 cell, and its minimum is zero
+        assert [groups[(g, "p_sjr")]["min"] for g in ("G0", "G1")] == ["0.000", "0.000"]
+        for path in out.iterdir():
+            assert "-0.000" not in path.read_text(encoding="utf-8"), path.name
+
     def test_truncated_json_profiles_exit(self, runner, tmp_path):
         profiles = tmp_path / "bad.json"
         profiles.write_text('[{"author_id": "a", "group": "Phy", "p_sjr": 1.5')

@@ -2,16 +2,25 @@ import csv
 import io
 import json
 import math
+import random
+from dataclasses import replace
 from xml.etree import ElementTree
 
 import pytest
 
 from pirmetrics.io import IngestError, ScalarMetrics
 from pirmetrics.model import SJR, SNIP, IndicatorProfile, YearWindow
+from pirmetrics import stats
 from pirmetrics.report import (
+    FAMILY_FIELDS,
     NA,
+    SCALAR_FIELDS,
+    AggregateReport,
     AuthorTableRow,
+    CrossFamilyDelta,
     DimensionCells,
+    GroupCorrelationMatrix,
+    GroupSummaryBlock,
     ReportError,
     aggregate_export,
     aggregate_report,
@@ -31,7 +40,14 @@ from pirmetrics.report import (
     render_table,
     save_profiles,
 )
-from pirmetrics.stats import GroupedSample, describe, variance_decomposition
+from pirmetrics.stats import (
+    CorrelationCell,
+    DescriptiveSummary,
+    GroupedSample,
+    VarianceDecomposition,
+    describe,
+    variance_decomposition,
+)
 
 WIN = YearWindow(2009, 2013)
 
@@ -449,3 +465,166 @@ class TestRendering:
         root = ElementTree.fromstring(render_boxplot_svg(data))
         labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert labels == ['Q"A p_sjr', "R&D <lab> p_sjr"]
+
+
+# ---------------------------------------------------------------------------
+# parity with a reference built cell by cell from AuthorTableRow.value
+
+
+def _finite(v) -> bool:
+    return v is not None and math.isfinite(v)
+
+
+def _parity_rows(seed: int) -> list[AuthorTableRow]:
+    """Rows with NA, inf and signed-zero cells, and rows whose families vary.
+
+    Some rows carry their families in another order, and some carry the
+    SJR cells under the key "sjr", which the first row lacks, so only the
+    name lookup of AuthorTableRow.value finds them.
+    """
+    rng = random.Random(seed)
+    special = (None, math.inf, -math.inf, 0.0, -0.0)
+
+    def cell():
+        return rng.choice(special) if rng.random() < 0.25 else round(rng.uniform(0.1, 3.0), 2)
+
+    def counter():
+        return None if rng.random() < 0.1 else rng.randint(0, 40)
+
+    rows = []
+    for k in range(40):
+        families = {family: DimensionCells(*[cell() for _ in FAMILY_FIELDS]) for family in (SJR, SNIP)}
+        if k % 7 == 3:
+            families = {SNIP: families[SNIP], SJR: families[SJR]}
+        elif k % 11 == 5:
+            families = {"sjr": families[SJR], SNIP: families[SNIP]}
+        rows.append(AuthorTableRow(f"a{k:02d}", f"G{rng.randint(0, 2)}", counter(), counter(), counter(), families))
+    return rows
+
+
+PARITY_VARIABLES = [*SCALAR_FIELDS, *(f"{f}_{s}" for s in ("sjr", "snip") for f in FAMILY_FIELDS)]
+
+
+def _defined(rows, variable) -> list[float]:
+    return [v for row in rows if _finite(v := row.value(variable))]
+
+
+def _reference_describe(values) -> DescriptiveSummary:
+    lo, hi = min(values), max(values)
+    return DescriptiveSummary(
+        len(values), stats.median(values), stats.mean(values), stats.sample_std(values), lo, hi, hi - lo
+    )
+
+
+def _same(a, b):
+    # repr tells 0.0 from -0.0, which == does not
+    assert a == b
+    assert repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+class TestColumnParity:
+    def test_group_summary(self, seed):
+        rows = _parity_rows(seed)
+        expected = []
+        for group in sorted({row.group for row in rows}):
+            members = [row for row in rows if row.group == group]
+            summaries = {v: _reference_describe(_defined(members, v)) for v in PARITY_VARIABLES}
+            excluded = {v: len(members) - len(_defined(members, v)) for v in PARITY_VARIABLES}
+            expected.append(GroupSummaryBlock(group, summaries, excluded))
+        _same(group_summary(rows), expected)
+
+    def test_aggregate_report(self, seed):
+        rows = [replace(row, group=None) if k % 9 == 4 else row for k, row in enumerate(_parity_rows(seed))]
+        pooled = {v: _reference_describe(_defined(rows, v)) for v in PARITY_VARIABLES}
+        decompositions = {}
+        for v in PARITY_VARIABLES:
+            grouped = [
+                values
+                for group in sorted({row.group for row in rows if row.group is not None})
+                if (values := _defined([row for row in rows if row.group == group], v))
+            ]
+            if len(grouped) < 2:
+                continue
+            everyone = [x for values in grouped for x in values]
+            grand = stats.mean(everyone)
+            means = [(values, stats.mean(values)) for values in grouped]
+            within = math.fsum(math.fsum((x - m) ** 2 for x in values) for values, m in means)
+            between = math.fsum(len(values) * (m - grand) ** 2 for values, m in means)
+            total = math.fsum((x - grand) ** 2 for x in everyone)
+            decompositions[v] = VarianceDecomposition(
+                within, between, total, 1.0 - between / within if within > 0 else None
+            )
+        deltas = []
+        for ratio in ("pi", "pr", "ir", "pi2r"):
+            a, b = pooled[f"{ratio}_sjr"], pooled[f"{ratio}_snip"]
+            if b.median != 0 and b.mean != 0:
+                deltas.append(
+                    CrossFamilyDelta(ratio, SJR, SNIP, (a.median - b.median) / b.median, (a.mean - b.mean) / b.mean)
+                )
+        _same(aggregate_report(rows), AggregateReport(pooled, decompositions, tuple(deltas)))
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    def test_correlation_report(self, seed, method):
+        rows = _parity_rows(seed)
+        correlate = {"pearson": stats.pearson, "spearman": stats.spearman}[method]
+        expected = []
+        for group in sorted({row.group for row in rows}):
+            members = [row for row in rows if row.group == group]
+            columns = [[row.value(v) for row in members] for v in PARITY_VARIABLES]
+            cells = [[None] * len(columns) for _ in columns]
+            for a, xs in enumerate(columns):
+                cells[a][a] = CorrelationCell(r=1.0, n=sum(map(_finite, xs)))
+                for b in range(a + 1, len(columns)):
+                    pairs = [(x, y) for x, y in zip(xs, columns[b]) if _finite(x) and _finite(y)]
+                    if len(pairs) < 3:
+                        cell = CorrelationCell(r=None, n=len(pairs), note=f"only {len(pairs)} usable pairs")
+                    else:
+                        cell = correlate([x for x, _ in pairs], [y for _, y in pairs])
+                    cells[a][b] = cells[b][a] = cell
+            expected.append(
+                GroupCorrelationMatrix(group, method, tuple(PARITY_VARIABLES), tuple(map(tuple, cells)))
+            )
+        _same(correlation_report(rows, method=method, variables=PARITY_VARIABLES), expected)
+
+    def test_figure_data(self, seed):
+        rows = _parity_rows(seed)
+        boxes = []
+        for group in sorted({row.group or "" for row in rows}):
+            for v in PARITY_VARIABLES:
+                values = _defined([row for row in rows if (row.group or "") == group], v)
+                if values:
+                    boxes.append([
+                        group, v, stats.quantile(values, 0.25), stats.median(values),
+                        stats.quantile(values, 0.75), min(values), max(values),
+                    ])
+        _same(figure_data(rows, "boxplot")[1], boxes)
+        scatter = [[row.author_id, row.group or "", row.value("p_sjr"), row.value("pi_snip")] for row in rows]
+        _same(figure_data(rows, "scatter", x="p_sjr", y="pi_snip")[1], scatter)
+        for family in (None, SNIP):
+            suffix = (family or SJR).lower()
+            defined = [row for row in rows if row.value(f"i_{suffix}") is not None]
+            defined.sort(key=lambda row: (-row.value(f"i_{suffix}"), row.author_id))
+            ordered = [
+                [row.author_id, row.group or "", *(row.value(f"{f}_{suffix}") for f in ("p", "i", "r"))]
+                for row in defined
+            ]
+            _same(figure_data(rows, "ordered_dimensions", order_family=family)[1], ordered)
+
+    def test_row_without_the_family_fails_as_value_does(self, seed):
+        rows = _parity_rows(seed)
+        bare = AuthorTableRow("zz", "G1", 1, 1, 1, {SNIP: rows[0].families[SNIP]})
+        rows.append(bare)
+        for build, variable in (
+            (lambda: group_summary(rows), "p_sjr"),
+            (lambda: aggregate_report(rows), "p_sjr"),
+            (lambda: correlation_report(rows, variables=PARITY_VARIABLES), "p_sjr"),
+            (lambda: figure_data(rows, "boxplot"), "p_sjr"),
+            (lambda: figure_data(rows, "scatter", x="p_sjr", y="h"), "p_sjr"),
+            (lambda: figure_data(rows, "ordered_dimensions"), "i_sjr"),
+        ):
+            with pytest.raises(ReportError) as lookup:
+                bare.value(variable)
+            with pytest.raises(ReportError) as raised:
+                build()
+            assert str(raised.value) == str(lookup.value)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,14 +15,19 @@ from hypothesis import strategies as st
 import pirmetrics
 from pirmetrics.report import author_table_export, correlation_report
 from pirmetrics.stats import (
+    BoxplotSummary,
+    DescriptiveSummary,
     GroupedSample,
     StatsError,
     average_ranks,
     boxplot,
     correlation_matrix,
     describe,
+    mean,
+    median,
     pearson,
     quantile,
+    sample_std,
     spearman,
     _significance,
     _t_two_tailed_p,
@@ -91,6 +97,57 @@ class TestBoxplot:
     def test_quantile_bounds(self):
         with pytest.raises(StatsError):
             quantile([1.0], 1.5)
+
+
+# each public function that checks a sample, called with the bad sample v,
+# and its message for an empty one
+CHECKED = {
+    "describe": (describe, "empty sample"),
+    "boxplot": (boxplot, "empty sample"),
+    "average_ranks": (average_ranks, "empty sample"),
+    "pearson-x": (lambda v: pearson(v, [1.0, 2.0, 3.0][: len(v)]), "empty sample"),
+    "pearson-y": (lambda v: pearson([1.0, 2.0, 3.0][: len(v)], v), "empty sample"),
+    "spearman-x": (lambda v: spearman(v, [1.0, 2.0, 3.0][: len(v)]), "empty sample"),
+    "spearman-y": (lambda v: spearman([1.0, 2.0, 3.0][: len(v)], v), "empty sample"),
+    # the grouped sample itself refuses an empty group
+    "variance_decomposition": (
+        lambda v: variance_decomposition(GroupedSample({"a": [1.0, 2.0], "b": v})), "group 'b' is empty"
+    ),
+}
+
+
+class TestSingleCheck:
+    """describe and boxplot check and sort their sample once; the result is the field-by-field one."""
+
+    @given(samples)
+    @example([0.0, -0.0])
+    @example([-0.0, 0.0, 2.5, -0.0])
+    def test_describe_equals_its_fields(self, values):
+        lo, hi = min(values), max(values)
+        expected = DescriptiveSummary(
+            len(values), median(values), mean(values), sample_std(values), lo, hi, hi - lo
+        )
+        # repr tells 0.0 from -0.0, which == does not
+        assert repr(describe(values)) == repr(expected)
+
+    @given(samples)
+    @example([0.0, -0.0])
+    @example([-0.0, 0.0, 2.5, -0.0])
+    def test_boxplot_equals_its_fields(self, values):
+        expected = BoxplotSummary(
+            quantile(values, 0.25), median(values), quantile(values, 0.75), min(values), max(values)
+        )
+        assert repr(boxplot(values)) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "values", [[], [1.0, math.nan], [2.0, math.inf, 1.0], [-math.inf, 1.0, 2.0]], ids=["empty", "nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize("name", sorted(CHECKED))
+    def test_bad_sample_rejected_with_its_message(self, name, values):
+        call, empty = CHECKED[name]
+        message = "sample contains non-finite values" if values else empty
+        with pytest.raises(StatsError, match=f"^{re.escape(message)}$"):
+            call(values)
 
 
 class TestVarianceDecomposition:
