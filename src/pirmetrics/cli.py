@@ -280,23 +280,20 @@ def summarize(profiles: Path | None, scalars: Path | None, out: str, format: str
     dataset = name or profiles.stem
 
     try:
-        blocks = rpt.group_summary(rows)
+        header, data = rpt.group_summary(rows)
     except ReportError as exc:
         raise _fail(str(exc), EXIT_FEW_GROUPS)
-    header, data = rpt.group_summary_export(blocks)
     _write_output(out, dataset, "groups", rpt.render_table(header, data, format), format)
 
     if len({row.group for row in rows}) < 2:
         _log("warning: single group, skipping variance decomposition")
         return
     try:
-        aggregate = rpt.aggregate_report(rows)
+        tables = rpt.aggregate_report(rows)
     except ReportError as exc:
         raise _fail(str(exc), EXIT_FEW_GROUPS)
-    header, data = rpt.aggregate_export(aggregate)
-    _write_output(out, dataset, "aggregate", rpt.render_table(header, data, format), format)
-    header, data = rpt.deltas_export(aggregate)
-    _write_output(out, dataset, "deltas", rpt.render_table(header, data, format), format)
+    for report_name, (header, data) in zip(("aggregate", "deltas"), tables):
+        _write_output(out, dataset, report_name, rpt.render_table(header, data, format), format)
 
 
 @main.command()

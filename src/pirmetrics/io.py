@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
-from .model import AuthorCorpus, Event, EventKind, ImpactTable, ModelError
+from .model import MAX_COUNT, AuthorCorpus, Event, EventKind, ImpactTable, ModelError
 
 
 class IngestError(ValueError):
@@ -98,7 +98,7 @@ def _rows(source, fmt: str, required: list[str], label: str, pick=None):
         else:
             try:
                 payload = json.load(stream)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer beyond int's digit limit
                 raise IngestError(f"{label}: invalid json: {exc}") from exc
             if not isinstance(payload, list):
                 raise IngestError(f"{label}: expected a json array of row objects")
@@ -154,6 +154,14 @@ def _parse_int(raw, what: str) -> int:
     except ValueError:
         pass
     raise _FieldError(f"{what} must be an integer, got {raw!r}")
+
+
+def _parse_count(raw, what: str) -> int:
+    """An integer as _parse_int reads it, no larger than MAX_COUNT."""
+    value = _parse_int(raw, what)
+    if value > MAX_COUNT:
+        raise _FieldError(f"{what} must be <= 2**53, got {value}")
+    return value
 
 
 def _parse_float(raw, what: str) -> float:
@@ -334,9 +342,9 @@ def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
                 raise _FieldError("empty author_id")
             if author_id in out:
                 raise _FieldError(f"duplicate author_id {author_id!r}")
-            papers = _parse_int(papers, "papers")
-            cites = _parse_int(cites, "cites")
-            h = _parse_int(h, "h")
+            papers = _parse_count(papers, "papers")
+            cites = _parse_count(cites, "cites")
+            h = _parse_count(h, "h")
             out[author_id] = ScalarMetrics(author_id, papers, cites, h)
     except _FieldError as exc:
         raise _located(exc, "scalars", fmt, lineno) from None

@@ -24,6 +24,10 @@ IndicatorName = str
 SJR: IndicatorName = "SJR"
 SNIP: IndicatorName = "SNIP"
 
+# The largest count an event or a scalar counter may hold: every integer up
+# to 2**53 is exactly a float, and a much larger one is no float at all.
+MAX_COUNT = 2**53
+
 
 class ModelError(ValueError):
     """Invalid construction of a domain value."""
@@ -108,9 +112,9 @@ class Event(_EventFields):
     def __new__(cls, kind: EventKind, journal: JournalRef, year: int, count: int):
         if not journal:
             raise ModelError("journal id must be non-empty")
-        if count < 1:
+        if count < 1 or count > MAX_COUNT:
             raise ModelError(
-                f"event count must be >= 1, got {count} "
+                f"event count must be {'>= 1' if count < 1 else '<= 2**53'}, got {count} "
                 f"({kind.value}, {journal!r}, {year})"
             )
         return tuple.__new__(cls, (kind, journal, year, count))

@@ -24,15 +24,18 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import attrgetter
 
 from . import stats
 from .io import (
-    ScalarMetrics, _encode_table, _FieldError, _located, _parse_float, _parse_int, _rows, _text, save_text,
+    ScalarMetrics, _encode_table, _FieldError, _located, _parse_count, _parse_float, _rows, _text, save_text,
 )
 from .model import SJR, SNIP, IndicatorName, IndicatorProfile
 
 NA = "NA"
+
+Table = tuple[list[str], list[list]]  # a report: its header, and one list of raw cells per row
 
 FAMILY_FIELDS = ("p", "i", "r", "pi", "pr", "ir", "pi2r")
 SCALAR_FIELDS = ("papers", "cites", "h")
@@ -77,9 +80,6 @@ class AuthorTableRow:
     cites: int | None
     h: int | None
     families: Mapping[IndicatorName, DimensionCells] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "families", dict(self.families))
 
     def value(self, variable: str) -> float | None:
         """Look a report variable up by name (e.g. 'h' or 'pi_sjr')."""
@@ -188,7 +188,7 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
             fieldname, _, suffix = col.partition("_")
             if fieldname == "p" and suffix and suffix not in suffixes:
                 suffixes.append(suffix)
-        layout.extend((_parse_int, position.get(name), name) for name in SCALAR_FIELDS)
+        layout.extend((_parse_count, position.get(name), name) for name in SCALAR_FIELDS)
         for suffix in suffixes:
             families.append((_canonical_family(suffix), len(layout)))
             layout.extend((_parse_float, position.get(f"{f}_{suffix}"), f"{f}_{suffix}") for f in FAMILY_FIELDS)
@@ -244,48 +244,6 @@ def _optional(parse, raw, what: str):
 
 # ---------------------------------------------------------------------------
 # grouped and aggregate summaries
-
-@dataclass(frozen=True)
-class GroupSummaryBlock:
-    """Per-variable summaries for one group, with exclusion counts."""
-
-    group: str
-    summaries: Mapping[str, stats.DescriptiveSummary]
-    excluded: Mapping[str, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "summaries", dict(self.summaries))
-        object.__setattr__(self, "excluded", dict(self.excluded))
-
-
-@dataclass(frozen=True)
-class CrossFamilyDelta:
-    """Relative median/mean offset of one ratio between two families.
-
-    Deltas are (first - second) / second, e.g. how far the SJR-based
-    ratio sits above its SNIP-based counterpart.
-    """
-
-    variable: str
-    family_a: IndicatorName
-    family_b: IndicatorName
-    median_delta: float
-    mean_delta: float
-
-
-@dataclass(frozen=True)
-class AggregateReport:
-    """Pooled summaries, per-variable decompositions, cross-family deltas."""
-
-    pooled: Mapping[str, stats.DescriptiveSummary]
-    decompositions: Mapping[str, stats.VarianceDecomposition]
-    deltas: tuple[CrossFamilyDelta, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pooled", dict(self.pooled))
-        object.__setattr__(self, "decompositions", dict(self.decompositions))
-        object.__setattr__(self, "deltas", tuple(self.deltas))
-
 
 def _column(rows: Sequence[AuthorTableRow], variable: str) -> list[float | None]:
     """Every row's value of a variable, as AuthorTableRow.value gives it.
@@ -344,93 +302,90 @@ def _required_group(row: AuthorTableRow) -> str:
     return row.group
 
 
+SUMMARY_COLUMNS = ["n", "median", "mean", "std", "min", "max", "range"]
+
+
+def _summary_cells(s: stats.DescriptiveSummary) -> list:
+    """A summary's cells, in SUMMARY_COLUMNS order."""
+    return [s.n, s.median, s.mean, s.sample_std, s.min, s.max, s.value_range]
+
+
 def group_summary(
     rows: Sequence[AuthorTableRow],
     variables: Sequence[str] | None = None,
-) -> list[GroupSummaryBlock]:
-    """One block of per-variable summaries per group.
+) -> Table:
+    """The groups table: per-variable summaries of each group.
 
-    Rows must all carry a group. Undefined values are excluded per
-    variable and the exclusion counts reported alongside.
+    One row per (group, variable), groups sorted. Rows must all carry a
+    group. Undefined values are excluded per variable, and the excluded
+    column counts them.
     """
     if not rows:
         raise ReportError("no rows")
     _, _, columns = _group_columns(rows, variables, _required_group)
-    blocks = []
+    data = []
     for group in sorted(columns):
-        summaries: dict[str, stats.DescriptiveSummary] = {}
-        excluded: dict[str, int] = {}
         for variable, column in columns[group].items():
             values = [v for v in column if v is not None]
             if not values:
-                raise ReportError(
-                    f"group {group!r}: no defined values for {variable!r}"
-                )
-            summaries[variable] = stats.describe(values)
-            excluded[variable] = len(column) - len(values)
-        blocks.append(GroupSummaryBlock(group, summaries, excluded))
-    return blocks
+                raise ReportError(f"group {group!r}: no defined values for {variable!r}")
+            data.append([group, variable, *_summary_cells(stats.describe(values)), len(column) - len(values)])
+    return ["group", "variable", *SUMMARY_COLUMNS, "excluded"], data
 
 
 def aggregate_report(
     rows: Sequence[AuthorTableRow],
     variables: Sequence[str] | None = None,
-) -> AggregateReport:
-    """Pooled summaries plus within/between decomposition per variable.
+) -> tuple[Table, Table]:
+    """The aggregate table and the deltas table.
 
-    Needs at least two groups. Rows without a group count in the pooled
-    summaries only. For every ratio variable present in two or more
-    families, relative median/mean deltas between family pairs are
-    included (first family listed against each later one).
+    aggregate: pooled summaries plus the within/between decomposition
+    of each variable (None where fewer than two groups define it).
+    Needs at least two groups; rows without a group count in the pooled
+    summaries only.
+
+    deltas: for every ratio variable present in two or more families,
+    the relative median/mean offsets between family pairs (first family
+    listed against each later one), as percentages of the second
+    family's value, (a - b) / b.
     """
     if not rows:
         raise ReportError("no rows")
     # pooled in row order: the min, max and median of equal 0.0 and -0.0 depend on it
-    variables, everyone, columns = _group_columns(rows, variables, lambda row: row.group)
+    _, everyone, columns = _group_columns(rows, variables, lambda row: row.group)
     group_names = sorted(group for group in columns if group is not None)
     if len(group_names) < 2:
         raise ReportError("aggregate report needs at least two groups")
 
     pooled: dict[str, stats.DescriptiveSummary] = {}
-    decompositions: dict[str, stats.VarianceDecomposition] = {}
-    for variable in variables:
-        values = [v for v in everyone[variable] if v is not None]
+    aggregate = []
+    for variable, column in everyone.items():
+        values = [v for v in column if v is not None]
         if not values:
             raise ReportError(f"no defined values for {variable!r}")
-        pooled[variable] = stats.describe(values)
-        grouped: dict[str, list[float]] = {}
-        for group in group_names:
-            vals = [v for v in columns[group][variable] if v is not None]
-            if vals:
-                grouped[group] = vals
+        pooled[variable] = summary = stats.describe(values)
+        grouped = {g: vals for g in group_names if (vals := [v for v in columns[g][variable] if v is not None])}
+        terms = (None,) * 4
         if len(grouped) >= 2:
-            decompositions[variable] = stats.variance_decomposition(
-                stats.GroupedSample(grouped)
-            )
+            deco = stats.variance_decomposition(stats.GroupedSample(grouped))
+            terms = (deco.within_ss, deco.between_ss, deco.total_ss, deco.pct_reduction)
+        aggregate.append([variable, *_summary_cells(summary), *terms])
 
-    families = list(rows[0].families)
     deltas = []
     for ratio in ("pi", "pr", "ir", "pi2r"):
-        for a_idx in range(len(families)):
-            for b_idx in range(a_idx + 1, len(families)):
-                fam_a, fam_b = families[a_idx], families[b_idx]
-                var_a = f"{ratio}_{fam_a.lower()}"
-                var_b = f"{ratio}_{fam_b.lower()}"
-                if var_a in pooled and var_b in pooled:
-                    ref_median = pooled[var_b].median
-                    ref_mean = pooled[var_b].mean
-                    if ref_median == 0 or ref_mean == 0:
-                        continue
-                    deltas.append(
-                        CrossFamilyDelta(
-                            variable=ratio,
-                            family_a=fam_a,
-                            family_b=fam_b,
-                            median_delta=(pooled[var_a].median - ref_median) / ref_median,
-                            mean_delta=(pooled[var_a].mean - ref_mean) / ref_mean,
-                        )
-                    )
-    return AggregateReport(pooled, decompositions, tuple(deltas))
+        for fam_a, fam_b in combinations(rows[0].families, 2):
+            a = pooled.get(f"{ratio}_{fam_a.lower()}")
+            b = pooled.get(f"{ratio}_{fam_b.lower()}")
+            if a and b and b.median != 0 and b.mean != 0:
+                deltas.append([
+                    ratio, fam_a, fam_b,
+                    100.0 * ((a.median - b.median) / b.median),
+                    100.0 * ((a.mean - b.mean) / b.mean),
+                ])
+    return (
+        (["variable", *SUMMARY_COLUMNS, "within_ss", "between_ss", "total_ss", "pct_reduction"], aggregate),
+        (["variable", "family_a", "family_b", "median_delta_pct", "mean_delta_pct"], deltas),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +398,13 @@ DEFAULT_CORRELATION_VARIABLES = ("papers", "cites", "h", "p_sjr", "i_sjr", "r_sj
 
 @dataclass(frozen=True)
 class GroupCorrelationMatrix:
+    """One group's correlation cells over the report variables.
+
+    Unlike the other reports it is a type, not a table: it has two
+    renderings (correlation_export's table and render_correlation_text's
+    matrix), and callers look cells up by variable pair.
+    """
+
     group: str
     method: str
     variables: tuple[str, ...]
@@ -491,7 +453,7 @@ def figure_data(
     x: str | None = None,
     y: str | None = None,
     order_family: IndicatorName | None = None,
-) -> tuple[list[str], list[list]]:
+) -> Table:
     """Tabular exports backing the three figure styles.
 
     boxplot: one row of quartile/whisker fields per (group, variable).
@@ -594,7 +556,7 @@ def render_table(
     return "\n".join(lines) + "\n"
 
 
-def author_table_export(rows: Sequence[AuthorTableRow]) -> tuple[list[str], list[list]]:
+def author_table_export(rows: Sequence[AuthorTableRow]) -> Table:
     families: list[IndicatorName] = []
     for row in rows:
         for family in row.families:
@@ -612,67 +574,9 @@ def author_table_export(rows: Sequence[AuthorTableRow]) -> tuple[list[str], list
     return header, data
 
 
-def group_summary_export(blocks: Sequence[GroupSummaryBlock]) -> tuple[list[str], list[list]]:
-    header = ["group", "variable", "n", "median", "mean", "std", "min", "max", "range", "excluded"]
-    data = []
-    for block in blocks:
-        for variable, summary in block.summaries.items():
-            data.append(
-                [
-                    block.group,
-                    variable,
-                    summary.n,
-                    summary.median,
-                    summary.mean,
-                    summary.sample_std,
-                    summary.min,
-                    summary.max,
-                    summary.value_range,
-                    block.excluded.get(variable, 0),
-                ]
-            )
-    return header, data
-
-
-def aggregate_export(report: AggregateReport) -> tuple[list[str], list[list]]:
-    header = [
-        "variable", "n", "median", "mean", "std", "min", "max", "range",
-        "within_ss", "between_ss", "total_ss", "pct_reduction",
-    ]
-    data = []
-    for variable, summary in report.pooled.items():
-        deco = report.decompositions.get(variable)
-        data.append(
-            [
-                variable,
-                summary.n,
-                summary.median,
-                summary.mean,
-                summary.sample_std,
-                summary.min,
-                summary.max,
-                summary.value_range,
-                deco.within_ss if deco else None,
-                deco.between_ss if deco else None,
-                deco.total_ss if deco else None,
-                deco.pct_reduction if deco else None,
-            ]
-        )
-    return header, data
-
-
-def deltas_export(report: AggregateReport) -> tuple[list[str], list[list]]:
-    header = ["variable", "family_a", "family_b", "median_delta_pct", "mean_delta_pct"]
-    data = [
-        [d.variable, d.family_a, d.family_b, 100.0 * d.median_delta, 100.0 * d.mean_delta]
-        for d in report.deltas
-    ]
-    return header, data
-
-
 def correlation_export(
     matrices: Sequence[GroupCorrelationMatrix],
-) -> tuple[list[str], list[list]]:
+) -> Table:
     """Upper-triangular cells with their significance marks."""
     header = ["group", "row", "column", "r", "n", "significance", "mark", "note"]
     data = []

@@ -140,8 +140,12 @@ def _quantile(ordered: list[float], q: float) -> float:
     hi = math.ceil(pos)
     if lo == hi:
         return ordered[lo]
+    a, b = ordered[lo], ordered[hi]
     frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    # a + (b - a) * f, unlike a * (1 - f) + b * f, is a when a == b and stays
+    # in [a, b]; only b - a beyond the float range needs the second form
+    value = a + (b - a) * frac
+    return value if math.isfinite(value) else a * (1.0 - frac) + b * frac
 
 
 def mean(values: Sequence[float]) -> float:

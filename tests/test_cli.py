@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -341,6 +342,39 @@ class TestSummarize:
         assert float(aggregate["pi_sjr"]["within_ss"]) == pytest.approx(9.972, abs=0.05)
         groups = read_rows(out / "ds.groups.csv")
         assert len(groups) == 4 * 17
+
+    # sha256 of each summarize table on the bundled profiles; the bundled
+    # scalars carry the profiles' own counters, so --scalars changes no byte
+    GOLDEN = {
+        "csv": {
+            "groups": "1a8c048753525de7d50655e4aeccf524bb528879450d20938068c27095d70d61",
+            "aggregate": "2b7d40f220e809f87a50ac63d2fd476495009f1614bfc1159c5f515169ecd152",
+            "deltas": "24a62c7ff9ab60534b214ae406b9036094c8fa16805dbe43c4ef2e1b29d38321",
+        },
+        "json": {
+            "groups": "6364622d24b27884643181e14cd3cf993ba88dec00881419e4cdee66cec9f9e8",
+            "aggregate": "ad831dd8bbd5dad60b01fa75725ba80da3808541929025659c40c19a6ff28789",
+            "deltas": "3ae7f111be609f70513fff69fa618ae4b4eb658a784e8b1b2084fd055bb00732",
+        },
+        "text": {
+            "groups": "7abee9f88611664169b34e72c1606401ed7037d6b2d3b507ac1616abaf43181a",
+            "aggregate": "88c7e0f2edeabaabe6c1350d32e7f82bf16f634f72d9c62c4a39ac5b7ea5675a",
+            "deltas": "623c8fbb51859475db874b68fed0ee1ab8b4aeb4e87133560c2db985837d4e50",
+        },
+    }
+
+    @pytest.mark.parametrize("scalars", [False, True], ids=["profiles", "scalars"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_fixture_tables_golden_bytes(self, runner, tmp_path, fmt, scalars):
+        out = tmp_path / "out"
+        extra = ["--scalars", SCALARS] if scalars else []
+        run(runner, "summarize", "--profiles", PROFILES, "--format", fmt, "--out", str(out), "--name", "g", *extra)
+        digests = {
+            report: hashlib.sha256((out / f"g.{report}.{fmt}").read_bytes()).hexdigest()
+            for report in self.GOLDEN[fmt]
+        }
+        assert digests == self.GOLDEN[fmt]
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"g.{report}.{fmt}" for report in self.GOLDEN[fmt])
 
     def test_single_group_skips_decomposition(self, runner, tmp_path):
         source = read_rows(Path(PROFILES))
@@ -688,6 +722,83 @@ class TestPipelineComposition:
             }
             outputs.append(tree)
         assert outputs[0] == outputs[1]
+
+
+def write_table(path: Path, records: list[dict]) -> str:
+    """Write records as csv or json, by the path's suffix; return the path."""
+    if path.suffix == ".json":
+        path.write_text(json.dumps(records), encoding="utf-8")
+    else:
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, fieldnames=list(records[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(records)
+    return str(path)
+
+
+class TestCountBound:
+    """A count above 2**53, the largest integer a float holds exactly, is an input error."""
+
+    FORMATS = pytest.mark.parametrize("fmt", ["csv", "json"])
+    COUNTS = pytest.mark.parametrize("count", [2**53 + 1, 10**400], ids=["2**53+1", "401-digit"])
+
+    @staticmethod
+    def location(fmt: str, row: int) -> str:
+        return f"line {row + 1}" if fmt == "csv" else f"row {row}"
+
+    @FORMATS
+    @COUNTS
+    def test_profiles_papers(self, runner, tmp_path, fmt, count):
+        rows = [{k: (v if v != "NA" else None) for k, v in r.items()} for r in read_rows(Path(PROFILES))]
+        rows[1]["papers"] = count
+        profiles = write_table(tmp_path / f"profiles.{fmt}", rows)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["summarize", "--profiles", profiles, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT
+        assert f"profiles: {self.location(fmt, 2)}: papers must be <= 2**53, got {count}" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    @FORMATS
+    @COUNTS
+    def test_scalars(self, runner, tmp_path, fmt, count):
+        rows = read_rows(Path(SCALARS))
+        rows[2]["cites"] = count
+        scalars = write_table(tmp_path / f"scalars.{fmt}", rows)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["summarize", "--profiles", PROFILES, "--scalars", scalars, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT
+        assert f"scalars: {self.location(fmt, 3)}: cites must be <= 2**53, got {count}" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    @FORMATS
+    @COUNTS
+    def test_event_count(self, runner, tmp_path, fmt, count):
+        rows = read_rows(Path(EVENTS))[:5]
+        rows[3]["count"] = count
+        events = write_table(tmp_path / f"events.{fmt}", rows)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["compute", "--events", events, "--impacts", IMPACTS, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT
+        assert f"events: {self.location(fmt, 4)}: event count must be <= 2**53, got {count} (" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    def test_json_count_beyond_the_digit_limit(self, runner, tmp_path):
+        # python refuses to read an integer of more than 4300 digits at all
+        events = tmp_path / "events.json"
+        events.write_text(
+            '[{"author_id": "a", "group": "G", "kind": "publication", "journal": "J1", "year": 2010, '
+            f'"count": {"9" * 5000}}}]'
+        )
+        result = runner.invoke(main, ["compute", "--events", str(events), "--impacts", IMPACTS, "--out", str(tmp_path)])
+        assert result.exit_code == EXIT_INPUT
+        assert "events: invalid json: " in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_event_count_at_the_bound_computes(self, runner, tmp_path):
+        rows = read_rows(Path(EVENTS))[:5]
+        rows[0]["count"] = 2**53
+        events = write_table(tmp_path / "events.csv", rows)
+        run(runner, "compute", "--events", events, "--impacts", IMPACTS, "--out", str(tmp_path / "out"))
 
 
 class TestOptionSets:

@@ -15,25 +15,19 @@ from pirmetrics.report import (
     FAMILY_FIELDS,
     NA,
     SCALAR_FIELDS,
-    AggregateReport,
     AuthorTableRow,
-    CrossFamilyDelta,
     DimensionCells,
     GroupCorrelationMatrix,
-    GroupSummaryBlock,
     ReportError,
-    aggregate_export,
     aggregate_report,
     author_table,
     author_table_export,
     correlation_export,
     correlation_report,
-    deltas_export,
     figure_data,
     fmt2,
     fmt3,
     group_summary,
-    group_summary_export,
     load_profiles,
     render_boxplot_svg,
     render_correlation_text,
@@ -44,12 +38,29 @@ from pirmetrics.stats import (
     CorrelationCell,
     DescriptiveSummary,
     GroupedSample,
-    VarianceDecomposition,
     describe,
     variance_decomposition,
 )
 
 WIN = YearWindow(2009, 2013)
+
+GROUPS_HEADER = ["group", "variable", "n", "median", "mean", "std", "min", "max", "range", "excluded"]
+AGGREGATE_HEADER = [
+    "variable", "n", "median", "mean", "std", "min", "max", "range",
+    "within_ss", "between_ss", "total_ss", "pct_reduction",
+]
+DELTAS_HEADER = ["variable", "family_a", "family_b", "median_delta_pct", "mean_delta_pct"]
+
+
+def records(table) -> list[dict]:
+    """A report table's rows as {column: cell} dicts."""
+    header, data = table
+    return [dict(zip(header, row)) for row in data]
+
+
+def summary_cells(s: DescriptiveSummary) -> list:
+    """The n..range cells a groups or aggregate row holds for a summary."""
+    return [s.n, s.median, s.mean, s.sample_std, s.min, s.max, s.value_range]
 
 
 def profile(author_id, family, p, i, r):
@@ -150,7 +161,8 @@ class TestAuthorTable:
         assert "g_factor" in message and "pi_sjr" in message
 
     def test_variables_for(self, fixture_rows):
-        names = list(group_summary(fixture_rows)[0].summaries)
+        first = records(group_summary(fixture_rows))
+        names = [r["variable"] for r in first if r["group"] == first[0]["group"]]
         assert names[:3] == ["papers", "cites", "h"]
         assert "p_sjr" in names and "pi2r_snip" in names
         assert len(names) == 17
@@ -241,33 +253,31 @@ class TestProfilesRoundTrip:
 
 class TestGroupSummary:
     def test_one_block_per_group_sorted(self, fixture_rows):
-        blocks = group_summary(fixture_rows, variables=["p_sjr"])
-        assert [b.group for b in blocks] == ["Chem", "Comp", "Med", "Phy"]
-        assert all(b.summaries["p_sjr"].n == 30 for b in blocks)
+        table = records(group_summary(fixture_rows, variables=["p_sjr"]))
+        assert [r["group"] for r in table] == ["Chem", "Comp", "Med", "Phy"]
+        assert all(r["variable"] == "p_sjr" and r["n"] == 30 for r in table)
 
     def test_published_chemistry_values(self, fixture_rows):
-        blocks = group_summary(fixture_rows, variables=["i_sjr"])
-        chem = blocks[0].summaries["i_sjr"]
-        assert chem.median == pytest.approx(1.733, abs=0.005)
-        assert chem.mean == pytest.approx(1.856, abs=0.005)
-        assert chem.min == pytest.approx(1.023, abs=0.005)
-        assert chem.max == pytest.approx(4.230, abs=0.005)
+        chem = records(group_summary(fixture_rows, variables=["i_sjr"]))[0]
+        assert chem["group"] == "Chem"
+        assert chem["median"] == pytest.approx(1.733, abs=0.005)
+        assert chem["mean"] == pytest.approx(1.856, abs=0.005)
+        assert chem["min"] == pytest.approx(1.023, abs=0.005)
+        assert chem["max"] == pytest.approx(4.230, abs=0.005)
 
     def test_published_computer_science_h(self, fixture_rows):
-        blocks = group_summary(fixture_rows, variables=["h"])
-        comp = blocks[1].summaries["h"]
-        assert comp.median == pytest.approx(4.0)
-        assert comp.value_range == pytest.approx(8)
+        comp = records(group_summary(fixture_rows, variables=["h"]))[1]
+        assert comp["group"] == "Comp"
+        assert comp["median"] == pytest.approx(4.0)
+        assert comp["range"] == pytest.approx(8)
 
     def test_single_group_equals_pooled_describe(self):
         rows = [
             AuthorTableRow(f"a{k}", "Solo", k, k, k, {}) for k in range(1, 6)
         ]
-        blocks = group_summary(rows, variables=["h"])
-        assert len(blocks) == 1
-        from pirmetrics.stats import describe
-
-        assert blocks[0].summaries["h"] == describe([1, 2, 3, 4, 5])
+        header, data = group_summary(rows, variables=["h"])
+        assert header == GROUPS_HEADER
+        assert data == [["Solo", "h", *summary_cells(describe([1, 2, 3, 4, 5])), 0]]
 
     def test_missing_group_rejected(self):
         rows = [AuthorTableRow("a", None, 1, 1, 1, {})]
@@ -283,32 +293,32 @@ class TestGroupSummary:
                 "b", "G", 2, 2, 2, {"SJR": DimensionCells(2.0, 3.0, 1.0, 0.7, 2.0, 3.0, 2.5)}
             ),
         ]
-        blocks = group_summary(rows, variables=["i_sjr"])
-        assert blocks[0].summaries["i_sjr"].n == 1
-        assert blocks[0].excluded["i_sjr"] == 1
+        (row,) = records(group_summary(rows, variables=["i_sjr"]))
+        assert row["n"] == 1
+        assert row["excluded"] == 1
 
 
 class TestAggregateReport:
     def test_fixture_pi_sjr_cells(self, fixture_rows):
-        report = aggregate_report(fixture_rows, variables=["pi_sjr"])
-        pooled = report.pooled["pi_sjr"]
-        deco = report.decompositions["pi_sjr"]
-        assert pooled.median == pytest.approx(1.065, abs=0.005)
-        assert pooled.mean == pytest.approx(1.093, abs=0.005)
-        assert deco.within_ss == pytest.approx(9.972, abs=0.05)
-        assert deco.between_ss == pytest.approx(2.358, abs=0.05)
-        assert deco.pct_reduction == pytest.approx(0.763, abs=0.005)
+        aggregate, _ = aggregate_report(fixture_rows, variables=["pi_sjr"])
+        (pi_sjr,) = records(aggregate)
+        assert pi_sjr["variable"] == "pi_sjr"
+        assert pi_sjr["median"] == pytest.approx(1.065, abs=0.005)
+        assert pi_sjr["mean"] == pytest.approx(1.093, abs=0.005)
+        assert pi_sjr["within_ss"] == pytest.approx(9.972, abs=0.05)
+        assert pi_sjr["between_ss"] == pytest.approx(2.358, abs=0.05)
+        assert pi_sjr["pct_reduction"] == pytest.approx(0.763, abs=0.005)
 
     def test_fixture_r_sjr_reduction(self, fixture_rows):
-        report = aggregate_report(fixture_rows, variables=["r_sjr"])
-        assert report.decompositions["r_sjr"].pct_reduction == pytest.approx(0.717, abs=0.005)
+        aggregate, _ = aggregate_report(fixture_rows, variables=["r_sjr"])
+        assert records(aggregate)[0]["pct_reduction"] == pytest.approx(0.717, abs=0.005)
 
     def test_cross_family_deltas(self, fixture_rows):
-        report = aggregate_report(fixture_rows, variables=["pi_sjr", "pi_snip"])
-        delta = next(d for d in report.deltas if d.variable == "pi")
-        assert delta.family_a == SJR and delta.family_b == SNIP
-        assert 100 * delta.median_delta == pytest.approx(2.2, abs=0.2)
-        assert 100 * delta.mean_delta == pytest.approx(3.1, abs=0.2)
+        _, deltas = aggregate_report(fixture_rows, variables=["pi_sjr", "pi_snip"])
+        delta = next(d for d in records(deltas) if d["variable"] == "pi")
+        assert delta["family_a"] == SJR and delta["family_b"] == SNIP
+        assert delta["median_delta_pct"] == pytest.approx(2.2, abs=0.2)
+        assert delta["mean_delta_pct"] == pytest.approx(3.1, abs=0.2)
 
     def test_needs_two_groups(self):
         rows = [AuthorTableRow("a", "G", 1, 1, 1, {}), AuthorTableRow("b", "G", 2, 2, 2, {})]
@@ -320,14 +330,16 @@ class TestAggregateReport:
             return AuthorTableRow(author_id, group, 1, 1, 1, {SJR: DimensionCells(p, *[None] * 6)})
 
         rows = [row("a", "G1", 0.0), row("b", "G2", -0.0), row("c", "G1", 0.0), row("d", None, 5.0), row("e", "G2", 6.0)]
-        report = aggregate_report(rows, variables=["p_sjr"])
+        (header, data), _ = aggregate_report(rows, variables=["p_sjr"])
         # the row without a group is pooled, but stays out of the decomposition
-        assert report.pooled["p_sjr"] == describe([0.0, -0.0, 0.0, 5.0, 6.0])
-        assert report.decompositions["p_sjr"] == variance_decomposition(
-            GroupedSample({"G1": [0.0, 0.0], "G2": [-0.0, 6.0]})
-        )
+        deco = variance_decomposition(GroupedSample({"G1": [0.0, 0.0], "G2": [-0.0, 6.0]}))
+        assert header == AGGREGATE_HEADER
+        assert data == [[
+            "p_sjr", *summary_cells(describe([0.0, -0.0, 0.0, 5.0, 6.0])),
+            deco.within_ss, deco.between_ss, deco.total_ss, deco.pct_reduction,
+        ]]
         # the median of the equal zeros is the one in the middle row, so its sign shows the order
-        assert math.copysign(1.0, report.pooled["p_sjr"].median) == 1.0
+        assert math.copysign(1.0, records((header, data))[0]["median"]) == 1.0
 
 
 class TestCorrelationReport:
@@ -428,26 +440,22 @@ class TestRendering:
                     assert abs(float(shown) - getattr(cells, field)) <= 0.0005 + 1e-12
 
     def test_byte_identical_renderings(self, fixture_rows):
-        blocks = group_summary(fixture_rows, variables=["p_sjr", "pi_snip"])
-        header, data = group_summary_export(blocks)
+        header, data = group_summary(fixture_rows, variables=["p_sjr", "pi_snip"])
         assert render_table(header, data, "csv") == render_table(header, data, "csv")
         assert render_table(header, data, "json") == render_table(header, data, "json")
 
     def test_text_table_aligned(self, fixture_rows):
-        blocks = group_summary(fixture_rows, variables=["p_sjr"])
-        header, data = group_summary_export(blocks)
+        header, data = group_summary(fixture_rows, variables=["p_sjr"])
         text = render_table(header, data, "text")
         lines = text.splitlines()
         assert lines[0].startswith("group")
         assert set(lines[1]) <= {"-", " "}
 
     def test_aggregate_export_columns(self, fixture_rows):
-        report = aggregate_report(fixture_rows, variables=["pi_sjr"])
-        header, data = aggregate_export(report)
+        (header, data), deltas = aggregate_report(fixture_rows, variables=["pi_sjr"])
         assert "within_ss" in header and "pct_reduction" in header
         assert len(data) == 1
-        header, data = deltas_export(report)
-        assert data == []  # single variable, no cross-family pair
+        assert deltas == (DELTAS_HEADER, [])  # single variable, no cross-family pair
 
     def test_svg_boxplot_minimal(self, fixture_rows):
         header, data = figure_data(fixture_rows, "boxplot", variables=["pi_sjr"])
@@ -529,40 +537,39 @@ class TestColumnParity:
         expected = []
         for group in sorted({row.group for row in rows}):
             members = [row for row in rows if row.group == group]
-            summaries = {v: _reference_describe(_defined(members, v)) for v in PARITY_VARIABLES}
-            excluded = {v: len(members) - len(_defined(members, v)) for v in PARITY_VARIABLES}
-            expected.append(GroupSummaryBlock(group, summaries, excluded))
-        _same(group_summary(rows), expected)
+            for v in PARITY_VARIABLES:
+                values = _defined(members, v)
+                expected.append([group, v, *summary_cells(_reference_describe(values)), len(members) - len(values)])
+        _same(group_summary(rows), (GROUPS_HEADER, expected))
 
     def test_aggregate_report(self, seed):
         rows = [replace(row, group=None) if k % 9 == 4 else row for k, row in enumerate(_parity_rows(seed))]
         pooled = {v: _reference_describe(_defined(rows, v)) for v in PARITY_VARIABLES}
-        decompositions = {}
+        aggregate = []
         for v in PARITY_VARIABLES:
             grouped = [
                 values
                 for group in sorted({row.group for row in rows if row.group is not None})
                 if (values := _defined([row for row in rows if row.group == group], v))
             ]
-            if len(grouped) < 2:
-                continue
-            everyone = [x for values in grouped for x in values]
-            grand = stats.mean(everyone)
-            means = [(values, stats.mean(values)) for values in grouped]
-            within = math.fsum(math.fsum((x - m) ** 2 for x in values) for values, m in means)
-            between = math.fsum(len(values) * (m - grand) ** 2 for values, m in means)
-            total = math.fsum((x - grand) ** 2 for x in everyone)
-            decompositions[v] = VarianceDecomposition(
-                within, between, total, 1.0 - between / within if within > 0 else None
-            )
+            terms = [None] * 4
+            if len(grouped) >= 2:
+                everyone = [x for values in grouped for x in values]
+                grand = stats.mean(everyone)
+                means = [(values, stats.mean(values)) for values in grouped]
+                within = math.fsum(math.fsum((x - m) ** 2 for x in values) for values, m in means)
+                between = math.fsum(len(values) * (m - grand) ** 2 for values, m in means)
+                total = math.fsum((x - grand) ** 2 for x in everyone)
+                terms = [within, between, total, 1.0 - between / within if within > 0 else None]
+            aggregate.append([v, *summary_cells(pooled[v]), *terms])
         deltas = []
         for ratio in ("pi", "pr", "ir", "pi2r"):
             a, b = pooled[f"{ratio}_sjr"], pooled[f"{ratio}_snip"]
             if b.median != 0 and b.mean != 0:
                 deltas.append(
-                    CrossFamilyDelta(ratio, SJR, SNIP, (a.median - b.median) / b.median, (a.mean - b.mean) / b.mean)
+                    [ratio, SJR, SNIP, 100.0 * ((a.median - b.median) / b.median), 100.0 * ((a.mean - b.mean) / b.mean)]
                 )
-        _same(aggregate_report(rows), AggregateReport(pooled, decompositions, tuple(deltas)))
+        _same(aggregate_report(rows), ((AGGREGATE_HEADER, aggregate), (DELTAS_HEADER, deltas)))
 
     @pytest.mark.parametrize("method", ["pearson", "spearman"])
     def test_correlation_report(self, seed, method):

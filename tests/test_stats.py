@@ -88,11 +88,17 @@ class TestBoxplot:
         assert boxplot(values).q2 == describe(values).median
 
     @given(samples)
+    # interpolating as a*(1-f) + b*f put q3 at 0.0 here, below q2 = 5e-324
+    @example([0.0, 5e-324, 5e-324])
     def test_quartile_rule_matches_linear_interpolation(self, values):
         b = boxplot(values)
         assert b.q1 == pytest.approx(np.percentile(values, 25), abs=1e-9)
         assert b.q3 == pytest.approx(np.percentile(values, 75), abs=1e-9)
         assert b.whisker_low <= b.q1 <= b.q2 <= b.q3 <= b.whisker_high
+
+    def test_quartiles_of_a_span_beyond_the_float_range(self):
+        b = boxplot([-1e308, 1e308])
+        assert (b.q1, b.q2, b.q3) == (-5e307, 0.0, 5e307)
 
     def test_quantile_bounds(self):
         with pytest.raises(StatsError):
