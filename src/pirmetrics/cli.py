@@ -10,15 +10,20 @@ pipeline. Logs go to stderr, data to files named
 
 Exit codes
     0  success
-    2  usage error (bad flags, arguments or config values, or an output
-       that cannot be written)
-    3  malformed or missing input file
+    2  usage error (bad flags, arguments or config values, --kind scatter
+       without both --x and --y, or an output that cannot be written)
+    3  malformed, missing or unreadable input file, named with its line
+       where it has one (a csv that is not UTF-8 included)
     4  missing impact value under the strict policy
     5  no authors in the input
-    6  not enough groups for the requested statistics
+    6  not enough groups for the requested statistics, or a profiles row
+       with no group in summarize or correlate
     7  unknown author, variable or report element, or a family the
        impact table lacks
     8  per-author computation failures
+
+An error's exit code follows from its kind, whichever command meets it:
+the group's invoke maps each library error through EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .engine import (
 )
 from .io import IngestError, load_events, load_impact_table, load_scalars, save_text
 from .model import SJR, SNIP, YearWindow
-from .report import ReportError
+from .report import GroupError, ReportError
 
 EXIT_USAGE = 2
 EXIT_INPUT = 3
@@ -74,6 +79,34 @@ def _log(message: str) -> None:
     click.echo(message, err=True)
 
 
+# library error -> exit code; the first kind an error is an instance of wins
+EXIT_CODES = (
+    (IngestError, EXIT_INPUT),
+    (MissingImpactError, EXIT_MISSING_IMPACT),
+    (EngineError, EXIT_COMPUTE),
+    (GroupError, EXIT_FEW_GROUPS),
+    (ReportError, EXIT_UNKNOWN_NAME),
+)
+_LIBRARY_ERRORS = tuple(kind for kind, _ in EXIT_CODES)
+
+
+class Pipeline(click.Group):
+    """The command group; its invoke is the one place a library error becomes an exit code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BatchError as exc:
+            for author_id, err in exc.failures:
+                _log(f"error: {author_id}: {err}")
+            missing = any(isinstance(err, MissingImpactError) for _, err in exc.failures)
+            raise _fail(str(exc), EXIT_MISSING_IMPACT if missing else EXIT_COMPUTE) from None
+        except _LIBRARY_ERRORS as exc:
+            # --fail-fast wraps an author's error; its exit code is the wrapped one's
+            origin = exc.__cause__ if isinstance(exc.__cause__, _LIBRARY_ERRORS) else exc
+            raise _fail(str(exc), next(code for kind, code in EXIT_CODES if isinstance(origin, kind))) from None
+
+
 def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) -> None:
     """Make the json object in the --config file the command's defaults."""
     if value is None:
@@ -83,6 +116,8 @@ def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) 
         raise _fail(f"config file not found: {path}", EXIT_INPUT)
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise _fail(f"config file {path} cannot be read: {exc.strerror or exc}", EXIT_INPUT)
     except ValueError as exc:
         raise _fail(f"config file {path} is not valid json: {exc}", EXIT_INPUT)
     if not isinstance(config, dict):
@@ -164,11 +199,8 @@ def _require(path: Path | None, flag: str) -> Path:
 
 
 def _read(loader, path: Path):
-    """Load one input file; a malformed one ends the run with exit 3."""
-    try:
-        return loader(path, "json" if path.suffix.lower() == ".json" else "csv")
-    except IngestError as exc:
-        raise _fail(str(exc), EXIT_INPUT)
+    """Load one input file, as json if its name ends in .json, else as csv."""
+    return loader(path, "json" if path.suffix.lower() == ".json" else "csv")
 
 
 def _write_output(out: str, dataset: str, report_name: str, text: str, ext: str) -> None:
@@ -195,7 +227,7 @@ def _load_rows(profiles: Path | None, scalars: Path | None) -> list[rpt.AuthorTa
     ]
 
 
-@click.group()
+@click.group(cls=Pipeline)
 @click.version_option(package_name="pirmetrics")
 def main() -> None:
     """Author citation potential: dimensions, ratios and grouped statistics."""
@@ -237,35 +269,11 @@ def compute(
             raise _fail(f"impact table has no {family} values; it has {', '.join(sorted(known)) or 'none'}",
                         EXIT_UNKNOWN_NAME)
 
-    profiles_by_family = {}
-    for family in families:
-        try:
-            profiles_by_family[family] = compute_profiles(
-                corpora,
-                table,
-                family,
-                window,
-                missing,
-                window_policy,
-                fail_fast=fail_fast,
-            )
-        except BatchError as exc:
-            for author_id, err in exc.failures:
-                _log(f"error: {author_id}: {err}")
-            if any(isinstance(err, MissingImpactError) for _, err in exc.failures):
-                raise _fail(str(exc), EXIT_MISSING_IMPACT)
-            raise _fail(str(exc), EXIT_COMPUTE)
-        except EngineError as exc:
-            if isinstance(exc.__cause__, MissingImpactError):
-                raise _fail(str(exc), EXIT_MISSING_IMPACT)
-            raise _fail(str(exc), EXIT_COMPUTE)
-
-    groups = {c.author_id: c.group for c in corpora}
-    try:
-        rows = rpt.author_table(profiles_by_family, scalar_metrics, groups)
-    except ReportError as exc:
-        raise _fail(str(exc), EXIT_UNKNOWN_NAME)
-
+    profiles_by_family = {
+        family: compute_profiles(corpora, table, family, window, missing, window_policy, fail_fast=fail_fast)
+        for family in families
+    }
+    rows = rpt.author_table(profiles_by_family, scalar_metrics, {c.author_id: c.group for c in corpora})
     header, data = rpt.author_table_export(rows)
     # profiles are read back only as csv or json, so text writes csv
     fmt = "csv" if format == "text" else format
@@ -279,20 +287,13 @@ def summarize(profiles: Path | None, scalars: Path | None, out: str, format: str
     rows = _load_rows(profiles, scalars)
     dataset = name or profiles.stem
 
-    try:
-        header, data = rpt.group_summary(rows)
-    except ReportError as exc:
-        raise _fail(str(exc), EXIT_FEW_GROUPS)
+    header, data = rpt.group_summary(rows)
     _write_output(out, dataset, "groups", rpt.render_table(header, data, format), format)
 
     if len({row.group for row in rows}) < 2:
         _log("warning: single group, skipping variance decomposition")
         return
-    try:
-        tables = rpt.aggregate_report(rows)
-    except ReportError as exc:
-        raise _fail(str(exc), EXIT_FEW_GROUPS)
-    for report_name, (header, data) in zip(("aggregate", "deltas"), tables):
+    for report_name, (header, data) in zip(("aggregate", "deltas"), rpt.aggregate_report(rows)):
         _write_output(out, dataset, report_name, rpt.render_table(header, data, format), format)
 
 
@@ -313,10 +314,7 @@ def correlate(
     """Per-group correlation matrices with significance marks."""
     rows = _load_rows(profiles, scalars)
     dataset = name or profiles.stem
-    try:
-        matrices = rpt.correlation_report(rows, method=method, variables=variables or None)
-    except ReportError as exc:
-        raise _fail(str(exc), EXIT_UNKNOWN_NAME)
+    matrices = rpt.correlation_report(rows, method=method, variables=variables or None)
     if format == "text":
         _write_output(out, dataset, method, rpt.render_correlation_text(matrices), "txt")
     else:
@@ -345,20 +343,17 @@ def report_cmd(
     order_family: str | None, svg: bool,
 ) -> None:
     """Figure-data exports: boxplot summaries, scatter pairs, orderings."""
+    if "scatter" in kinds and not (x_var and y_var):
+        raise click.UsageError("--kind scatter needs both --x and --y")
     rows = _load_rows(profiles, scalars)
     dataset = name or profiles.stem
     for kind in kinds or ("boxplot",):
-        try:
-            if kind == "boxplot":
-                header, data = rpt.figure_data(rows, "boxplot", variables=variables or None)
-            elif kind == "scatter":
-                header, data = rpt.figure_data(rows, "scatter", x=x_var, y=y_var)
-            else:
-                header, data = rpt.figure_data(
-                    rows, "ordered_dimensions", order_family=order_family
-                )
-        except ReportError as exc:
-            raise _fail(str(exc), EXIT_UNKNOWN_NAME)
+        if kind == "boxplot":
+            header, data = rpt.figure_data(rows, "boxplot", variables=variables or None)
+        elif kind == "scatter":
+            header, data = rpt.figure_data(rows, "scatter", x=x_var, y=y_var)
+        else:
+            header, data = rpt.figure_data(rows, "ordered_dimensions", order_family=order_family)
         _write_output(out, dataset, kind, rpt.render_table(header, data, format), format)
         if svg and kind == "boxplot":
             _write_output(out, dataset, kind, rpt.render_boxplot_svg(data), "svg")

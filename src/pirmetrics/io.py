@@ -36,20 +36,41 @@ class IngestError(ValueError):
 # row plumbing
 
 @contextmanager
-def _open_text(source) -> Iterator[_stdio.TextIOBase]:
+def _open_text(source, label: str) -> Iterator[_stdio.TextIOBase]:
     """Accept a path or a text stream; yield a text stream.
 
     A path is opened here as UTF-8, dropping a leading byte order mark
     (which spreadsheet exports write), and closed on exit; a text stream
-    stays the caller's.
+    stays the caller's. A path that cannot be opened or read, or whose
+    bytes are not UTF-8, is an IngestError.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as f:
-            yield f
+        try:
+            with open(source, "r", encoding="utf-8-sig", newline="") as f:
+                yield f
+        except UnicodeDecodeError:
+            raise _not_utf8(source, label) from None
+        except OSError as exc:  # a directory, say, or no permission to read
+            raise IngestError(f"{label}: cannot read {source}: {exc.strerror or exc}") from None
     elif isinstance(source, _stdio.TextIOBase):
         yield source
     else:
         raise IngestError(f"cannot read from {type(source).__name__}")
+
+
+def _not_utf8(path, label: str) -> IngestError:
+    """The error for a file that is not UTF-8, naming its first line that does not decode.
+
+    The text layer decodes ahead in chunks, so a reader's line count says
+    nothing about where the bad byte is; the file's bytes are read again.
+    """
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return IngestError(f"{label}: line {lineno}: not UTF-8: {exc}")
+    return IngestError(f"{label}: not UTF-8")
 
 
 def _rows(source, fmt: str, required: list[str], label: str, pick=None):
@@ -70,7 +91,7 @@ def _rows(source, fmt: str, required: list[str], label: str, pick=None):
     """
     if fmt not in ("csv", "json"):
         raise IngestError(f"unknown format {fmt!r}; expected csv or json")
-    with _open_text(source) as stream:
+    with _open_text(source, label) as stream:
         if fmt == "csv":
             reader = csv.reader(stream)
             try:

@@ -45,6 +45,10 @@ class ReportError(ValueError):
     """Invalid input to a report assembly."""
 
 
+class GroupError(ReportError):
+    """Rows whose groups cannot carry the requested grouped statistics."""
+
+
 @dataclass(frozen=True)
 class DimensionCells:
     """The seven per-family cells of an author row."""
@@ -298,7 +302,7 @@ def _group_columns(
 
 def _required_group(row: AuthorTableRow) -> str:
     if row.group is None:
-        raise ReportError(f"author {row.author_id!r} has no group")
+        raise GroupError(f"author {row.author_id!r} has no group")
     return row.group
 
 
@@ -328,7 +332,7 @@ def group_summary(
         for variable, column in columns[group].items():
             values = [v for v in column if v is not None]
             if not values:
-                raise ReportError(f"group {group!r}: no defined values for {variable!r}")
+                raise GroupError(f"group {group!r}: no defined values for {variable!r}")
             data.append([group, variable, *_summary_cells(stats.describe(values)), len(column) - len(values)])
     return ["group", "variable", *SUMMARY_COLUMNS, "excluded"], data
 
@@ -355,14 +359,14 @@ def aggregate_report(
     _, everyone, columns = _group_columns(rows, variables, lambda row: row.group)
     group_names = sorted(group for group in columns if group is not None)
     if len(group_names) < 2:
-        raise ReportError("aggregate report needs at least two groups")
+        raise GroupError("aggregate report needs at least two groups")
 
     pooled: dict[str, stats.DescriptiveSummary] = {}
     aggregate = []
     for variable, column in everyone.items():
         values = [v for v in column if v is not None]
         if not values:
-            raise ReportError(f"no defined values for {variable!r}")
+            raise GroupError(f"no defined values for {variable!r}")
         pooled[variable] = summary = stats.describe(values)
         grouped = {g: vals for g in group_names if (vals := [v for v in columns[g][variable] if v is not None])}
         terms = (None,) * 4

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from pirmetrics import cli
+from pirmetrics import report as rpt
 from pirmetrics.cli import (
     EXIT_COMPUTE,
     EXIT_FEW_GROUPS,
@@ -17,6 +19,9 @@ from pirmetrics.cli import (
     main,
 )
 from pirmetrics.data import fixture_path
+from pirmetrics.engine import BatchError, EngineError, MissingImpactError
+from pirmetrics.io import IngestError
+from pirmetrics.report import GroupError, ReportError
 
 
 @pytest.fixture()
@@ -846,3 +851,148 @@ class TestOptionSets:
         files = sorted(p.name for p in plain.iterdir())
         assert files and sorted(p.name for p in configured.iterdir()) == files
         assert all((configured / f).read_bytes() == (plain / f).read_bytes() for f in files)
+
+
+class TestExitCodeByKind:
+    """An error's exit code follows from its kind, whichever command meets it."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            pytest.param(IngestError("bad row"), EXIT_INPUT, id="ingest"),
+            pytest.param(MissingImpactError("J1", 2010, "SJR"), EXIT_MISSING_IMPACT, id="missing-impact"),
+            pytest.param(EngineError("bad cell"), EXIT_COMPUTE, id="engine"),
+            pytest.param(GroupError("too few groups"), EXIT_FEW_GROUPS, id="group"),
+            pytest.param(ReportError("unknown variable"), EXIT_UNKNOWN_NAME, id="report"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["summarize", "correlate", "report"])
+    def test_each_library_error_has_one_code(self, runner, tmp_path, monkeypatch, command, error, code):
+        def fail(*args, **kwargs):
+            raise error
+
+        for name in ("group_summary", "correlation_report", "figure_data"):
+            monkeypatch.setattr(rpt, name, fail)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--profiles", PROFILES, "--out", str(out)])
+        assert result.exit_code == code
+        assert f"Error: {error}" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    @pytest.mark.parametrize(
+        "cause, code",
+        [(MissingImpactError("J1", 2010, "SJR"), EXIT_MISSING_IMPACT), (EngineError("bad cell"), EXIT_COMPUTE)],
+        ids=["missing-impact", "engine"],
+    )
+    def test_wrapped_error_takes_its_cause_code(self, runner, tmp_path, monkeypatch, cause, code):
+        # --fail-fast raises the author's error wrapped in an EngineError
+        def fail(*args, **kwargs):
+            raise EngineError(f"author 'a': {cause}") from cause
+
+        monkeypatch.setattr(cli, "compute_profiles", fail)
+        result = runner.invoke(main, ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--out", str(tmp_path / "o")])
+        assert result.exit_code == code
+        assert f"Error: author 'a': {cause}" in result.output
+
+    @pytest.mark.parametrize(
+        "failures, code",
+        [
+            ([("a", EngineError("bad cell")), ("b", MissingImpactError("J1", 2010, "SJR"))], EXIT_MISSING_IMPACT),
+            ([("a", EngineError("bad cell"))], EXIT_COMPUTE),
+        ],
+        ids=["any-missing-impact", "engine-only"],
+    )
+    def test_batch_error_logs_each_author(self, runner, tmp_path, monkeypatch, failures, code):
+        def fail(*args, **kwargs):
+            raise BatchError(failures, [])
+
+        monkeypatch.setattr(cli, "compute_profiles", fail)
+        result = runner.invoke(main, ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--out", str(tmp_path / "o")])
+        assert result.exit_code == code
+        logged = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert logged == [f"error: {author}: {err}" for author, err in failures]
+
+    def test_row_without_group_exits_6_in_every_command(self, runner, tmp_path):
+        source = read_rows(Path(PROFILES))
+        source[3]["group"] = ""
+        profiles = write_table(tmp_path / "nogroup.csv", source)
+        for command in ("summarize", "correlate"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--profiles", profiles, "--out", str(out)])
+            assert result.exit_code == EXIT_FEW_GROUPS, command
+            assert f"author {source[3]['author_id']!r} has no group" in result.output
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axes", [[], ["--x", "p_sjr"], ["--y", "i_sjr"]], ids=["neither", "x-only", "y-only"]
+    )
+    def test_scatter_without_both_axes_is_a_usage_error(self, runner, tmp_path, axes):
+        out = tmp_path / "out"
+        out.mkdir()
+        for kinds in (["--kind", "scatter"], ["--kind", "boxplot", "--kind", "scatter"]):
+            result = runner.invoke(main, ["report", "--profiles", PROFILES, "--out", str(out), *kinds, *axes])
+            assert result.exit_code == 2, result.output
+            assert "--kind scatter needs both --x and --y" in result.output
+            assert list(out.iterdir()) == []
+
+
+class TestUnreadableInputs:
+    """An input that is a directory, or a csv that is not UTF-8, exits 3 with no traceback."""
+
+    @staticmethod
+    def directory_args(tmp_path: Path, role: str) -> list[str]:
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        if role == "profiles":
+            return ["summarize", "--profiles", str(adir)]
+        if role == "config":
+            return ["summarize", "--profiles", PROFILES, "--config", str(adir)]
+        inputs = {"events": EVENTS, "impacts": IMPACTS, "scalars": SCALARS, role: str(adir)}
+        return ["compute", *(a for r, path in inputs.items() for a in (f"--{r}", path))]
+
+    @pytest.mark.parametrize(
+        "role, message",
+        [
+            ("events", "events: cannot read {adir}: "),
+            ("impacts", "impact table: cannot read {adir}: "),
+            ("scalars", "scalars: cannot read {adir}: "),
+            ("profiles", "profiles: cannot read {adir}: "),
+            ("config", "config file {adir} cannot be read: "),
+        ],
+        ids=["events", "impacts", "scalars", "profiles", "config"],
+    )
+    def test_directory_input_exit(self, runner, tmp_path, role, message):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*self.directory_args(tmp_path, role), "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT, result.output
+        assert message.format(adir=tmp_path / "adir") in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    @staticmethod
+    def with_bad_line(path: Path, lines: list[str], bad: int) -> str:
+        """Write the lines, with the bytes ff fe in line number bad (the header is line 1)."""
+        data = [line.encode("utf-8") for line in lines]
+        data[bad - 1] = b"\xff\xfe" + data[bad - 1]
+        # past the text layer's first decoded chunk, where a reader's line count is no guide
+        assert len(b"".join(data[:bad - 1])) > 8192
+        path.write_bytes(b"".join(data))
+        return str(path)
+
+    def test_non_utf8_events_name_their_line(self, runner, tmp_path):
+        rows = [f"Author {k % 20:02d},G{k % 20 % 3},publication,Journal of Tests {k % 7},2010,1\n" for k in range(400)]
+        events = self.with_bad_line(tmp_path / "events.csv", ["author_id,group,kind,journal,year,count\n", *rows], 301)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["compute", "--events", events, "--impacts", IMPACTS, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT, result.output
+        assert "events: line 301: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    def test_non_utf8_scalars_name_their_line(self, runner, tmp_path):
+        rows = [f"An author with a long name {k:04d},10,20,3\n" for k in range(400)]
+        scalars = self.with_bad_line(tmp_path / "scalars.csv", ["author_id,papers,cites,h\n", *rows], 301)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["summarize", "--profiles", PROFILES, "--scalars", scalars, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT, result.output
+        assert "scalars: line 301: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
