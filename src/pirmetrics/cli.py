@@ -18,8 +18,8 @@ Exit codes
     5  no authors in the input
     6  not enough groups for the requested statistics, or a profiles row
        with no group in summarize or correlate
-    7  unknown author, variable or report element, or a family the
-       impact table lacks
+    7  unknown author, variable or report element, a family the impact
+       table lacks, or report --kind ordered on profiles with no family
     8  per-author computation failures
 
 An error's exit code follows from its kind, whichever command meets it:
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -222,7 +221,7 @@ def _load_rows(profiles: Path | None, scalars: Path | None) -> list[rpt.AuthorTa
         raise _fail("no authors in profiles input", EXIT_NO_AUTHORS)
     metrics = _read(load_scalars, scalars) if scalars else {}
     return [
-        replace(row, papers=m.papers, cites=m.cites, h=m.h) if (m := metrics.get(row.author_id)) else row
+        row._replace(papers=m.papers, cites=m.cites, h=m.h) if (m := metrics.get(row.author_id)) else row
         for row in rows
     ]
 
@@ -348,12 +347,10 @@ def report_cmd(
     rows = _load_rows(profiles, scalars)
     dataset = name or profiles.stem
     for kind in kinds or ("boxplot",):
-        if kind == "boxplot":
-            header, data = rpt.figure_data(rows, "boxplot", variables=variables or None)
-        elif kind == "scatter":
-            header, data = rpt.figure_data(rows, "scatter", x=x_var, y=y_var)
-        else:
-            header, data = rpt.figure_data(rows, "ordered_dimensions", order_family=order_family)
+        header, data = rpt.figure_data(
+            rows, "ordered_dimensions" if kind == "ordered" else kind,
+            variables=variables or None, x=x_var, y=y_var, order_family=order_family,
+        )
         _write_output(out, dataset, kind, rpt.render_table(header, data, format), format)
         if svg and kind == "boxplot":
             _write_output(out, dataset, kind, rpt.render_boxplot_svg(data), "svg")

@@ -143,13 +143,22 @@ DEFAULT_WINDOW_POLICY = WindowPolicy.STRICT
 
 def _missing_value(
     values: Mapping[tuple[JournalRef, int], float], journal: JournalRef, year: int, indicator: IndicatorName,
-    missing: MissingValuePolicy,
+    missing: MissingValuePolicy, span: tuple[int, int] | None,
 ) -> float | None:
-    """What stands in for an absent impact value under the missing-value policy."""
+    """What stands in for an absent impact value under the missing-value policy.
+
+    span is the family's (first, last) year, None if it has no values; as no
+    year outside holds one, nearest:K stops once both candidates are outside it.
+    """
     if missing.mode == MissingValuePolicy.STRICT:
         raise MissingImpactError(journal, year, indicator)
-    if missing.mode == MissingValuePolicy.NEAREST:
-        for distance in range(1, missing.max_distance + 1):
+    if missing.mode == MissingValuePolicy.NEAREST and span:
+        first, last = span
+        # the distance to the farther end, capped at K, without min() and max(): they cost more per gap
+        reach = year - first if year - first > last - year else last - year
+        if reach > missing.max_distance:
+            reach = missing.max_distance
+        for distance in range(1, reach + 1):
             for candidate in (year - distance, year + distance):
                 value = values.get((journal, candidate))
                 if value is not None:
@@ -171,6 +180,7 @@ def _weighted_mean(
     lo, hi = window.start_year, window.end_year
     values = table.family(indicator)
     get = values.get
+    span = table.year_spans.get(indicator) if missing.mode == MissingValuePolicy.NEAREST else None
     matched_terms: list[float] = []
     matched = 0
     dropped = 0
@@ -179,7 +189,7 @@ def _weighted_mean(
             continue
         value = get(key)
         if value is None:
-            value = _missing_value(values, *key, indicator, missing)
+            value = _missing_value(values, *key, indicator, missing, span)
         if value is None:
             dropped += count
         else:

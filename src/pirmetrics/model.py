@@ -11,6 +11,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 # A journal identifier is an opaque string compared by exact equality.
@@ -206,6 +207,12 @@ class ImpactTable:
     def family(self, indicator: IndicatorName) -> Mapping[tuple[JournalRef, int], float]:
         """One family's {(journal, year): value} dict, empty for an unknown family; not to be changed."""
         return self._families.get(indicator, {})
+
+    @cached_property
+    def year_spans(self) -> dict[IndicatorName, tuple[int, int]]:
+        """Each family's first and last year, worked out on first use; not to be changed."""
+        years = {indicator: set(map(itemgetter(1), values)) for indicator, values in self._families.items()}
+        return {indicator: (min(ys), max(ys)) for indicator, ys in years.items() if ys}
 
     def __len__(self) -> int:
         return sum(map(len, self._families.values()))

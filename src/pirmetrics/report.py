@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import stats
 from .io import (
@@ -38,6 +38,7 @@ NA = "NA"
 Table = tuple[list[str], list[list]]  # a report: its header, and one list of raw cells per row
 
 FAMILY_FIELDS = ("p", "i", "r", "pi", "pr", "ir", "pi2r")
+_NO_CELLS = (None,) * len(FAMILY_FIELDS)  # the cells of a family a row lacks
 SCALAR_FIELDS = ("papers", "cites", "h")
 
 
@@ -49,9 +50,8 @@ class GroupError(ReportError):
     """Rows whose groups cannot carry the requested grouped statistics."""
 
 
-@dataclass(frozen=True)
-class DimensionCells:
-    """The seven per-family cells of an author row."""
+class DimensionCells(NamedTuple):
+    """The seven per-family cells of an author row, in FAMILY_FIELDS order."""
 
     p: float | None
     i: float | None
@@ -74,8 +74,7 @@ class DimensionCells:
         )
 
 
-@dataclass(frozen=True)
-class AuthorTableRow:
+class AuthorTableRow(NamedTuple):
     """One author's scalar counters plus per-family dimensions and ratios."""
 
     author_id: str
@@ -83,7 +82,7 @@ class AuthorTableRow:
     papers: int | None
     cites: int | None
     h: int | None
-    families: Mapping[IndicatorName, DimensionCells] = field(default_factory=dict)
+    families: Mapping[IndicatorName, DimensionCells]
 
     def value(self, variable: str) -> float | None:
         """Look a report variable up by name (e.g. 'h' or 'pi_sjr')."""
@@ -306,12 +305,7 @@ def _required_group(row: AuthorTableRow) -> str:
     return row.group
 
 
-SUMMARY_COLUMNS = ["n", "median", "mean", "std", "min", "max", "range"]
-
-
-def _summary_cells(s: stats.DescriptiveSummary) -> list:
-    """A summary's cells, in SUMMARY_COLUMNS order."""
-    return [s.n, s.median, s.mean, s.sample_std, s.min, s.max, s.value_range]
+SUMMARY_COLUMNS = ["n", "median", "mean", "std", "min", "max", "range"]  # stats.DescriptiveSummary's fields
 
 
 def group_summary(
@@ -333,7 +327,7 @@ def group_summary(
             values = [v for v in column if v is not None]
             if not values:
                 raise GroupError(f"group {group!r}: no defined values for {variable!r}")
-            data.append([group, variable, *_summary_cells(stats.describe(values)), len(column) - len(values)])
+            data.append([group, variable, *stats.describe(values), len(column) - len(values)])
     return ["group", "variable", *SUMMARY_COLUMNS, "excluded"], data
 
 
@@ -369,11 +363,8 @@ def aggregate_report(
             raise GroupError(f"no defined values for {variable!r}")
         pooled[variable] = summary = stats.describe(values)
         grouped = {g: vals for g in group_names if (vals := [v for v in columns[g][variable] if v is not None])}
-        terms = (None,) * 4
-        if len(grouped) >= 2:
-            deco = stats.variance_decomposition(stats.GroupedSample(grouped))
-            terms = (deco.within_ss, deco.between_ss, deco.total_ss, deco.pct_reduction)
-        aggregate.append([variable, *_summary_cells(summary), *terms])
+        terms = stats.variance_decomposition(stats.GroupedSample(grouped)) if len(grouped) >= 2 else (None,) * 4
+        aggregate.append([variable, *summary, *terms])
 
     deltas = []
     for ratio in ("pi", "pr", "ir", "pi2r"):
@@ -400,8 +391,7 @@ SIGNIFICANCE_MARKS = {90: "a", 95: "b", 99: "c"}
 DEFAULT_CORRELATION_VARIABLES = ("papers", "cites", "h", "p_sjr", "i_sjr", "r_sjr", "pi_sjr")
 
 
-@dataclass(frozen=True)
-class GroupCorrelationMatrix:
+class GroupCorrelationMatrix(NamedTuple):
     """One group's correlation cells over the report variables.
 
     Unlike the other reports it is a type, not a table: it has two
@@ -476,10 +466,7 @@ def figure_data(
                 values = [v for v in columns[group][variable] if v is not None]
                 if not values:
                     continue
-                box = stats.boxplot(values)
-                data.append(
-                    [group, variable, box.q1, box.q2, box.q3, box.whisker_low, box.whisker_high]
-                )
+                data.append([group, variable, *stats.boxplot(values)])
         return header, data
     if kind == "scatter":
         if not x or not y:
@@ -491,7 +478,9 @@ def figure_data(
         ]
         return header, data
     if kind == "ordered_dimensions":
-        family = order_family or next(iter(rows[0].families))
+        family = order_family or next(iter(rows[0].families), None)
+        if family is None:
+            raise ReportError("the profiles hold no indicator family to order authors by")
         suffix = family.lower()
         order_var = f"i_{suffix}"
         header = ["author_id", "group", f"p_{suffix}", order_var, f"r_{suffix}"]
@@ -572,8 +561,7 @@ def author_table_export(rows: Sequence[AuthorTableRow]) -> Table:
     for row in rows:
         rec: list = [row.author_id, row.group or "", row.papers, row.cites, row.h]
         for family in families:
-            cells = row.families.get(family)
-            rec.extend(getattr(cells, f) if cells else None for f in FAMILY_FIELDS)
+            rec.extend(row.families.get(family, _NO_CELLS))
         data.append(rec)
     return header, data
 

@@ -2,22 +2,22 @@
 
 Small-sample machinery for grouped author indicators. All reductions use
 compensated summation (math.fsum) so results are independent of how the
-input happens to be batched or ordered.
+input happens to be batched or ordered. The result types are named
+tuples, so each unpacks into its report columns in field order.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class StatsError(ValueError):
     """Invalid input to a statistics operation."""
 
 
-@dataclass(frozen=True)
-class DescriptiveSummary:
+class DescriptiveSummary(NamedTuple):
     """Central tendency and variability of one sample.
 
     sample_std uses the n-1 divisor; a singleton sample has std 0 by
@@ -33,8 +33,7 @@ class DescriptiveSummary:
     value_range: float
 
 
-@dataclass(frozen=True)
-class BoxplotSummary:
+class BoxplotSummary(NamedTuple):
     """Quartiles plus whiskers at the sample minimum and maximum."""
 
     q1: float
@@ -44,8 +43,7 @@ class BoxplotSummary:
     whisker_high: float
 
 
-@dataclass(frozen=True)
-class VarianceDecomposition:
+class VarianceDecomposition(NamedTuple):
     """Partition of total variability into within- and between-group parts.
 
     All three terms are sums of squared deviations, so
@@ -59,8 +57,7 @@ class VarianceDecomposition:
     pct_reduction: float | None
 
 
-@dataclass(frozen=True)
-class CorrelationCell:
+class CorrelationCell(NamedTuple):
     """One correlation coefficient with its sample size and significance.
 
     significance is the confidence level (90, 95 or 99) at which r is

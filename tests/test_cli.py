@@ -666,6 +666,16 @@ class TestReport:
         impact = [float(r["i_sjr"]) for r in rows]
         assert impact == sorted(impact, reverse=True)
 
+    def test_ordered_without_a_family_exits_7(self, runner, tmp_path):
+        profiles = tmp_path / "counters.csv"
+        profiles.write_text("author_id,group,papers,cites,h\na,G1,1,2,1\nb,G1,2,3,1\nc,G2,3,4,2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["report", "--profiles", str(profiles), "--out", str(out)]
+        result = run(runner, *args, "--kind", "ordered", expect=EXIT_UNKNOWN_NAME)
+        assert "the profiles hold no indicator family" in result.output
+        assert not out.exists()
+        run(runner, *args, "--kind", "boxplot")  # the counters alone still make a boxplot
+
     def test_text_format_writes_aligned_tables(self, runner, tmp_path):
         out = tmp_path / "out"
         args = ["report", "--profiles", PROFILES, "--name", "ds", "--kind", "boxplot", "--kind", "ordered",

@@ -1,6 +1,8 @@
+import contextlib
 import math
 import random
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -172,6 +174,62 @@ class TestWeightedMeanImpact:
         assert WindowPolicy.parse("open-references") is WindowPolicy.OPEN_REFERENCES
         with pytest.raises(EngineError):
             WindowPolicy.parse("porous")
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once it has run for the given wall-clock seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNearestYearReach:
+    # J1 spans the family's 2005..2014; J2 has 2005 only; J3 has 2007 and 2013
+    TABLE = table_of(("J1", 2005, 1.0), ("J1", 2014, 3.0), ("J2", 2005, 2.0), ("J3", 2007, 5.0), ("J3", 2013, 7.0))
+    SPAN = 2014 - 2005
+
+    def test_year_spans(self):
+        table = ImpactTable([("J1", 2009, "SJR", 1.0), ("J2", 2003, "SJR", 1.0), ("J1", 2011, "SNIP", 1.0)])
+        assert table.year_spans == {"SJR": (2003, 2009), "SNIP": (2011, 2011)}
+        assert ImpactTable().year_spans == {}
+
+    @pytest.mark.parametrize(
+        "event, value",
+        [
+            pytest.param(pub("J1", 2010, 1), 3.0, id="nearer-end"),
+            pytest.param(pub("J2", 2013, 1), 2.0, id="far-end-of-span"),
+            pytest.param(pub("J3", 2010, 1), 5.0, id="tie-goes-to-earlier"),
+            pytest.param(pub("J9", 2010, 1), None, id="journal-not-in-table"),
+            pytest.param(Event(EventKind.CITATION, "J1", 2020, 1), 3.0, id="year-after-the-span"),
+        ],
+    )
+    def test_far_reach_matches_the_span_quickly(self, event, value):
+        def weighted_mean(distance):
+            missing = MissingValuePolicy.nearest_year(distance)
+            return weighted_mean_impact([event], self.TABLE, "SJR", WIN, missing, WindowPolicy.OPEN_REFERENCES)
+
+        near = weighted_mean(self.SPAN)
+        assert near[0] == value
+        # a search to distance 10**9 for a value no year holds would run for minutes
+        with deadline(5.0):
+            far = weighted_mean(10**9)
+        assert far == near
+
+    def test_far_reach_in_an_unknown_family_drops_quickly(self):
+        with deadline(5.0):
+            value, diag = weighted_mean_impact(
+                [pub("J1", 2010, 1)], self.TABLE, "SNIP", WIN, MissingValuePolicy.nearest_year(10**9)
+            )
+        assert value is None and diag.dropped_count == 1
 
 
 class TestComputeProfile:
@@ -460,7 +518,8 @@ def reference_stream(events, kind, impacts, family, mode, distance, open_years):
     return mean, CoverageDiagnostics(matched + dropped, matched, dropped)
 
 
-@pytest.mark.parametrize("policy", ["strict", "drop", "nearest:2"])
+# nearest:20 reaches past the batch's 2003..2019 impact years from every event year
+@pytest.mark.parametrize("policy", ["strict", "drop", "nearest:2", "nearest:20"])
 @pytest.mark.parametrize("window_policy", list(WindowPolicy))
 @pytest.mark.parametrize("seed", [1, 2])
 def test_engine_matches_direct_reference_bitwise(policy, window_policy, seed):

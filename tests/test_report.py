@@ -3,7 +3,6 @@ import io
 import json
 import math
 import random
-from dataclasses import replace
 from xml.etree import ElementTree
 
 import pytest
@@ -543,7 +542,7 @@ class TestColumnParity:
         _same(group_summary(rows), (GROUPS_HEADER, expected))
 
     def test_aggregate_report(self, seed):
-        rows = [replace(row, group=None) if k % 9 == 4 else row for k, row in enumerate(_parity_rows(seed))]
+        rows = [row._replace(group=None) if k % 9 == 4 else row for k, row in enumerate(_parity_rows(seed))]
         pooled = {v: _reference_describe(_defined(rows, v)) for v in PARITY_VARIABLES}
         aggregate = []
         for v in PARITY_VARIABLES:
@@ -635,3 +634,55 @@ class TestColumnParity:
             with pytest.raises(ReportError) as raised:
                 build()
             assert str(raised.value) == str(lookup.value)
+
+
+# ---------------------------------------------------------------------------
+# the result types: immutable values whose fields are their table columns
+
+def _cells():
+    return DimensionCells(1.0, 2.0, 0.5, 0.5, 2.0, 4.0, 0.75)
+
+
+def _matrix():
+    diagonal, off = CorrelationCell(1.0, 3), CorrelationCell(r=0.5, n=3, note=None)
+    return GroupCorrelationMatrix("G", "pearson", ("h", "p_sjr"), ((diagonal, off), (off, diagonal)))
+
+
+# (build, a field of it): build makes a new, equal value on each call
+RESULT_TYPES = [
+    pytest.param(lambda: describe([1.0, 2.0, 5.0]), "median", id="DescriptiveSummary"),
+    pytest.param(lambda: stats.boxplot([1.0, 2.0, 5.0]), "q2", id="BoxplotSummary"),
+    pytest.param(
+        lambda: variance_decomposition(GroupedSample({"a": [1.0, 2.0], "b": [4.0, 6.0]})), "within_ss",
+        id="VarianceDecomposition",
+    ),
+    pytest.param(lambda: CorrelationCell(r=0.5, n=12, significance=90), "r", id="CorrelationCell"),
+    pytest.param(_cells, "pi", id="DimensionCells"),
+    pytest.param(lambda: AuthorTableRow("a1", "G", 3, 9, 2, {SJR: _cells()}), "group", id="AuthorTableRow"),
+    pytest.param(_matrix, "cells", id="GroupCorrelationMatrix"),
+]
+
+
+class TestResultTypes:
+    @pytest.mark.parametrize("build, field", RESULT_TYPES)
+    def test_fields_cannot_be_assigned(self, build, field):
+        value = build()
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+    @pytest.mark.parametrize("build, field", RESULT_TYPES)
+    def test_equal_fields_make_equal_values(self, build, field):
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and repr(a) == repr(b)
+        assert a == tuple(a)  # as model.Event does, a value equals the plain tuple of its fields
+
+    def test_stats_results_unpack_in_column_order(self):
+        # every field of these samples differs from the others, so a swap shows
+        n, median, mean, std, lo, hi, span = describe([1.0, 2.0, 5.0])
+        assert (n, median, mean, lo, hi, span) == (3, 2.0, 8.0 / 3.0, 1.0, 5.0, 4.0)
+        assert std == stats.sample_std([1.0, 2.0, 5.0])
+        assert list(stats.boxplot([1.0, 2.0, 5.0])) == [1.5, 2.0, 3.5, 1.0, 5.0]
+        within, between, total, pct = variance_decomposition(GroupedSample({"a": [1.0, 2.0], "b": [4.0, 6.0]}))
+        assert (within, between, total) == (2.5, 12.25, 14.75)
+        assert pct == 1.0 - 12.25 / 2.5
