@@ -13,16 +13,16 @@ from pirmetrics.report import (
 
 rows = load_profiles(fixture_path("profiles.csv"))
 
-matrices = correlation_report(rows, method="pearson")
-print(render_correlation_text(matrices))
+_, pearson = correlation_report(rows, method="pearson")
+print(render_correlation_text(pearson, "pearson"))
 
-spearman_matrices = correlation_report(
+_, spearman = correlation_report(
     rows, method="spearman", variables=["papers", "cites", "h", "pi_sjr"]
 )
-print(render_correlation_text(spearman_matrices))
+print(render_correlation_text(spearman, "spearman"))
 
 # the bibliometric counters correlate strongly with each other but only
 # weakly with the dimensions, which is the point of keeping both
-phy = next(m for m in matrices if m.group == "Phy")
-print("Phy papers~cites:", round(phy.cell("papers", "cites").r, 2))
-print("Phy papers~P/I:  ", round(phy.cell("papers", "pi_sjr").r, 2))
+r_of = {(group, a, b): r for group, a, b, r, *_ in pearson}
+print("Phy papers~cites:", round(r_of["Phy", "papers", "cites"], 2))
+print("Phy papers~P/I:  ", round(r_of["Phy", "papers", "pi_sjr"], 2))

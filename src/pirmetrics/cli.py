@@ -111,8 +111,6 @@ def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) 
     if value is None:
         return
     path = Path(value)
-    if not path.exists():
-        raise _fail(f"config file not found: {path}", EXIT_INPUT)
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -130,10 +128,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) 
 
 
 def _input_file(ctx: click.Context, param: click.Parameter, value: str | None) -> Path | None:
-    path = None if value is None else Path(value)
-    if path is not None and not path.exists():
-        raise _fail(f"{param.name} file not found: {path}", EXIT_INPUT)
-    return path
+    return None if value is None else Path(value)
 
 
 def _parsed_by(parse):
@@ -313,11 +308,10 @@ def correlate(
     """Per-group correlation matrices with significance marks."""
     rows = _load_rows(profiles, scalars)
     dataset = name or profiles.stem
-    matrices = rpt.correlation_report(rows, method=method, variables=variables or None)
+    header, data = rpt.correlation_report(rows, method=method, variables=variables or None)
     if format == "text":
-        _write_output(out, dataset, method, rpt.render_correlation_text(matrices), "txt")
+        _write_output(out, dataset, method, rpt.render_correlation_text(data, method), "txt")
     else:
-        header, data = rpt.correlation_export(matrices)
         text = rpt.render_table(header, data, format, formatters=rpt.CORRELATION_FORMATTERS)
         _write_output(out, dataset, method, text, format)
 

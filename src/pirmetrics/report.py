@@ -1,5 +1,5 @@
-"""Assembly of per-author rows, grouped summaries, correlation matrices
-and figure-data exports, plus their csv/json/text renderings.
+"""Assembly of per-author rows, grouped summaries, correlations and
+figure-data exports, plus their csv/json/text renderings.
 
 Variable naming used throughout reports and the command line:
     papers, cites, h                       supplied scalar counters
@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from itertools import combinations
-from operator import attrgetter
+from itertools import combinations, groupby
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import stats
@@ -170,11 +170,12 @@ def save_profiles(rows: Sequence[AuthorTableRow], destination, fmt: str = "csv")
 def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
     """Read author rows from the profiles schema.
 
-    Family names are recovered from the column suffixes; lowercase
-    suffixes matching the canonical families come back as SJR / SNIP,
-    other suffixes are kept verbatim. The columns are the csv header, or
-    the first json row's fields, which every later json row must carry
-    exactly.
+    Families are recovered, in first-seen order, from the suffixes of
+    the FAMILY_FIELDS columns; a family's field the header lacks reads
+    as undefined. Lowercase suffixes matching the canonical families
+    come back as SJR / SNIP, other suffixes are kept verbatim. The
+    columns are the csv header, or the first json row's fields, which
+    every later json row must carry exactly.
     """
     rows = []
     seen: set[str] = set()
@@ -189,7 +190,7 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
         suffixes: list[str] = []
         for col in header:
             fieldname, _, suffix = col.partition("_")
-            if fieldname == "p" and suffix and suffix not in suffixes:
+            if fieldname in FAMILY_FIELDS and suffix and suffix not in suffixes:
                 suffixes.append(suffix)
         layout.extend((_parse_count, position.get(name), name) for name in SCALAR_FIELDS)
         for suffix in suffixes:
@@ -279,12 +280,12 @@ def _group_columns(
     """The pooled column of every variable, and each group's slice of it.
 
     group_of gives a row's group key, and may raise for a row that has
-    none. Variables default to those of the first row. Pooled columns
-    are in row order, groups in first-seen order and a group's cells in
-    row order, so the columns of a group line up; an undefined or
-    non-finite cell is None.
+    none. Variables default to those of the first row; a repeated one
+    counts once, at its first place. Pooled columns are in row order,
+    groups in first-seen order and a group's cells in row order, so the
+    columns of a group line up; an undefined or non-finite cell is None.
     """
-    variables = list(variables) if variables else _variable_names(rows[0])
+    variables = list(dict.fromkeys(variables)) if variables else _variable_names(rows[0])
     members: dict[str | None, list[int]] = {}
     for index, row in enumerate(rows):
         members.setdefault(group_of(row), []).append(index)
@@ -391,50 +392,29 @@ SIGNIFICANCE_MARKS = {90: "a", 95: "b", 99: "c"}
 DEFAULT_CORRELATION_VARIABLES = ("papers", "cites", "h", "p_sjr", "i_sjr", "r_sjr", "pi_sjr")
 
 
-class GroupCorrelationMatrix(NamedTuple):
-    """One group's correlation cells over the report variables.
-
-    Unlike the other reports it is a type, not a table: it has two
-    renderings (correlation_export's table and render_correlation_text's
-    matrix), and callers look cells up by variable pair.
-    """
-
-    group: str
-    method: str
-    variables: tuple[str, ...]
-    cells: tuple[tuple[stats.CorrelationCell, ...], ...]
-
-    def cell(self, var_a: str, var_b: str) -> stats.CorrelationCell:
-        a = self.variables.index(var_a)
-        b = self.variables.index(var_b)
-        return self.cells[a][b]
-
-
 def correlation_report(
     rows: Sequence[AuthorTableRow],
     method: str = "pearson",
     variables: Sequence[str] | None = None,
-) -> list[GroupCorrelationMatrix]:
-    """Per-group correlation matrices over the report variables.
+) -> Table:
+    """The correlations table: each group's upper-triangular correlation cells.
 
-    Undefined values are excluded pairwise inside the matrix; cells that
-    cannot be computed are flagged, not fatal.
+    One row per group and variable pair, groups sorted and a group's
+    pairs in row-major order, with the cell's significance mark.
+    Undefined values are excluded pairwise within a group; cells that
+    cannot be computed are flagged in the note column, not fatal.
     """
     if not rows:
         raise ReportError("no rows")
     _, _, columns = _group_columns(rows, variables or DEFAULT_CORRELATION_VARIABLES, _required_group)
-    out = []
+    data = []
     for group in sorted(columns):
         names, grid = stats.correlation_matrix(columns[group], method=method)
-        out.append(
-            GroupCorrelationMatrix(
-                group=group,
-                method=method,
-                variables=tuple(names),
-                cells=tuple(tuple(r) for r in grid),
-            )
-        )
-    return out
+        for a, b in combinations(range(len(names)), 2):
+            r, n, significance, note = grid[a][b]
+            mark = SIGNIFICANCE_MARKS.get(significance, "")
+            data.append([group, names[a], names[b], r, n, significance, mark, note or ""])
+    return ["group", "row", "column", "r", "n", "significance", "mark", "note"], data
 
 
 # ---------------------------------------------------------------------------
@@ -566,57 +546,30 @@ def author_table_export(rows: Sequence[AuthorTableRow]) -> Table:
     return header, data
 
 
-def correlation_export(
-    matrices: Sequence[GroupCorrelationMatrix],
-) -> Table:
-    """Upper-triangular cells with their significance marks."""
-    header = ["group", "row", "column", "r", "n", "significance", "mark", "note"]
-    data = []
-    for matrix in matrices:
-        names = matrix.variables
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                cell = matrix.cells[a][b]
-                data.append(
-                    [
-                        matrix.group,
-                        names[a],
-                        names[b],
-                        cell.r,
-                        cell.n,
-                        cell.significance,
-                        SIGNIFICANCE_MARKS.get(cell.significance, ""),
-                        cell.note or "",
-                    ]
-                )
-    return header, data
-
-
 CORRELATION_FORMATTERS = {"r": fmt2}
 
 
-def render_correlation_text(matrices: Sequence[GroupCorrelationMatrix]) -> str:
-    """Aligned per-group upper-triangular matrices with a/b/c marks."""
+def render_correlation_text(data: list[list], method: str) -> str:
+    """Aligned per-group upper-triangular matrices with a/b/c marks.
+
+    data is correlation_report's rows. A group's rows come in row-major
+    order, so its variables are its first row's row followed by the
+    columns of the rows that share that row.
+    """
     lines = []
-    for matrix in matrices:
-        names = matrix.variables
-        lines.append(f"{matrix.group} ({matrix.method})")
+    for group, cells in groupby(data, itemgetter(0)):
+        cells = list(cells)
+        first = cells[0][1]
+        names = [first, *(column for _, row, column, *_ in cells if row == first)]
         width = max(len(n) for n in names) + 2
+        lines.append(f"{group} ({method})")
         lines.append(" " * width + "  ".join(n.rjust(9) for n in names[1:]))
-        for a in range(len(names) - 1):
-            row = [names[a].ljust(width)]
-            for b in range(1, len(names)):
-                if b <= a:
-                    row.append(" " * 9)
-                else:
-                    cell = matrix.cells[a][b]
-                    if cell.r is None:
-                        row.append(NA.rjust(9))
-                    else:
-                        mark = SIGNIFICANCE_MARKS.get(cell.significance, "")
-                        shown = fmt2(cell.r) + (f" ^{mark}" if mark else "")
-                        row.append(shown.rjust(9))
-            lines.append("  ".join(row).rstrip())
+        shown: dict[str, list[str]] = {}  # each row variable's cells, left to right
+        for _, row, _, r, _, _, mark, _ in cells:
+            cell = NA if r is None else fmt2(r) + (f" ^{mark}" if mark else "")
+            shown.setdefault(row, []).append(cell.rjust(9))
+        for a, (row, row_cells) in enumerate(shown.items()):
+            lines.append("  ".join([row.ljust(width), *[" " * 9] * a, *row_cells]).rstrip())
         lines.append("")
     lines.append("^a significant at the 90% level; ^b 95%; ^c 99%")
     return "\n".join(lines) + "\n"

@@ -321,12 +321,12 @@ class TestCompute:
         missing = str(tmp_path / "absent.csv")
         result = runner.invoke(main, ["compute", "--events", missing, "--impacts", IMPACTS, "--out", str(tmp_path)])
         assert result.exit_code == EXIT_INPUT
-        assert "events file not found" in result.output
+        assert f"events: cannot read {missing}: " in result.output
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"events": EVENTS, "impacts": missing}))
         result = runner.invoke(main, ["compute", "--config", str(config), "--out", str(tmp_path)])
         assert result.exit_code == EXIT_INPUT
-        assert "impacts file not found" in result.output
+        assert f"impact table: cannot read {missing}: " in result.output
 
     def test_non_string_json_field_exit(self, runner, tmp_path):
         events = tmp_path / "events.json"
@@ -676,6 +676,14 @@ class TestReport:
         assert not out.exists()
         run(runner, *args, "--kind", "boxplot")  # the counters alone still make a boxplot
 
+    def test_repeated_variable_writes_its_rows_once(self, runner, tmp_path):
+        args = ["report", "--profiles", PROFILES, "--name", "ds", "--variable", "pi_sjr", "--variable", "h"]
+        run(runner, *args, "--out", str(tmp_path / "once"))
+        run(runner, *args, "--variable", "pi_sjr", "--out", str(tmp_path / "twice"))
+        once = (tmp_path / "once" / "ds.boxplot.csv").read_text(encoding="utf-8")
+        assert (tmp_path / "twice" / "ds.boxplot.csv").read_text(encoding="utf-8") == once
+        assert len(once.splitlines()) == 1 + 4 * 2
+
     def test_text_format_writes_aligned_tables(self, runner, tmp_path):
         out = tmp_path / "out"
         args = ["report", "--profiles", PROFILES, "--name", "ds", "--kind", "boxplot", "--kind", "ordered",
@@ -692,6 +700,44 @@ class TestReport:
             assert len(spans) == len(csv_rows[0])
             cells = [[line[a:b].strip() for a, b in spans] for line in [lines[0], *lines[2:]]]
             assert cells == csv_rows
+
+
+class TestPartialFamily:
+    """A family is found from any of its columns; the columns the header lacks read as NA."""
+
+    @staticmethod
+    def profiles(tmp_path: Path, kind: str) -> str:
+        source = read_rows(Path(PROFILES))
+        if kind == "p_sjr-all-NA":
+            for row in source:
+                row["p_sjr"] = "NA"
+        else:
+            source = [{k: row[k] for k in ("author_id", "group", "papers", "cites", "h", "i_sjr")} for row in source]
+        if kind == "json":
+            for row in source:
+                row.update({k: int(row[k]) for k in ("papers", "cites", "h")}, i_sjr=float(row["i_sjr"]))
+            path = tmp_path / "partial.json"
+            path.write_text(json.dumps(source), encoding="utf-8")
+            return str(path)
+        path = tmp_path / "partial.csv"
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, fieldnames=list(source[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(source)
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["csv", "json", "p_sjr-all-NA"])
+    def test_a_family_without_its_p_column(self, runner, tmp_path, kind):
+        profiles = self.profiles(tmp_path, kind)
+        args = ["correlate", "--name", "ds", "--variable", "i_sjr", "--variable", "h"]
+        run(runner, *args, "--profiles", profiles, "--out", str(tmp_path / "partial"))
+        run(runner, *args, "--profiles", PROFILES, "--out", str(tmp_path / "whole"))
+        partial = (tmp_path / "partial" / "ds.pearson.csv").read_text(encoding="utf-8")
+        assert partial == (tmp_path / "whole" / "ds.pearson.csv").read_text(encoding="utf-8")
+        out = tmp_path / "summaries"
+        result = run(runner, "summarize", "--profiles", profiles, "--out", str(out), expect=EXIT_FEW_GROUPS)
+        assert "no defined values for 'p_sjr'" in result.output
+        assert not out.exists()
 
 
 class TestPipelineComposition:
@@ -947,35 +993,40 @@ class TestExitCodeByKind:
 
 
 class TestUnreadableInputs:
-    """An input that is a directory, or a csv that is not UTF-8, exits 3 with no traceback."""
+    """An input that is a directory, a missing path, or a csv that is not UTF-8, exits 3 with no traceback."""
 
     @staticmethod
-    def directory_args(tmp_path: Path, role: str) -> list[str]:
-        adir = tmp_path / "adir"
-        adir.mkdir()
+    def input_args(role: str, path: str) -> list[str]:
         if role == "profiles":
-            return ["summarize", "--profiles", str(adir)]
+            return ["summarize", "--profiles", path]
         if role == "config":
-            return ["summarize", "--profiles", PROFILES, "--config", str(adir)]
-        inputs = {"events": EVENTS, "impacts": IMPACTS, "scalars": SCALARS, role: str(adir)}
+            return ["summarize", "--profiles", PROFILES, "--config", path]
+        inputs = {"events": EVENTS, "impacts": IMPACTS, "scalars": SCALARS, role: path}
         return ["compute", *(a for r, path in inputs.items() for a in (f"--{r}", path))]
 
+    MESSAGES = {
+        "events": "events: cannot read {path}: ",
+        "impacts": "impact table: cannot read {path}: ",
+        "scalars": "scalars: cannot read {path}: ",
+        "profiles": "profiles: cannot read {path}: ",
+        "config": "config file {path} cannot be read: ",
+    }
+
     @pytest.mark.parametrize(
-        "role, message",
+        "role, name",
         [
-            ("events", "events: cannot read {adir}: "),
-            ("impacts", "impact table: cannot read {adir}: "),
-            ("scalars", "scalars: cannot read {adir}: "),
-            ("profiles", "profiles: cannot read {adir}: "),
-            ("config", "config file {adir} cannot be read: "),
+            *(pytest.param(role, "adir", id=role) for role in MESSAGES),
+            *(pytest.param(role, "absent.csv", id=f"{role}-missing") for role in MESSAGES),
         ],
-        ids=["events", "impacts", "scalars", "profiles", "config"],
     )
-    def test_directory_input_exit(self, runner, tmp_path, role, message):
+    def test_directory_input_exit(self, runner, tmp_path, role, name):
+        path = tmp_path / name
+        if name == "adir":
+            path.mkdir()
         out = tmp_path / "out"
-        result = runner.invoke(main, [*self.directory_args(tmp_path, role), "--out", str(out)])
+        result = runner.invoke(main, [*self.input_args(role, str(path)), "--out", str(out)])
         assert result.exit_code == EXIT_INPUT, result.output
-        assert message.format(adir=tmp_path / "adir") in result.output
+        assert self.MESSAGES[role].format(path=path) in result.output
         assert isinstance(result.exception, SystemExit) and not out.exists()
 
     @staticmethod

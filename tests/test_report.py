@@ -16,12 +16,10 @@ from pirmetrics.report import (
     SCALAR_FIELDS,
     AuthorTableRow,
     DimensionCells,
-    GroupCorrelationMatrix,
     ReportError,
     aggregate_report,
     author_table,
     author_table_export,
-    correlation_export,
     correlation_report,
     figure_data,
     fmt2,
@@ -49,6 +47,7 @@ AGGREGATE_HEADER = [
     "within_ss", "between_ss", "total_ss", "pct_reduction",
 ]
 DELTAS_HEADER = ["variable", "family_a", "family_b", "median_delta_pct", "mean_delta_pct"]
+CORRELATIONS_HEADER = ["group", "row", "column", "r", "n", "significance", "mark", "note"]
 
 
 def records(table) -> list[dict]:
@@ -249,6 +248,15 @@ class TestProfilesRoundTrip:
     def test_canonical_families_recovered_from_header(self, fixture_rows):
         assert set(fixture_rows[0].families) == {SJR, SNIP}
 
+    def test_families_found_from_any_of_their_columns(self):
+        text = "author_id,group,i_snip,pi2r_sjr,p_snip\na,G,2.5,0.75,1\n"
+        (row,) = load_profiles(io.StringIO(text))
+        assert list(row.families) == [SNIP, SJR]  # in first-seen order
+        assert row.families == {
+            SNIP: DimensionCells(1.0, 2.5, None, None, None, None, None),
+            SJR: DimensionCells(None, None, None, None, None, None, 0.75),
+        }
+
 
 class TestGroupSummary:
     def test_one_block_per_group_sorted(self, fixture_rows):
@@ -341,42 +349,74 @@ class TestAggregateReport:
         assert math.copysign(1.0, records((header, data))[0]["median"]) == 1.0
 
 
+def correlation_cells(table) -> dict[tuple, dict]:
+    """A correlations table's rows as {column: cell} dicts, keyed by (group, row, column)."""
+    return {(rec["group"], rec["row"], rec["column"]): rec for rec in records(table)}
+
+
+LEGEND = "^a significant at the 90% level; ^b 95%; ^c 99%\n"
+
+
 class TestCorrelationReport:
     def test_published_pearson_cells(self, fixture_rows):
-        matrices = correlation_report(fixture_rows, method="pearson")
-        by_group = {m.group: m for m in matrices}
-        assert by_group["Phy"].cell("papers", "cites").r == pytest.approx(0.99, abs=0.01)
-        med = by_group["Med"].cell("h", "i_sjr")
-        assert med.r == pytest.approx(0.46, abs=0.02)
-        assert med.significance in (90, 95, 99)
+        cells = correlation_cells(correlation_report(fixture_rows, method="pearson"))
+        assert cells["Phy", "papers", "cites"]["r"] == pytest.approx(0.99, abs=0.01)
+        med = cells["Med", "h", "i_sjr"]
+        assert med["r"] == pytest.approx(0.46, abs=0.02)
+        assert med["significance"] in (90, 95, 99)
 
     def test_published_spearman_cells(self, fixture_rows):
-        matrices = correlation_report(fixture_rows, method="spearman")
-        by_group = {m.group: m for m in matrices}
-        assert by_group["Chem"].cell("cites", "h").r == pytest.approx(0.96, abs=0.02)
-        assert by_group["Phy"].cell("cites", "r_sjr").r == pytest.approx(0.62, abs=0.02)
+        cells = correlation_cells(correlation_report(fixture_rows, method="spearman"))
+        assert cells["Chem", "cites", "h"]["r"] == pytest.approx(0.96, abs=0.02)
+        assert cells["Phy", "cites", "r_sjr"]["r"] == pytest.approx(0.62, abs=0.02)
 
     def test_two_author_group_flagged_not_fatal(self):
         rows = [
             AuthorTableRow("a", "G", 1, 2, 1, {}),
             AuthorTableRow("b", "G", 3, 5, 2, {}),
         ]
-        matrices = correlation_report(rows, variables=["papers", "cites"])
-        cell = matrices[0].cell("papers", "cites")
-        assert cell.r is None
-        assert "2 usable pairs" in cell.note
+        assert correlation_report(rows, variables=["papers", "cites"]) == (
+            CORRELATIONS_HEADER, [["G", "papers", "cites", None, 2, None, "", "only 2 usable pairs"]],
+        )
 
     def test_text_rendering_carries_marks(self, fixture_rows):
-        matrices = correlation_report(
+        _, data = correlation_report(
             fixture_rows, method="pearson", variables=["papers", "cites", "h"]
         )
-        text = render_correlation_text(matrices)
+        text = render_correlation_text(data, "pearson")
         assert "^c" in text
         assert "significant at the 90% level" in text
 
+    def test_text_of_an_all_na_group(self):
+        rows = [AuthorTableRow("a", "G", 1, 2, 1, {}), AuthorTableRow("b", "G", 3, 5, 2, {})]
+        _, data = correlation_report(rows, variables=["papers", "cites", "h"])
+        assert render_correlation_text(data, "pearson") == (
+            "G (pearson)\n"
+            "            cites          h\n"
+            "papers           NA         NA\n"
+            "cites                       NA\n"
+            "\n" + LEGEND
+        )
+
+    def test_text_of_two_variable_groups(self):
+        cells = [
+            ("A", 1, 2), ("A", 2, 5), ("A", 3, 7), ("A", 4, 9), ("A", 5, 12), ("B", 1, 9), ("B", 2, 3), ("B", 3, 4),
+        ]
+        rows = [AuthorTableRow(str(k), g, p, c, 1, {}) for k, (g, p, c) in enumerate(cells)]
+        _, data = correlation_report(rows, method="spearman", variables=["papers", "cites"])
+        assert render_correlation_text(data, "spearman") == (
+            "A (spearman)\n"
+            "            cites\n"
+            "papers      1.00 ^c\n"
+            "\n"
+            "B (spearman)\n"
+            "            cites\n"
+            "papers        -0.50\n"
+            "\n" + LEGEND
+        )
+
     def test_export_rounds_to_two_decimals(self, fixture_rows):
-        matrices = correlation_report(fixture_rows, method="pearson")
-        header, data = correlation_export(matrices)
+        header, data = correlation_report(fixture_rows, method="pearson")
         from pirmetrics.report import CORRELATION_FORMATTERS
 
         text = render_table(header, data, "csv", formatters=CORRELATION_FORMATTERS)
@@ -578,20 +618,19 @@ class TestColumnParity:
         for group in sorted({row.group for row in rows}):
             members = [row for row in rows if row.group == group]
             columns = [[row.value(v) for row in members] for v in PARITY_VARIABLES]
-            cells = [[None] * len(columns) for _ in columns]
             for a, xs in enumerate(columns):
-                cells[a][a] = CorrelationCell(r=1.0, n=sum(map(_finite, xs)))
                 for b in range(a + 1, len(columns)):
                     pairs = [(x, y) for x, y in zip(xs, columns[b]) if _finite(x) and _finite(y)]
                     if len(pairs) < 3:
                         cell = CorrelationCell(r=None, n=len(pairs), note=f"only {len(pairs)} usable pairs")
                     else:
                         cell = correlate([x for x, _ in pairs], [y for _, y in pairs])
-                    cells[a][b] = cells[b][a] = cell
-            expected.append(
-                GroupCorrelationMatrix(group, method, tuple(PARITY_VARIABLES), tuple(map(tuple, cells)))
-            )
-        _same(correlation_report(rows, method=method, variables=PARITY_VARIABLES), expected)
+                    mark = {90: "a", 95: "b", 99: "c"}.get(cell.significance, "")
+                    expected.append([
+                        group, PARITY_VARIABLES[a], PARITY_VARIABLES[b],
+                        cell.r, cell.n, cell.significance, mark, cell.note or "",
+                    ])
+        _same(correlation_report(rows, method=method, variables=PARITY_VARIABLES), (CORRELATIONS_HEADER, expected))
 
     def test_figure_data(self, seed):
         rows = _parity_rows(seed)
@@ -643,11 +682,6 @@ def _cells():
     return DimensionCells(1.0, 2.0, 0.5, 0.5, 2.0, 4.0, 0.75)
 
 
-def _matrix():
-    diagonal, off = CorrelationCell(1.0, 3), CorrelationCell(r=0.5, n=3, note=None)
-    return GroupCorrelationMatrix("G", "pearson", ("h", "p_sjr"), ((diagonal, off), (off, diagonal)))
-
-
 # (build, a field of it): build makes a new, equal value on each call
 RESULT_TYPES = [
     pytest.param(lambda: describe([1.0, 2.0, 5.0]), "median", id="DescriptiveSummary"),
@@ -659,7 +693,6 @@ RESULT_TYPES = [
     pytest.param(lambda: CorrelationCell(r=0.5, n=12, significance=90), "r", id="CorrelationCell"),
     pytest.param(_cells, "pi", id="DimensionCells"),
     pytest.param(lambda: AuthorTableRow("a1", "G", 3, 9, 2, {SJR: _cells()}), "group", id="AuthorTableRow"),
-    pytest.param(_matrix, "cells", id="GroupCorrelationMatrix"),
 ]
 
 

@@ -413,11 +413,10 @@ class TestStudentT:
     def test_significance_matches_scipy_on_fixture_cells(self, fixture_rows, method):
         checked = 0
         variables = author_table_export(fixture_rows)[0][2:]  # the profiles columns after author_id, group
-        for matrix in correlation_report(fixture_rows, method=method, variables=variables):
-            for a, row in enumerate(matrix.cells):
-                for cell in row[a + 1:]:
-                    assert _significance(cell.r, cell.n) == scipy_significance(cell.r, cell.n)
-                    checked += 1
+        header, data = correlation_report(fixture_rows, method=method, variables=variables)
+        for cell in (dict(zip(header, row)) for row in data):
+            assert _significance(cell["r"], cell["n"]) == scipy_significance(cell["r"], cell["n"])
+            checked += 1
         assert checked == 4 * 136  # 4 groups x every pair of the 17 variables
 
     def test_cli_import_loads_neither_scipy_nor_numpy(self):
