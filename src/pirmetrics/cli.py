@@ -28,6 +28,7 @@ the group's invoke maps each library error through EXIT_CODES.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from pathlib import Path
@@ -90,9 +91,16 @@ _LIBRARY_ERRORS = tuple(kind for kind, _ in EXIT_CODES)
 
 
 class Pipeline(click.Group):
-    """The command group; its invoke is the one place a library error becomes an exit code."""
+    """The command group; its invoke is the one place a library error becomes an exit code.
+
+    It also pauses the cyclic garbage collector for the command.
+    """
 
     def invoke(self, ctx: click.Context):
+        # a command makes next to no reference cycles, but the collector would rescan
+        # every event and row it holds many times over; a caller's setting is restored
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except BatchError as exc:
@@ -104,6 +112,9 @@ class Pipeline(click.Group):
             # --fail-fast wraps an author's error; its exit code is the wrapped one's
             origin = exc.__cause__ if isinstance(exc.__cause__, _LIBRARY_ERRORS) else exc
             raise _fail(str(exc), next(code for kind, code in EXIT_CODES if isinstance(origin, kind))) from None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) -> None:

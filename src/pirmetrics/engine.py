@@ -68,7 +68,8 @@ class BatchError(EngineError):
 class MissingValuePolicy:
     """What to do when an event's (journal, year) has no impact value.
 
-    strict   -> raise MissingImpactError on the first gap
+    strict   -> raise MissingImpactError naming the stream's smallest
+                missing (journal, year)
     drop     -> skip the event and renormalise weights over matched counts
     nearest  -> use the same journal's nearest year within max_distance
                 (ties resolved toward the earlier year), else drop
@@ -142,16 +143,14 @@ DEFAULT_WINDOW_POLICY = WindowPolicy.STRICT
 
 
 def _missing_value(
-    values: Mapping[tuple[JournalRef, int], float], journal: JournalRef, year: int, indicator: IndicatorName,
+    values: Mapping[tuple[JournalRef, int], float], journal: JournalRef, year: int,
     missing: MissingValuePolicy, span: tuple[int, int] | None,
 ) -> float | None:
-    """What stands in for an absent impact value under the missing-value policy.
+    """What stands in for an absent impact value under the drop or nearest policy.
 
     span is the family's (first, last) year, None if it has no values; as no
     year outside holds one, nearest:K stops once both candidates are outside it.
     """
-    if missing.mode == MissingValuePolicy.STRICT:
-        raise MissingImpactError(journal, year, indicator)
     if missing.mode == MissingValuePolicy.NEAREST and span:
         first, last = span
         # the distance to the farther end, capped at K, without min() and max(): they cost more per gap
@@ -167,14 +166,15 @@ def _missing_value(
 
 
 def _weighted_mean(
-    merged: Sequence[tuple[tuple[JournalRef, int], int]], kind: EventKind | None, table: ImpactTable,
+    merged: Mapping[tuple[JournalRef, int], int], kind: EventKind | None, table: ImpactTable,
     indicator: IndicatorName, window: YearWindow, missing: MissingValuePolicy, window_policy: WindowPolicy,
 ) -> tuple[float | None, CoverageDiagnostics]:
-    """The one loop behind weighted_mean_impact and compute_profile, over merge_counts pairs.
+    """The one loop behind weighted_mean_impact and compute_profile, over merge_counts totals.
 
     Each merged (journal, year) key is looked up as it is in the family's
-    value dict. Gaps are met in (journal, year) order, so strict names the
-    first; math.fsum makes the sum independent of the order of its terms.
+    value dict. The keys come in no set order: math.fsum makes the sum
+    independent of the order of its terms, and under strict the first gap
+    met raises for the smallest eligible (journal, year) the family lacks.
     """
     open_years = window_policy == WindowPolicy.OPEN_REFERENCES and kind not in (None, EventKind.PUBLICATION)
     lo, hi = window.start_year, window.end_year
@@ -184,12 +184,15 @@ def _weighted_mean(
     matched_terms: list[float] = []
     matched = 0
     dropped = 0
-    for key, count in merged:
+    for key, count in merged.items():
         if not (open_years or lo <= key[1] <= hi):
             continue
         value = get(key)
         if value is None:
-            value = _missing_value(values, *key, indicator, missing, span)
+            if missing.mode == MissingValuePolicy.STRICT:
+                gaps = (k for k in merged if (open_years or lo <= k[1] <= hi) and k not in values)
+                raise MissingImpactError(*min(gaps), indicator)
+            value = _missing_value(values, *key, missing, span)
         if value is None:
             dropped += count
         else:
@@ -219,8 +222,8 @@ def weighted_mean_impact(
     All events must share one kind. Returns (None, zeroed diagnostics)
     when nothing is eligible or nothing matches; that is not an error.
     Counts for the same (journal, year) are merged first, and terms are
-    accumulated over a stable (journal, year) ordering with compensated
-    summation, so the result does not depend on event order.
+    accumulated with compensated summation, so the result does not depend
+    on event order.
     """
     events = list(events)
     kinds = {e.kind for e in events}

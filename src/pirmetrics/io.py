@@ -24,6 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import MAX_COUNT, AuthorCorpus, Event, EventKind, ImpactTable, ModelError
 
@@ -73,16 +74,37 @@ def _not_utf8(path, label: str) -> IngestError:
     return IngestError(f"{label}: not UTF-8")
 
 
+class _RepeatedKey(NamedTuple):
+    """What the json reader makes of an object that repeats a key; no row is one."""
+
+    key: str
+
+    def __repr__(self) -> str:  # as a field error shows a nested object
+        return f"an object that repeats the key {self.key!r}"
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict | _RepeatedKey:
+    """A json object as a dict, or a _RepeatedKey naming the first key it repeats."""
+    row = dict(pairs)
+    if len(row) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                return _RepeatedKey(key)
+            seen.add(key)
+    return row
+
+
 def _rows(source, fmt: str, required: list[str], label: str, pick=None):
     """Yield (line_number, fields) from csv or json input.
 
     fields holds the row's values of the required columns, in that order.
     Each column is found once: by its position in the csv header, or by
     key in a json row. Column order is free and other columns are
-    ignored, but a repeated csv column name is an error. pick, when
-    given, chooses the columns read from the header (the csv header, or
-    the first json row's fields), and every later json row must then
-    carry exactly the first row's fields.
+    ignored, but a repeated csv column name or json key is an error.
+    pick, when given, chooses the columns read from the header (the csv
+    header, or the first json row's fields), and every later json row
+    must then carry exactly the first row's fields.
 
     A csv row is numbered by the physical line it ends on, and must have
     exactly as many fields as its header; blank lines are skipped. A csv
@@ -118,7 +140,7 @@ def _rows(source, fmt: str, required: list[str], label: str, pick=None):
                 raise IngestError(f"{label}: line {reader.line_num}: {exc}") from None
         else:
             try:
-                payload = json.load(stream)
+                payload = json.load(stream, object_pairs_hook=_json_object)
             except ValueError as exc:  # a JSONDecodeError, or an integer beyond int's digit limit
                 raise IngestError(f"{label}: invalid json: {exc}") from exc
             if not isinstance(payload, list):
@@ -126,6 +148,8 @@ def _rows(source, fmt: str, required: list[str], label: str, pick=None):
             first = None
             for i, row in enumerate(payload, start=1):
                 if not isinstance(row, dict):
+                    if isinstance(row, _RepeatedKey):
+                        raise IngestError(f"{label}: row {i}: duplicate key {row.key!r}")
                     raise IngestError(f"{label}: row {i}: expected an object")
                 if first is None or (pick and row.keys() != first):
                     missing = [c for c in required if c not in row]

@@ -148,18 +148,26 @@ class AuthorCorpus:
         return dict(self.merged[kind])
 
     @cached_property
-    def merged(self) -> Mapping[EventKind, tuple[tuple[tuple[JournalRef, int], int], ...]]:
-        """merge_counts of each kind's events, made on first use and kept for every family."""
-        return {kind: tuple(merge_counts(self.events_of_kind(kind))) for kind in EventKind}
+    def merged(self) -> Mapping[EventKind, dict[tuple[JournalRef, int], int]]:
+        """Each kind's {(journal, year): total count}, kinds in EventKind order.
+
+        Made in one pass on first use and kept for every family; not to be changed.
+        """
+        merged: dict[EventKind, dict[tuple[JournalRef, int], int]] = {kind: {} for kind in EventKind}
+        for kind, journal, year, count in self.events:
+            totals = merged[kind]
+            key = (journal, year)
+            totals[key] = totals.get(key, 0) + count
+        return merged
 
 
-def merge_counts(events: Iterable[Event]) -> list[tuple[tuple[JournalRef, int], int]]:
-    """((journal, year), total count) pairs in (journal, year) order; event order does not matter."""
+def merge_counts(events: Iterable[Event]) -> dict[tuple[JournalRef, int], int]:
+    """Total count per (journal, year), in no meaningful order; event order does not matter."""
     totals: dict[tuple[JournalRef, int], int] = {}
     for _, journal, year, count in events:
         key = (journal, year)
         totals[key] = totals.get(key, 0) + count
-    return [(key, totals[key]) for key in sorted(totals)]
+    return totals
 
 
 class ImpactTable:

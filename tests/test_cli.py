@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import re
@@ -188,6 +189,16 @@ class TestCompute:
         result = runner.invoke(main, ["compute", "--events", str(events), "--impacts", IMPACTS, "--out", str(out)])
         assert result.exit_code == EXIT_INPUT
         assert "events: duplicate column 'year' in header" in result.output
+        assert not out.exists()
+
+    def test_repeated_json_key_exit(self, runner, tmp_path):
+        events = tmp_path / "events.json"
+        events.write_text('[{"author_id": "a", "group": "G", "kind": "publication", '
+                          '"journal": "J1", "year": 2010, "count": 1, "year": 1999}]')
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["compute", "--events", str(events), "--impacts", IMPACTS, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT
+        assert "events: row 1: duplicate key 'year'" in result.output
         assert not out.exists()
 
     def test_case_duplicate_families_usage_error(self, runner, tmp_path):
@@ -1057,3 +1068,42 @@ class TestUnreadableInputs:
         assert "scalars: line 301: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0" in result.output
         assert isinstance(result.exception, SystemExit) and not out.exists()
 
+
+class TestCollectorPause:
+    """A command runs with the cyclic collector off, and leaves it as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            pytest.param(["--events", EVENTS], 0, id="success"),
+            pytest.param(["--events", "absent.csv"], EXIT_INPUT, id="library-error"),
+            pytest.param(["--events", EVENTS, "--missing", "sometimes"], 2, id="usage-error"),
+        ],
+    )
+    def test_state_restored_on_every_exit(self, runner, tmp_path, monkeypatch, enabled, args, code):
+        seen = []
+        real = cli.load_events
+
+        def load_events(*a, **kw):
+            seen.append(gc.isenabled())
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cli, "load_events", load_events)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        result = runner.invoke(main, ["compute", *args, "--impacts", IMPACTS, "--out", str(tmp_path / "o")])
+        assert gc.isenabled() is enabled
+        assert result.exit_code == code, result.output
+        assert seen == ([] if code == 2 else [False])

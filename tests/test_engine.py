@@ -77,7 +77,7 @@ class TestWeightedMeanImpact:
             weighted_mean_impact(
                 events, table, "SJR", WIN, missing=MissingValuePolicy.strict()
             )
-        # first offender in the stable (journal, year) ordering
+        # the smallest missing (journal, year), though J3 is met first
         assert excinfo.value.journal == "J2"
         assert excinfo.value.year == 2011
         assert "J2" in str(excinfo.value) and "2011" in str(excinfo.value)
@@ -233,6 +233,27 @@ class TestNearestYearReach:
 
 
 class TestComputeProfile:
+    @pytest.mark.parametrize(
+        "window_policy, named",
+        [(WindowPolicy.STRICT, ("B", 2010)), (WindowPolicy.OPEN_REFERENCES, ("A", 2005))],
+        ids=["strict-window", "open-references"],
+    )
+    def test_strict_names_smallest_eligible_gap(self, window_policy, named):
+        # ("A", 2005) sorts first but lies outside the window
+        corpus = AuthorCorpus(
+            "x", tuple(Event(EventKind.CITATION, j, y, 1) for j, y in (("C", 2011), ("B", 2010), ("A", 2005)))
+        )
+        with pytest.raises(MissingImpactError) as excinfo:
+            compute_profile(corpus, table_of(("C", 2011, 1.0)), "SJR", WIN, MissingValuePolicy.strict(), window_policy)
+        assert (excinfo.value.journal, excinfo.value.year) == named
+        assert str(excinfo.value) == f"no SJR impact value for journal {named[0]!r} in year {named[1]}"
+
+    def test_strict_names_the_publication_gap_first(self):
+        corpus = AuthorCorpus("x", (Event(EventKind.CITATION, "A", 2010, 1), pub("Z", 2011, 1)))
+        with pytest.raises(MissingImpactError) as excinfo:
+            compute_profile(corpus, table_of(), "SJR", WIN, MissingValuePolicy.strict())
+        assert (excinfo.value.journal, excinfo.value.year) == ("Z", 2011)
+
     def test_ratio_from_p_and_i(self):
         # one publication at 2.817 and one citation at 1.936
         table = ImpactTable(

@@ -655,7 +655,8 @@ class TestColumnLookup:
         with pytest.raises(IngestError, match=r"^events: line 3: count must be an integer, got 'x'$"):
             load_events(csv_stream(text))
 
-    @pytest.mark.parametrize(
+    LABELS = {load_events: "events", load_impact_table: "impact table", load_scalars: "scalars", load_profiles: "profiles"}
+    REPEATS = pytest.mark.parametrize(
         "loader, header, row, repeated",
         [
             (load_events, "author_id,group,kind,journal,year,count,year", "a,G,publication,J1,2010,1,1999", "year"),
@@ -665,12 +666,28 @@ class TestColumnLookup:
         ],
         ids=["events", "impact_table", "scalars", "profiles"],
     )
+
+    @REPEATS
     def test_repeated_csv_column_rejected(self, loader, header, row, repeated):
-        label = {load_events: "events", load_impact_table: "impact table",
-                 load_scalars: "scalars", load_profiles: "profiles"}[loader]
         with pytest.raises(IngestError) as excinfo:
             loader(csv_stream(f"{header}\n{row}\n"))
-        assert str(excinfo.value) == f"{label}: duplicate column '{repeated}' in header"
+        assert str(excinfo.value) == f"{self.LABELS[loader]}: duplicate column '{repeated}' in header"
+
+    @REPEATS
+    def test_repeated_json_key_rejected(self, loader, header, row, repeated):
+        # json.load alone would keep the last copy of the key and read the row as valid
+        names, values = header.split(","), row.split(",")
+        first = json.dumps(dict(zip(names[:-1], values[:-1])))
+        pairs = ", ".join(f"{json.dumps(name)}: {json.dumps(value)}" for name, value in zip(names, values))
+        with pytest.raises(IngestError) as excinfo:
+            loader(csv_stream(f"[{first}, {{{pairs}}}]"), "json")
+        assert str(excinfo.value) == f"{self.LABELS[loader]}: row 2: duplicate key '{repeated}'"
+
+    def test_repeated_key_in_a_nested_object_is_named(self):
+        text = '[{"journal": {"n": 1, "n": 2}, "year": 2010, "indicator": "SJR", "value": 1}]'
+        with pytest.raises(IngestError) as excinfo:
+            load_impact_table(csv_stream(text), "json")
+        assert str(excinfo.value) == "impact table: row 1: journal must be a string, got an object that repeats the key 'n'"
 
     def test_repeated_unused_column_rejected(self):
         with pytest.raises(IngestError, match=r"^scalars: duplicate column 'note' in header$"):

@@ -87,6 +87,29 @@ class TestAuthorCorpus:
         b = AuthorCorpus("x", tuple(shuffled))
         assert a.merged_counts(EventKind.REFERENCE) == b.merged_counts(EventKind.REFERENCE)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(EventKind)),
+                st.sampled_from(["J1", "J2", "J3"]),
+                st.integers(2005, 2015),
+                st.integers(1, 9),
+            ),
+            max_size=40,
+        ),
+        st.randoms(),
+    )
+    def test_merged_counts_equal_summed_rows(self, rows, rng):
+        rng.shuffle(rows)
+        corpus = AuthorCorpus("x", tuple(Event(*row) for row in rows))
+        assert list(corpus.merged) == list(EventKind)
+        for kind in EventKind:
+            want: dict[tuple[str, int], int] = {}
+            for row_kind, journal, year, count in rows:
+                if row_kind is kind:
+                    want[journal, year] = want.get((journal, year), 0) + count
+            assert corpus.merged_counts(kind) == want
+
     def test_empty_author_id_rejected(self):
         with pytest.raises(ModelError):
             AuthorCorpus("", ())
