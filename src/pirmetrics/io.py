@@ -174,6 +174,28 @@ class _FieldError(IngestError):
     """A bad field or row, raised without its location; see _located."""
 
 
+_KEYS = frozenset({str, int})  # the raw types a _Parsed memo may hold
+
+
+class _Parsed(dict):
+    """One loader call's memo of a field: raw value -> parse(raw, what), parsed on first sight.
+
+    Rows with equal text then share one object, and a repeated text costs
+    one lookup. Only exact str raws, and exact int raws from json, are
+    looked up here: True, 1 and 1.0 hash alike, so a bool, float, list or
+    object goes straight to the parse. A parse that raises stores nothing.
+    """
+
+    __slots__ = ("parse", "what")
+
+    def __init__(self, parse, what: str):
+        self.parse, self.what = parse, what
+
+    def __missing__(self, raw):
+        value = self[raw] = self.parse(raw, self.what)
+        return value
+
+
 def _located(exc: Exception, label: str, fmt: str, lineno: int) -> IngestError:
     """The loader's error for a failed row: its location, then the message."""
     return IngestError(f"{label}: {'line' if fmt == 'csv' else 'row'} {lineno}: {exc}")
@@ -230,24 +252,23 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
 
     Duplicate keys are rejected with both offending row locations named;
     negative or non-finite values and malformed rows are rejected with
-    their location.
+    their location. Each distinct journal and year text is parsed once
+    per call, and rows that repeat it share the parsed object.
     """
     # indicator -> ({(journal, year): value}, {(journal, year): first line})
     families: dict[str, tuple[dict[tuple[str, int], float], dict[tuple[str, int], int]]] = {}
+    journals, years = _Parsed(_text, "journal"), _Parsed(_parse_int, "year")
     try:
         for lineno, (journal, year, indicator, value) in _rows(
             source, fmt, ["journal", "year", "indicator", "value"], "impact table"
         ):
-            journal = journal.strip() if type(journal) is str else _text(journal, "journal")
+            journal = journals[journal] if type(journal) is str else _text(journal, "journal")
             indicator = indicator.strip() if type(indicator) is str else _text(indicator, "indicator")
             if not journal:
                 raise _FieldError("empty journal id")
             if not indicator:
                 raise _FieldError("empty indicator name")
-            try:
-                year = int(year) if type(year) is str else _parse_int(year, "year")
-            except ValueError:  # int() refused a text field; _parse_int words the error
-                year = _parse_int(year, "year")
+            year = years[year] if type(year) in _KEYS else _parse_int(year, "year")
             try:
                 value = float(value) if type(value) is str else _parse_float(value, "impact value")
             except ValueError:  # float() refused a text field; _parse_float words the error
@@ -289,10 +310,13 @@ def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
 
     Repeated (author, kind, journal, year) rows are kept as separate
     events; counts merge when used. The group column may be empty, but
-    two different non-empty groups for one author are an error.
+    two different non-empty groups for one author are an error. Each
+    distinct journal, year and count text is parsed once per call, and
+    rows that repeat it share the parsed object.
     """
     events: dict[str, list[Event]] = {}
     groups: dict[str, str | None] = {}
+    journals, years, counts = _Parsed(_text, "journal"), _Parsed(_parse_int, "year"), _Parsed(_parse_int, "count")
     try:
         for lineno, (author_id, group, kind, journal, year, count) in _rows(
             source, fmt, ["author_id", "group", "kind", "journal", "year", "count"], "events"
@@ -305,13 +329,9 @@ def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
                 kind = _KINDS[kind]
             except (KeyError, TypeError):  # any other spelling, or a json non-string
                 kind = EventKind.parse(str(kind))
-            try:
-                year = int(year) if type(year) is str else _parse_int(year, "year")
-                count = int(count) if type(count) is str else _parse_int(count, "count")
-            except ValueError:  # int() refused a text field; _parse_int words the error
-                year = _parse_int(year, "year")
-                count = _parse_int(count, "count")
-            event = Event(kind, journal.strip() if type(journal) is str else _text(journal, "journal"), year, count)
+            year = years[year] if type(year) in _KEYS else _parse_int(year, "year")
+            count = counts[count] if type(count) in _KEYS else _parse_int(count, "count")
+            event = Event(kind, journals[journal] if type(journal) is str else _text(journal, "journal"), year, count)
 
             author_events = events.get(author_id)
             if author_events is None:
@@ -437,6 +457,11 @@ def _encode_table(header: Sequence[str], data: Iterable[Sequence], fmt: str) -> 
         writer.writerow(header)
         writer.writerows(data)
         return buf.getvalue()
-    if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in data], indent=2, ensure_ascii=False) + "\n"
+    if fmt == "json":  # indent=2's layout, from the C encoder that json.dumps(indent=2) does not use
+        encode = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": ")).encode
+        rows = [  # each row framed as it is encoded: keeping every encoded row first raised peak memory
+            f"\n  {{\n    {text[1:-1]}\n  }}" if (text := encode(dict(zip(header, row)))) != "{}" else "\n  {}"
+            for row in data
+        ]
+        return "".join(["[", ",".join(rows), "\n]\n"]) if rows else "[]\n"
     raise IngestError(f"unknown format {fmt!r}; expected csv or json")

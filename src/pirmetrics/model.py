@@ -82,6 +82,10 @@ class EventKind(enum.Enum):
     CITATION = "citation"
     REFERENCE = "reference"
 
+    # members are singletons compared by identity, so the C-level identity
+    # hash serves; Enum's own __hash__ is a Python function called per lookup
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, text: str) -> "EventKind":
         try:

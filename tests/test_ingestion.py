@@ -692,3 +692,172 @@ class TestColumnLookup:
     def test_repeated_unused_column_rejected(self):
         with pytest.raises(IngestError, match=r"^scalars: duplicate column 'note' in header$"):
             load_scalars(csv_stream("note,author_id,papers,cites,h,note\n,a,3,9,1,\n"))
+
+
+class TestParsedOnce:
+    """Each distinct field text is parsed once per load; errors read as a per-row parse words them."""
+
+    EVENT = {"author_id": "a", "group": "G", "kind": "citation", "journal": "J1", "year": 2010, "count": 1}
+    IMPACT = {"journal": "J1", "year": 2010, "indicator": "SJR", "value": 1.0}
+
+    @staticmethod
+    def error_of(loader, rows, fmt="json"):
+        """The message loading rows fails with; csv rows come as their text."""
+        with pytest.raises(IngestError) as excinfo:
+            loader(csv_stream(json.dumps(rows) if fmt == "json" else rows), fmt=fmt)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "key, first, then, message",
+        [
+            ("year", 1, True, "year must be an integer, got True"),
+            ("count", 1, True, "count must be an integer, got True"),
+            ("year", 2010, 2010.5, "year must be an integer, got 2010.5"),
+            ("year", 0, False, "year must be an integer, got False"),
+        ],
+    )
+    def test_bool_or_fraction_after_its_equal_int(self, key, first, then, message):
+        rows = [{**self.EVENT, key: first}, {**self.EVENT, key: then}]
+        assert self.error_of(load_events, rows) == f"events: row 2: {message}"
+
+    @pytest.mark.parametrize("then, shown", [(True, "True"), (2010.5, "2010.5"), (1.5, "1.5")])
+    def test_impact_year_after_its_equal_int(self, then, shown):
+        rows = [{**self.IMPACT, "year": 1}, {**self.IMPACT, "year": 2010}, {**self.IMPACT, "year": then}]
+        assert self.error_of(load_impact_table, rows) == f"impact table: row 3: year must be an integer, got {shown}"
+
+    def test_bool_year_exits_3(self, tmp_path):
+        from click.testing import CliRunner
+
+        from pirmetrics.cli import main
+
+        events = tmp_path / "boolyear.json"
+        events.write_text(json.dumps([{**self.EVENT, "year": 1}, {**self.EVENT, "year": True}]))
+        out = tmp_path / "o"
+        args = ["compute", "--events", str(events), "--impacts", str(fixture_path("impact_table.csv")), "--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3
+        assert "events: row 2: year must be an integer, got True" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "loader, key, value, message",
+        [
+            (load_events, "journal", ["J1"], "journal must be a string, got ['J1']"),
+            (load_events, "journal", {"n": "J1"}, "journal must be a string, got {'n': 'J1'}"),
+            (load_events, "year", [2010], "year must be an integer, got [2010]"),
+            (load_events, "year", {"y": 2010}, "year must be an integer, got {'y': 2010}"),
+            (load_events, "count", [1], "count must be an integer, got [1]"),
+            (load_events, "count", {"n": 1}, "count must be an integer, got {'n': 1}"),
+            (load_impact_table, "journal", ["J1"], "journal must be a string, got ['J1']"),
+            (load_impact_table, "year", [2010], "year must be an integer, got [2010]"),
+            (load_impact_table, "year", {"y": 2010}, "year must be an integer, got {'y': 2010}"),
+        ],
+    )
+    def test_list_or_object_is_a_field_error(self, loader, key, value, message):
+        base = self.EVENT if loader is load_events else self.IMPACT
+        rows = [base, {**base, "journal": "J2", key: value}]
+        label = "events" if loader is load_events else "impact table"
+        assert self.error_of(loader, rows) == f"{label}: row 2: {message}"
+
+    @pytest.mark.parametrize(
+        "loader, fields, message",
+        [
+            (load_events, {"year": "x", "count": "y"}, "year must be an integer, got 'x'"),
+            (load_events, {"year": True, "count": [1]}, "year must be an integer, got True"),
+            (load_events, {"count": "y", "journal": ["J1"]}, "count must be an integer, got 'y'"),
+            (load_events, {"count": True, "journal": None}, "count must be an integer, got True"),
+            (load_impact_table, {"journal": 5, "year": True}, "journal must be a string, got 5"),
+            (load_impact_table, {"journal": " ", "year": "x"}, "empty journal id"),
+            (load_impact_table, {"year": "x", "value": "y"}, "year must be an integer, got 'x'"),
+        ],
+    )
+    def test_two_bad_fields_report_the_first(self, loader, fields, message):
+        base = self.EVENT if loader is load_events else self.IMPACT
+        label = "events" if loader is load_events else "impact table"
+        rows = [base, {**base, "journal": "J2"}, {**base, **fields}]
+        assert self.error_of(loader, rows) == f"{label}: row 3: {message}"
+
+    def test_csv_errors_read_as_before(self):
+        text = "author_id,group,kind,journal,year,count\na,G,citation,J1,2010,1\na,G,citation,J1,20x0,y\n"
+        assert self.error_of(load_events, text, "csv") == "events: line 3: year must be an integer, got '20x0'"
+        text = "author_id,group,kind,journal,year,count\na,G,citation,J1,2010,1\na,G,citation, ,2010,0\n"
+        assert self.error_of(load_events, text, "csv") == "events: line 3: journal id must be non-empty"
+        text = "journal,year,indicator,value\nJ1,2010,SJR,1\nJ1,true,SJR,x\n"
+        assert self.error_of(load_impact_table, text, "csv") == "impact table: line 3: year must be an integer, got 'true'"
+        text = "author_id,group,kind,journal,year,count\na,G,citation,J1,2010,1\na,G,citation,J1,2010.0,1\n"
+        assert self.error_of(load_events, text, "csv") == "events: line 3: year must be an integer, got '2010.0'"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_events_share_repeated_fields(self, fmt):
+        rows = [["a", "G", "citation", "Journal of X", 2010, 300], ["b", "", "reference", "Journal of X", 2010, 300]]
+        text = pio._encode_table(["author_id", "group", "kind", "journal", "year", "count"], rows, fmt)
+        (x,), (y,) = (corpus.events for corpus in load_events(csv_stream(text), fmt=fmt))
+        assert x == (EventKind.CITATION, "Journal of X", 2010, 300)
+        assert y == (EventKind.REFERENCE, "Journal of X", 2010, 300)
+        assert x.journal is y.journal and x.year is y.year and x.count is y.count
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_impact_keys_share_repeated_fields(self, fmt):
+        rows = [["Journal of X", 2010, "SJR", 1.0], ["Journal of X", 2011, "SJR", 2.0], ["J2", 2010, "SNIP", 3.0]]
+        text = pio._encode_table(["journal", "year", "indicator", "value"], rows, fmt)
+        table = load_impact_table(csv_stream(text), fmt=fmt)
+        (j1, y1), (j2, _) = table.family("SJR")
+        ((_, y3),) = table.family("SNIP")
+        assert j1 == "Journal of X" and y1 == 2010
+        assert j1 is j2 and y1 is y3
+
+    # raw field values: padded text, ints, integral floats, bools, null, a list, an object;
+    # half of the draws are valid, so that later rows meet what earlier rows stored
+    JOURNALS = st.sampled_from(["J1", " J1 ", "J2"]) | st.sampled_from(["", " ", "1", 1, True, None, ["J1"], {"n": "J1"}])
+    NUMBERS = st.sampled_from(["1", " 1 ", "2010", 1, 1.0, 2010]) | st.sampled_from(
+        [True, False, 0, 2010.5, "2010.0", "x", None, [1], {"n": 1}]
+    )
+
+    @staticmethod
+    def per_row_events(rows, where):
+        """load_events' result for rows of one author, each field parsed on its own."""
+        events = []
+        for lineno, row in rows:
+            try:
+                year = pio._parse_int(row["year"], "year")
+                count = pio._parse_int(row["count"], "count")
+                events.append(Event(EventKind.CITATION, pio._text(row["journal"], "journal"), year, count))
+            except ValueError as exc:  # a field or model error
+                return f"events: {where} {lineno}: {exc}"
+        return [AuthorCorpus("a", tuple(events), group="G")]
+
+    @staticmethod
+    def per_row_impacts(rows, where):
+        """load_impact_table's families for rows with one indicator each, each field parsed on its own."""
+        families = {}
+        for lineno, row in rows:
+            try:
+                journal = pio._text(row["journal"], "journal")
+                if not journal:
+                    raise pio._FieldError("empty journal id")
+                families[row["indicator"]] = {(journal, pio._parse_int(row["year"], "year")): 1.0}
+            except ValueError as exc:
+                return f"impact table: {where} {lineno}: {exc}"
+        return families
+
+    @settings(max_examples=500, deadline=None)
+    @given(fields=st.lists(st.tuples(JOURNALS, NUMBERS, NUMBERS), min_size=1, max_size=8), fmt=st.sampled_from(["csv", "json"]))
+    def test_memo_matches_a_per_row_parse(self, fields, fmt):
+        if fmt == "csv":  # csv carries text only
+            fields = [row for row in fields if all(type(raw) is str for raw in row)]
+            if not fields:
+                return
+        events = [{**self.EVENT, "journal": j, "year": y, "count": c} for j, y, c in fields]
+        impacts = [{**self.IMPACT, "journal": j, "year": y, "indicator": f"F{i}"} for i, (j, y, _) in enumerate(fields)]
+        for loader, rows, reference in ((load_events, events, self.per_row_events),
+                                        (load_impact_table, impacts, self.per_row_impacts)):
+            text = pio._encode_table(list(rows[0]), [list(row.values()) for row in rows], fmt)
+            expected = reference(enumerate(rows, start=2), "line") if fmt == "csv" else reference(enumerate(rows, start=1), "row")
+            try:
+                result = loader(csv_stream(text), fmt=fmt)
+            except IngestError as exc:
+                result = str(exc)
+            else:
+                if loader is load_impact_table:
+                    result = {name: dict(result.family(name)) for name in result.indicators()}
+            assert result == expected
