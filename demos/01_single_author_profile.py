@@ -68,7 +68,7 @@ print("publication coverage:", drop.coverage[EventKind.PUBLICATION])
 
 try:
     compute_profile(
-        corpus2, table, "SJR", window, missing=MissingValuePolicy.strict()
+        corpus2, table, "SJR", window, missing=MissingValuePolicy("strict")
     )
 except Exception as exc:
     print("strict policy raises:", exc)
@@ -80,6 +80,6 @@ corpus3 = AuthorCorpus(
     (Event(EventKind.REFERENCE, "Annals of Drizzle", 2011, 2),),
 )
 nearest = compute_profile(
-    corpus3, table, "SJR", window, missing=MissingValuePolicy.nearest_year(1)
+    corpus3, table, "SJR", window, missing=MissingValuePolicy("nearest", 1)
 )
 print("\nnearest-year policy fills the 2011 gap from 2010: R =", nearest.r)

@@ -32,6 +32,7 @@ from .model import (
     IndicatorProfile,
     ModelError,
     YearWindow,
+    __version__,
     derive_ratios,
 )
 from .io import (
@@ -59,7 +60,5 @@ from .stats import (
     spearman,
     variance_decomposition,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

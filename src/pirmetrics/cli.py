@@ -8,6 +8,10 @@ the config keys it does not read, so one config file serves the whole
 pipeline. Logs go to stderr, data to files named
 <dataset>.<report>.<format> under the output directory.
 
+A command returns its files rather than writing them, and the group's
+invoke writes the whole set: every file or, on any error, none, so a
+failed run leaves an earlier run's files as they were.
+
 Exit codes
     0  success
     2  usage error (bad flags, arguments or config values, --kind scatter
@@ -20,7 +24,8 @@ Exit codes
        with no group in summarize or correlate
     7  unknown author, variable or report element, a family the impact
        table lacks, or report --kind ordered on profiles with no family
-    8  per-author computation failures
+    8  per-author computation failures, or a summary statistic that
+       overflows the float range
 
 An error's exit code follows from its kind, whichever command meets it:
 the group's invoke maps each library error through EXIT_CODES.
@@ -44,9 +49,10 @@ from .engine import (
     WindowPolicy,
     compute_profiles,
 )
-from .io import IngestError, load_events, load_impact_table, load_scalars, save_text
-from .model import SJR, SNIP, YearWindow
+from .io import IngestError, load_events, load_impact_table, load_scalars, save_texts
+from .model import SJR, SNIP, YearWindow, __version__
 from .report import GroupError, ReportError
+from .stats import StatsError
 
 EXIT_USAGE = 2
 EXIT_INPUT = 3
@@ -58,21 +64,18 @@ EXIT_COMPUTE = 8
 
 DEFAULT_WINDOW = "2009:2013"
 DEFAULT_FAMILIES = (SJR, SNIP)
+# what a command returns for Pipeline.invoke to write: the output directory, the dataset
+# name and the (report name, text, extension) of each file
+Files = tuple[str, str, list[tuple[str, str, str]]]
 # the settings a config file may hold; any other key is ignored
 CONFIG_KEYS = frozenset({"events", "impacts", "scalars", "profiles", "out", "format", "window",
                          "families", "missing", "window_policy", "fail_fast", "name"})
 
 
-class CliFailure(click.ClickException):
-    """ClickException with a configurable exit code."""
-
-    def __init__(self, message: str, exit_code: int):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
-def _fail(message: str, exit_code: int) -> "CliFailure":
-    return CliFailure(message, exit_code)
+def _fail(message: str, exit_code: int) -> click.ClickException:
+    failure = click.ClickException(message)
+    failure.exit_code = exit_code
+    return failure
 
 
 def _log(message: str) -> None:
@@ -86,6 +89,7 @@ EXIT_CODES = (
     (EngineError, EXIT_COMPUTE),
     (GroupError, EXIT_FEW_GROUPS),
     (ReportError, EXIT_UNKNOWN_NAME),
+    (StatsError, EXIT_COMPUTE),
 )
 _LIBRARY_ERRORS = tuple(kind for kind, _ in EXIT_CODES)
 
@@ -93,7 +97,8 @@ _LIBRARY_ERRORS = tuple(kind for kind, _ in EXIT_CODES)
 class Pipeline(click.Group):
     """The command group; its invoke is the one place a library error becomes an exit code.
 
-    It also pauses the cyclic garbage collector for the command.
+    It also writes the (output directory, dataset, files) a command
+    returns, and pauses the cyclic garbage collector for both.
     """
 
     def invoke(self, ctx: click.Context):
@@ -102,7 +107,7 @@ class Pipeline(click.Group):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return super().invoke(ctx)
+            _write_files(*super().invoke(ctx))
         except BatchError as exc:
             for author_id, err in exc.failures:
                 _log(f"error: {author_id}: {err}")
@@ -208,17 +213,22 @@ def _read(loader, path: Path):
     return loader(path, "json" if path.suffix.lower() == ".json" else "csv")
 
 
-def _write_output(out: str, dataset: str, report_name: str, text: str, ext: str) -> None:
-    path = Path(out) / f"{dataset}.{report_name}.{ext}"
+def _write_files(out: str, dataset: str, files: list[tuple[str, str, str]]) -> None:
+    """Write each (report name, text, extension) file under out, all of them or none.
+
+    A file named twice, as by a repeated --kind, is written once with its last text and logged twice.
+    """
+    paths = [Path(out) / f"{dataset}.{report_name}.{ext}" for report_name, _, ext in files]
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _fail(f"cannot create output directory {out}: {exc.strerror or exc}", EXIT_USAGE)
     try:
-        save_text(text, path)
+        save_texts({path: text for path, (_, text, _) in zip(paths, files)})
     except OSError as exc:
-        raise _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_USAGE)
-    _log(f"wrote {path}")
+        raise _fail(f"cannot write {exc.filename}: {exc.strerror or exc}", EXIT_USAGE)
+    for path in paths:
+        _log(f"wrote {path}")
 
 
 def _load_rows(profiles: Path | None, scalars: Path | None) -> list[rpt.AuthorTableRow]:
@@ -233,7 +243,7 @@ def _load_rows(profiles: Path | None, scalars: Path | None) -> list[rpt.AuthorTa
 
 
 @click.group(cls=Pipeline)
-@click.version_option(package_name="pirmetrics")
+@click.version_option(__version__, prog_name="pirmetrics")
 def main() -> None:
     """Author citation potential: dimensions, ratios and grouped statistics."""
 
@@ -259,7 +269,7 @@ def compute(
     events: Path | None, impacts: Path | None, scalars: Path | None, out: str, format: str,
     window: YearWindow, families: tuple[str, ...], missing: MissingValuePolicy,
     window_policy: WindowPolicy, fail_fast: bool, name: str | None,
-) -> None:
+) -> Files:
     """Compute per-author profiles from events and an impact table."""
     events, impacts = _require(events, "--events"), _require(impacts, "--impacts")
     corpora = _read(load_events, events)
@@ -282,24 +292,21 @@ def compute(
     header, data = rpt.author_table_export(rows)
     # profiles are read back only as csv or json, so text writes csv
     fmt = "csv" if format == "text" else format
-    _write_output(out, name or events.stem, "profiles", rpt.render_table(header, data, fmt), fmt)
+    return out, name or events.stem, [("profiles", rpt.render_table(header, data, fmt), fmt)]
 
 
 @main.command()
 @table_options
-def summarize(profiles: Path | None, scalars: Path | None, out: str, format: str, name: str | None) -> None:
+def summarize(profiles: Path | None, scalars: Path | None, out: str, format: str, name: str | None) -> Files:
     """Group summaries, pooled statistics and variance decomposition."""
     rows = _load_rows(profiles, scalars)
-    dataset = name or profiles.stem
-
-    header, data = rpt.group_summary(rows)
-    _write_output(out, dataset, "groups", rpt.render_table(header, data, format), format)
-
+    tables = [("groups", rpt.group_summary(rows))]
     if len({row.group for row in rows}) < 2:
         _log("warning: single group, skipping variance decomposition")
-        return
-    for report_name, (header, data) in zip(("aggregate", "deltas"), rpt.aggregate_report(rows)):
-        _write_output(out, dataset, report_name, rpt.render_table(header, data, format), format)
+    else:
+        tables += zip(("aggregate", "deltas"), rpt.aggregate_report(rows))
+    files = [(report_name, rpt.render_table(header, data, format), format) for report_name, (header, data) in tables]
+    return out, name or profiles.stem, files
 
 
 @main.command()
@@ -315,16 +322,15 @@ def summarize(profiles: Path | None, scalars: Path | None, out: str, format: str
 def correlate(
     profiles: Path | None, scalars: Path | None, out: str, format: str, name: str | None,
     method: str, variables: tuple[str, ...],
-) -> None:
+) -> Files:
     """Per-group correlation matrices with significance marks."""
     rows = _load_rows(profiles, scalars)
-    dataset = name or profiles.stem
     header, data = rpt.correlation_report(rows, method=method, variables=variables or None)
     if format == "text":
-        _write_output(out, dataset, method, rpt.render_correlation_text(data, method), "txt")
+        file = (method, rpt.render_correlation_text(data, method), "txt")
     else:
-        text = rpt.render_table(header, data, format, formatters=rpt.CORRELATION_FORMATTERS)
-        _write_output(out, dataset, method, text, format)
+        file = (method, rpt.render_table(header, data, format, formatters=rpt.CORRELATION_FORMATTERS), format)
+    return out, name or profiles.stem, [file]
 
 
 @main.command("report")
@@ -345,20 +351,21 @@ def report_cmd(
     profiles: Path | None, scalars: Path | None, out: str, format: str, name: str | None,
     kinds: tuple[str, ...], variables: tuple[str, ...], x_var: str | None, y_var: str | None,
     order_family: str | None, svg: bool,
-) -> None:
+) -> Files:
     """Figure-data exports: boxplot summaries, scatter pairs, orderings."""
     if "scatter" in kinds and not (x_var and y_var):
         raise click.UsageError("--kind scatter needs both --x and --y")
     rows = _load_rows(profiles, scalars)
-    dataset = name or profiles.stem
+    files = []
     for kind in kinds or ("boxplot",):
         header, data = rpt.figure_data(
             rows, "ordered_dimensions" if kind == "ordered" else kind,
             variables=variables or None, x=x_var, y=y_var, order_family=order_family,
         )
-        _write_output(out, dataset, kind, rpt.render_table(header, data, format), format)
+        files.append((kind, rpt.render_table(header, data, format), format))
         if svg and kind == "boxplot":
-            _write_output(out, dataset, kind, rpt.render_boxplot_svg(data), "svg")
+            files.append((kind, rpt.render_boxplot_svg(data), "svg"))
+    return out, name or profiles.stem, files
 
 
 if __name__ == "__main__":

@@ -89,25 +89,17 @@ class MissingValuePolicy:
             raise EngineError("max_distance must be non-negative")
 
     @classmethod
-    def strict(cls) -> "MissingValuePolicy":
-        return cls(cls.STRICT)
-
-    @classmethod
-    def nearest_year(cls, max_distance: int) -> "MissingValuePolicy":
-        return cls(cls.NEAREST, max_distance)
-
-    @classmethod
     def parse(cls, text: str) -> "MissingValuePolicy":
         """Parse 'strict', 'drop' or 'nearest:K'."""
         text = text.strip().lower()
         if text == cls.STRICT:
-            return cls.strict()
+            return cls(cls.STRICT)
         if text == cls.DROP:
             return cls(cls.DROP)
         mode, _, dist = text.partition(":")
         if mode == cls.NEAREST:
             try:
-                return cls.nearest_year(int(dist))
+                return cls(cls.NEAREST, int(dist))
             except ValueError:
                 raise EngineError(
                     f"bad nearest-year distance in {text!r}; expected nearest:K"
@@ -169,7 +161,7 @@ def _weighted_mean(
     merged: Mapping[tuple[JournalRef, int], int], kind: EventKind | None, table: ImpactTable,
     indicator: IndicatorName, window: YearWindow, missing: MissingValuePolicy, window_policy: WindowPolicy,
 ) -> tuple[float | None, CoverageDiagnostics]:
-    """The one loop behind weighted_mean_impact and compute_profile, over merge_counts totals.
+    """The one loop behind weighted_mean_impact and compute_profile, over one kind's merge_counts totals.
 
     Each merged (journal, year) key is looked up as it is in the family's
     value dict. The keys come in no set order: math.fsum makes the sum
@@ -230,7 +222,8 @@ def weighted_mean_impact(
     if len(kinds) > 1:
         raise EngineError(f"events must share one kind, got {sorted(k.value for k in kinds)}")
     kind = next(iter(kinds)) if kinds else None
-    return _weighted_mean(merge_counts(events), kind, table, indicator, window, missing, window_policy)
+    merged = merge_counts(events)[kind] if kinds else {}
+    return _weighted_mean(merged, kind, table, indicator, window, missing, window_policy)
 
 
 def compute_profile(

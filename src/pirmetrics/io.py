@@ -425,23 +425,34 @@ def save_scalars(scalars: Mapping[str, ScalarMetrics], destination, fmt: str = "
 # shared writers
 
 def save_text(text: str, destination) -> None:
-    """Write text to an open stream, or atomically to a path.
-
-    A path is written through a temporary file in its directory that
-    replaces it only once complete, so a failed write leaves any earlier
-    file untouched and no partial file behind.
-    """
-    if not isinstance(destination, (str, Path)):
+    """Write text to an open stream, or atomically to a path as save_texts does."""
+    if isinstance(destination, (str, Path)):
+        save_texts({Path(destination): text})
+    else:
         destination.write(text)
-        return
-    path = Path(destination)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+def save_texts(files: Mapping[Path, str]) -> None:
+    """Write each path's text, the whole set or none of it.
+
+    Every text goes first to a temporary file in its path's directory;
+    only once all are complete does each replace its path, so a failed
+    write leaves every earlier file untouched and no temporary file
+    behind. An OSError raised here names the path being written as its
+    filename.
+    """
+    staged = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+        for path, tmp in staged.items():
+            with open(tmp, "w", encoding="utf-8", newline="") as f:
+                f.write(files[path])
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            exc.filename = str(path)
         raise
 
 

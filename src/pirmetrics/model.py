@@ -14,6 +14,10 @@ from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
+# The package version, pirmetrics.__version__. It lives here, not in the package's
+# __init__, because each module imports only its sibling modules.
+__version__ = "0.1.0"
+
 # A journal identifier is an opaque string compared by exact equality.
 # Title normalisation and aliasing belong to data preparation, not here.
 JournalRef = str
@@ -153,25 +157,21 @@ class AuthorCorpus:
 
     @cached_property
     def merged(self) -> Mapping[EventKind, dict[tuple[JournalRef, int], int]]:
-        """Each kind's {(journal, year): total count}, kinds in EventKind order.
-
-        Made in one pass on first use and kept for every family; not to be changed.
-        """
-        merged: dict[EventKind, dict[tuple[JournalRef, int], int]] = {kind: {} for kind in EventKind}
-        for kind, journal, year, count in self.events:
-            totals = merged[kind]
-            key = (journal, year)
-            totals[key] = totals.get(key, 0) + count
-        return merged
+        """merge_counts of the events, made on first use and kept for every family; not to be changed."""
+        return merge_counts(self.events)
 
 
-def merge_counts(events: Iterable[Event]) -> dict[tuple[JournalRef, int], int]:
-    """Total count per (journal, year), in no meaningful order; event order does not matter."""
-    totals: dict[tuple[JournalRef, int], int] = {}
-    for _, journal, year, count in events:
+def merge_counts(events: Iterable[Event]) -> dict[EventKind, dict[tuple[JournalRef, int], int]]:
+    """Each kind's {(journal, year): total count}, kinds in EventKind order, in one pass.
+
+    The (journal, year) keys come in no meaningful order; event order does not matter.
+    """
+    merged: dict[EventKind, dict[tuple[JournalRef, int], int]] = {kind: {} for kind in EventKind}
+    for kind, journal, year, count in events:
+        totals = merged[kind]
         key = (journal, year)
         totals[key] = totals.get(key, 0) + count
-    return totals
+    return merged
 
 
 class ImpactTable:

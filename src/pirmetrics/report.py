@@ -306,6 +306,14 @@ def _required_group(row: AuthorTableRow) -> str:
     return row.group
 
 
+def _statistic(summarize, values, variable: str, group: str | None = None):
+    """summarize(values), a StatsError naming the variable, and the group where there is one."""
+    try:
+        return summarize(values)
+    except stats.StatsError as exc:
+        raise stats.StatsError(f"{variable!r}{f' in group {group!r}' if group else ''}: {exc}") from None
+
+
 SUMMARY_COLUMNS = ["n", "median", "mean", "std", "min", "max", "range"]  # stats.DescriptiveSummary's fields
 
 
@@ -328,7 +336,8 @@ def group_summary(
             values = [v for v in column if v is not None]
             if not values:
                 raise GroupError(f"group {group!r}: no defined values for {variable!r}")
-            data.append([group, variable, *stats.describe(values), len(column) - len(values)])
+            summary = _statistic(stats.describe, values, variable, group)
+            data.append([group, variable, *summary, len(column) - len(values)])
     return ["group", "variable", *SUMMARY_COLUMNS, "excluded"], data
 
 
@@ -362,9 +371,10 @@ def aggregate_report(
         values = [v for v in column if v is not None]
         if not values:
             raise GroupError(f"no defined values for {variable!r}")
-        pooled[variable] = summary = stats.describe(values)
+        pooled[variable] = summary = _statistic(stats.describe, values, variable)
         grouped = {g: vals for g in group_names if (vals := [v for v in columns[g][variable] if v is not None])}
-        terms = stats.variance_decomposition(stats.GroupedSample(grouped)) if len(grouped) >= 2 else (None,) * 4
+        terms = (_statistic(stats.variance_decomposition, stats.GroupedSample(grouped), variable)
+                 if len(grouped) >= 2 else (None,) * 4)
         aggregate.append([variable, *summary, *terms])
 
     deltas = []
@@ -446,7 +456,7 @@ def figure_data(
                 values = [v for v in columns[group][variable] if v is not None]
                 if not values:
                     continue
-                data.append([group, variable, *stats.boxplot(values)])
+                data.append([group, variable, *_statistic(stats.boxplot, values, variable, group)])
         return header, data
     if kind == "scatter":
         if not x or not y:

@@ -8,6 +8,7 @@ tuples, so each unpacks into its report columns in field order.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping, Sequence
 from typing import NamedTuple
@@ -109,6 +110,25 @@ def _check_sample(values: Sequence[float]) -> list[float]:
     return vals
 
 
+def _finite(statistic):
+    """The statistic, raising StatsError where a result would overflow the float range.
+
+    It only adds the check: every finite result keeps its bits.
+    """
+
+    @functools.wraps(statistic)
+    def checked(*args):
+        try:
+            result = statistic(*args)
+            if all(v is None or math.isfinite(v) for v in result):
+                return result
+        except OverflowError:
+            pass
+        raise StatsError(f"{statistic.__name__.replace('_', ' ')} overflows the float range")
+
+    return checked
+
+
 # The public functions check their input once, on entry, through
 # _check_sample; the private helpers below take a checked sample.
 
@@ -169,6 +189,7 @@ def quantile(values: Sequence[float], q: float) -> float:
     return _quantile(sorted(_check_sample(values)), q)
 
 
+@_finite
 def describe(values: Sequence[float]) -> DescriptiveSummary:
     """Median, mean, sample std, min, max and range of a non-empty sample."""
     vals = _check_sample(values)
@@ -186,6 +207,7 @@ def describe(values: Sequence[float]) -> DescriptiveSummary:
     )
 
 
+@_finite
 def boxplot(values: Sequence[float]) -> BoxplotSummary:
     """Quartile summary with whiskers at the sample extremes."""
     vals = _check_sample(values)
@@ -199,6 +221,7 @@ def boxplot(values: Sequence[float]) -> BoxplotSummary:
     )
 
 
+@_finite
 def variance_decomposition(sample: GroupedSample) -> VarianceDecomposition:
     """Split total sum of squares into within- and between-group parts.
 

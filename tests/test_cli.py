@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import pirmetrics
 from pirmetrics import cli
+from pirmetrics import io as pio
 from pirmetrics import report as rpt
 from pirmetrics.cli import (
     EXIT_COMPUTE,
@@ -23,6 +25,7 @@ from pirmetrics.data import fixture_path
 from pirmetrics.engine import BatchError, EngineError, MissingImpactError
 from pirmetrics.io import IngestError
 from pirmetrics.report import GroupError, ReportError
+from pirmetrics.stats import StatsError
 
 
 @pytest.fixture()
@@ -931,6 +934,7 @@ class TestExitCodeByKind:
             pytest.param(EngineError("bad cell"), EXIT_COMPUTE, id="engine"),
             pytest.param(GroupError("too few groups"), EXIT_FEW_GROUPS, id="group"),
             pytest.param(ReportError("unknown variable"), EXIT_UNKNOWN_NAME, id="report"),
+            pytest.param(StatsError("describe overflows the float range"), EXIT_COMPUTE, id="stats"),
         ],
     )
     @pytest.mark.parametrize("command", ["summarize", "correlate", "report"])
@@ -1107,3 +1111,145 @@ class TestCollectorPause:
         assert gc.isenabled() is enabled
         assert result.exit_code == code, result.output
         assert seen == ([] if code == 2 else [False])
+
+
+def test_version_runs_from_source(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"pirmetrics, version {pirmetrics.__version__}\n" == "pirmetrics, version 0.1.0\n"
+
+
+def snapshot(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestAllOrNoneWrites:
+    """A command writes all of its files or none: a failed run leaves an earlier run's files as they were."""
+
+    @pytest.fixture()
+    def earlier(self, runner, tmp_path) -> Path:
+        """An output directory holding an earlier run's report and summarize files.
+
+        Each file's bytes are then marked, so a rerun that rewrites it shows.
+        """
+        out = tmp_path / "out"
+        run(runner, "report", "--profiles", PROFILES, "--kind", "boxplot", "--kind", "ordered", "--svg",
+            "--out", str(out))
+        run(runner, "summarize", "--profiles", PROFILES, "--out", str(out))
+        for path in out.iterdir():
+            path.write_bytes(b"earlier run\n" + path.read_bytes())
+        return out
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--kind", "boxplot", "--kind", "scatter", "--x", "p_sjr", "--y", "nosuch"], "unknown variable 'nosuch'"),
+            (["--kind", "boxplot", "--kind", "ordered", "--order-family", "XYZ", "--svg"], "unknown variable 'i_xyz'"),
+        ],
+        ids=["scatter-axis", "order-family"],
+    )
+    def test_later_report_error_writes_nothing(self, runner, earlier, args, message):
+        before = snapshot(earlier)
+        result = runner.invoke(main, ["report", "--profiles", PROFILES, "--out", str(earlier), *args])
+        assert result.exit_code == EXIT_UNKNOWN_NAME, result.output
+        assert f"Error: {message}" in result.output and "wrote" not in result.output
+        assert snapshot(earlier) == before
+
+    @staticmethod
+    def fail_second_write(monkeypatch):
+        """Make the second file io opens for writing run out of space halfway through."""
+        real_open = open
+        opened = []
+
+        class FailingFile:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                opened.append(file)
+            return FailingFile(f) if "w" in mode and len(opened) == 2 else f
+
+        monkeypatch.setattr(pio, "open", failing_open, raising=False)
+
+    @pytest.mark.parametrize(
+        "args, second",
+        [
+            (["summarize"], "profiles.aggregate.csv"),
+            (["report", "--kind", "boxplot", "--kind", "ordered", "--svg"], "profiles.boxplot.svg"),
+        ],
+        ids=["summarize", "report-svg"],
+    )
+    def test_failed_second_write_keeps_the_earlier_files(self, runner, earlier, monkeypatch, args, second):
+        before = snapshot(earlier)
+        self.fail_second_write(monkeypatch)
+        result = runner.invoke(main, [*args, "--profiles", PROFILES, "--out", str(earlier)])
+        assert result.exit_code == 2, result.output
+        assert f"Error: cannot write {earlier / second}: No space left on device" in result.output
+        assert "wrote" not in result.output and "Traceback" not in result.output
+        assert snapshot(earlier) == before  # no new file, and no temporary one
+
+    def test_single_group_warning_comes_before_its_one_write(self, runner, tmp_path):
+        rows = [row for row in read_rows(Path(PROFILES)) if row["group"] == "Phy"]
+        profiles = write_table(tmp_path / "phy.csv", rows)
+        out = tmp_path / "out"
+        result = run(runner, "summarize", "--profiles", profiles, "--out", str(out))
+        assert result.stderr.splitlines() == [
+            "warning: single group, skipping variance decomposition",
+            f"wrote {out / 'phy.groups.csv'}",
+        ]
+
+
+class TestStatisticOverflow:
+    """A summary statistic that overflows the float range exits 8, naming the variable and the group."""
+
+    @staticmethod
+    def profiles(tmp_path: Path, cells: tuple[str, str]) -> str:
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "author_id,group,papers,cites,h,p_sjr\n"
+            f"a,G1,1,2,1,{cells[0]}\nb,G1,2,3,1,{cells[1]}\nc,G2,3,4,2,1\nd,G2,4,5,2,2\n",
+            encoding="utf-8",
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "cells, command, statistic",
+        [
+            (("1e200", "0"), "summarize", "describe"),  # the std squares a 5e199 deviation
+            (("1e308", "1e308"), "summarize", "describe"),  # the sum
+            (("1e308", "1e308"), "report", "boxplot"),  # the median of two values, inf before
+        ],
+        ids=["std", "sum", "median"],
+    )
+    def test_overflow_exits_8(self, runner, tmp_path, cells, command, statistic):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--profiles", self.profiles(tmp_path, cells), "--out", str(out)])
+        assert result.exit_code == EXIT_COMPUTE, result.output
+        assert f"Error: 'p_sjr' in group 'G1': {statistic} overflows the float range" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    def test_pooled_overflow_names_the_variable(self, runner, tmp_path):
+        # each group's statistics are finite; only the pooled sum overflows
+        family = "p_sjr,i_sjr,r_sjr,pi_sjr,pr_sjr,ir_sjr,pi2r_sjr"
+        path = tmp_path / "pooled.csv"
+        path.write_text(
+            f"author_id,group,papers,cites,h,{family}\na,G1,1,2,1,1e308{',1' * 6}\nb,G2,2,3,1,1e308{',1' * 6}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["summarize", "--profiles", str(path), "--out", str(out)])
+        assert result.exit_code == EXIT_COMPUTE, result.output
+        assert "Error: 'p_sjr': describe overflows the float range" in result.output
+        assert not out.exists()

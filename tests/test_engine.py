@@ -75,7 +75,7 @@ class TestWeightedMeanImpact:
         events = [pub("J3", 2012, 1), pub("J2", 2011, 1), pub("J1", 2010, 1)]
         with pytest.raises(MissingImpactError) as excinfo:
             weighted_mean_impact(
-                events, table, "SJR", WIN, missing=MissingValuePolicy.strict()
+                events, table, "SJR", WIN, missing=MissingValuePolicy(MissingValuePolicy.STRICT)
             )
         # the smallest missing (journal, year), though J3 is met first
         assert excinfo.value.journal == "J2"
@@ -106,7 +106,7 @@ class TestWeightedMeanImpact:
             table,
             "SJR",
             WIN,
-            missing=MissingValuePolicy.nearest_year(1),
+            missing=MissingValuePolicy(MissingValuePolicy.NEAREST, 1),
         )
         assert value == 4.0  # 2012 is one year away, 2009 is two
 
@@ -117,7 +117,7 @@ class TestWeightedMeanImpact:
             table,
             "SJR",
             WIN,
-            missing=MissingValuePolicy.nearest_year(1),
+            missing=MissingValuePolicy(MissingValuePolicy.NEAREST, 1),
         )
         assert value == 1.0
 
@@ -128,7 +128,7 @@ class TestWeightedMeanImpact:
             table,
             "SJR",
             WIN,
-            missing=MissingValuePolicy.nearest_year(2),
+            missing=MissingValuePolicy(MissingValuePolicy.NEAREST, 2),
         )
         assert value is None
         assert diag.dropped_count == 1
@@ -214,7 +214,7 @@ class TestNearestYearReach:
     )
     def test_far_reach_matches_the_span_quickly(self, event, value):
         def weighted_mean(distance):
-            missing = MissingValuePolicy.nearest_year(distance)
+            missing = MissingValuePolicy(MissingValuePolicy.NEAREST, distance)
             return weighted_mean_impact([event], self.TABLE, "SJR", WIN, missing, WindowPolicy.OPEN_REFERENCES)
 
         near = weighted_mean(self.SPAN)
@@ -227,7 +227,7 @@ class TestNearestYearReach:
     def test_far_reach_in_an_unknown_family_drops_quickly(self):
         with deadline(5.0):
             value, diag = weighted_mean_impact(
-                [pub("J1", 2010, 1)], self.TABLE, "SNIP", WIN, MissingValuePolicy.nearest_year(10**9)
+                [pub("J1", 2010, 1)], self.TABLE, "SNIP", WIN, MissingValuePolicy(MissingValuePolicy.NEAREST, 10**9)
             )
         assert value is None and diag.dropped_count == 1
 
@@ -244,14 +244,15 @@ class TestComputeProfile:
             "x", tuple(Event(EventKind.CITATION, j, y, 1) for j, y in (("C", 2011), ("B", 2010), ("A", 2005)))
         )
         with pytest.raises(MissingImpactError) as excinfo:
-            compute_profile(corpus, table_of(("C", 2011, 1.0)), "SJR", WIN, MissingValuePolicy.strict(), window_policy)
+            strict = MissingValuePolicy(MissingValuePolicy.STRICT)
+            compute_profile(corpus, table_of(("C", 2011, 1.0)), "SJR", WIN, strict, window_policy)
         assert (excinfo.value.journal, excinfo.value.year) == named
         assert str(excinfo.value) == f"no SJR impact value for journal {named[0]!r} in year {named[1]}"
 
     def test_strict_names_the_publication_gap_first(self):
         corpus = AuthorCorpus("x", (Event(EventKind.CITATION, "A", 2010, 1), pub("Z", 2011, 1)))
         with pytest.raises(MissingImpactError) as excinfo:
-            compute_profile(corpus, table_of(), "SJR", WIN, MissingValuePolicy.strict())
+            compute_profile(corpus, table_of(), "SJR", WIN, MissingValuePolicy(MissingValuePolicy.STRICT))
         assert (excinfo.value.journal, excinfo.value.year) == ("Z", 2011)
 
     def test_ratio_from_p_and_i(self):
@@ -362,7 +363,7 @@ class TestComputeProfiles:
         ]
         with pytest.raises(BatchError) as excinfo:
             compute_profiles(
-                corpora, table, "SJR", WIN, missing=MissingValuePolicy.strict()
+                corpora, table, "SJR", WIN, missing=MissingValuePolicy(MissingValuePolicy.STRICT)
             )
         err = excinfo.value
         assert [a for a, _ in err.failures] == ["bad", "worse"]
@@ -381,7 +382,7 @@ class TestComputeProfiles:
                 table,
                 "SJR",
                 WIN,
-                missing=MissingValuePolicy.strict(),
+                missing=MissingValuePolicy(MissingValuePolicy.STRICT),
                 fail_fast=True,
             )
         assert not isinstance(excinfo.value, BatchError)

@@ -345,6 +345,44 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == [path]
 
 
+class TestSaveTexts:
+    def test_writes_every_path_and_no_temporary_file(self, tmp_path):
+        files = {tmp_path / "a.csv": "a\n", tmp_path / "b.svg": "<svg/>\n"}
+        (tmp_path / "a.csv").write_text("old a\n")
+        pio.save_texts(files)
+        assert {path: path.read_text() for path in tmp_path.iterdir()} == files
+
+    def test_failed_write_leaves_every_path_untouched(self, tmp_path, monkeypatch):
+        (tmp_path / "a.csv").write_bytes(b"old a\n")
+        (tmp_path / "c.csv").write_bytes(b"old c\n")
+        files = {tmp_path / name: f"new {name}\n" for name in ("a.csv", "b.csv", "c.csv")}
+        real_open = open
+
+        def open_failing_on_c(file, *args, **kwargs):
+            if "c.csv" in str(file):
+                raise OSError(28, "No space left on device")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(pio, "open", open_failing_on_c, raising=False)
+        with pytest.raises(OSError) as excinfo:
+            pio.save_texts(files)
+        # the error names the path being written, not its temporary file
+        assert (excinfo.value.filename, excinfo.value.strerror) == (str(tmp_path / "c.csv"), "No space left on device")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a.csv": b"old a\n", "c.csv": b"old c\n"}
+
+    def test_failed_replace_removes_every_temporary_file(self, tmp_path, monkeypatch):
+        files = {tmp_path / "a.csv": "a\n", tmp_path / "b.csv": "b\n"}
+
+        def failing_replace(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(pio.os, "replace", failing_replace)
+        with pytest.raises(PermissionError) as excinfo:
+            pio.save_texts(files)
+        assert excinfo.value.filename == str(tmp_path / "a.csv")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestJsonFieldTypes:
     ROWS = {
         load_events: {"author_id": "a", "group": "Phy", "kind": "citation", "journal": "J1", "year": 2010, "count": 1},

@@ -156,6 +156,34 @@ class TestSingleCheck:
             call(values)
 
 
+def decomposed(groups):
+    return variance_decomposition(GroupedSample(groups))
+
+
+class TestOverflow:
+    """A statistic whose computation overflows the float range raises StatsError, never OverflowError or inf."""
+
+    @pytest.mark.parametrize(
+        "call, arg, name",
+        [
+            pytest.param(describe, [1e200, 0.0], "describe", id="describe-std"),  # squares a 5e199 deviation
+            pytest.param(describe, [1e308, 1e308], "describe", id="describe-sum"),
+            pytest.param(describe, [-1e308, 1e308], "describe", id="describe-range"),
+            pytest.param(boxplot, [1e308, 1e308], "boxplot", id="boxplot-median"),
+            pytest.param(decomposed, {"a": [1e200, 0.0], "b": [1.0]}, "variance decomposition", id="decomp-squares"),
+            pytest.param(decomposed, {"a": [1e308], "b": [1e308]}, "variance decomposition", id="decomp-sum"),
+        ],
+    )
+    def test_overflow_raises_stats_error(self, call, arg, name):
+        with pytest.raises(StatsError, match=f"^{name} overflows the float range$"):
+            call(arg)
+
+    def test_finite_results_near_the_limit_are_kept(self):
+        assert describe([1e308]).mean == 1e308
+        assert describe([1e154, 0.0]).sample_std == pytest.approx(1e154 / math.sqrt(2))
+        assert variance_decomposition(GroupedSample({"a": [1e150], "b": [0.0]})).total_ss == pytest.approx(5e299)
+
+
 class TestVarianceDecomposition:
     def test_identical_means_zero_between(self):
         d = variance_decomposition(
