@@ -24,8 +24,8 @@ Exit codes
        with no group in summarize or correlate
     7  unknown author, variable or report element, a family the impact
        table lacks, or report --kind ordered on profiles with no family
-    8  per-author computation failures, or a summary statistic that
-       overflows the float range
+    8  per-author computation failures, or a summary statistic or a
+       summarize delta that overflows the float range
 
 An error's exit code follows from its kind, whichever command meets it:
 the group's invoke maps each library error through EXIT_CODES.
@@ -242,8 +242,16 @@ def _load_rows(profiles: Path | None, scalars: Path | None) -> list[rpt.AuthorTa
     ]
 
 
+def _print_version(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(f"pirmetrics, version {__version__}", color=ctx.color)
+        ctx.exit()
+
+
 @click.group(cls=Pipeline)
-@click.version_option(__version__, prog_name="pirmetrics")
+# a plain flag: click.version_option looks its texts up through gettext, which imports locale
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True, callback=_print_version,
+              help="Show the version and exit.")
 def main() -> None:
     """Author citation potential: dimensions, ratios and grouped statistics."""
 

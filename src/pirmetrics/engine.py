@@ -17,13 +17,13 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 
 from .model import (
     AuthorCorpus,
     CoverageDiagnostics,
     Event,
     EventKind,
+    FrozenValue,
     ImpactTable,
     IndicatorName,
     IndicatorProfile,
@@ -64,8 +64,7 @@ class BatchError(EngineError):
         super().__init__(f"{len(failures)} author(s) failed: {detail}")
 
 
-@dataclass(frozen=True)
-class MissingValuePolicy:
+class MissingValuePolicy(FrozenValue):
     """What to do when an event's (journal, year) has no impact value.
 
     strict   -> raise MissingImpactError naming the stream's smallest
@@ -75,18 +74,19 @@ class MissingValuePolicy:
                 (ties resolved toward the earlier year), else drop
     """
 
-    mode: str
-    max_distance: int = 0
+    __slots__ = _fields = ("mode", "max_distance")
 
     STRICT = "strict"
     DROP = "drop"
     NEAREST = "nearest"
 
-    def __post_init__(self):
-        if self.mode not in (self.STRICT, self.DROP, self.NEAREST):
-            raise EngineError(f"unknown missing-value mode {self.mode!r}")
-        if self.max_distance < 0:
+    def __init__(self, mode: str, max_distance: int = 0):
+        if mode not in (self.STRICT, self.DROP, self.NEAREST):
+            raise EngineError(f"unknown missing-value mode {mode!r}")
+        if max_distance < 0:
             raise EngineError("max_distance must be non-negative")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "max_distance", max_distance)
 
     @classmethod
     def parse(cls, text: str) -> "MissingValuePolicy":

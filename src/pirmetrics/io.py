@@ -21,12 +21,11 @@ import math
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import MAX_COUNT, AuthorCorpus, Event, EventKind, ImpactTable, ModelError
+from .model import MAX_COUNT, AuthorCorpus, Event, EventKind, FrozenValue, ImpactTable, ModelError
 
 
 class IngestError(ValueError):
@@ -368,8 +367,7 @@ def save_events(corpora: Iterable[AuthorCorpus], destination, fmt: str = "csv") 
 # ---------------------------------------------------------------------------
 # scalar metrics
 
-@dataclass(frozen=True)
-class ScalarMetrics:
+class ScalarMetrics(FrozenValue):
     """Supplied whole-career counters for one author.
 
     h can never exceed the paper count, and cannot exceed the citation
@@ -377,22 +375,19 @@ class ScalarMetrics:
     cites is assumed.
     """
 
-    author_id: str
-    papers: int
-    cites: int
-    h: int
+    __slots__ = _fields = ("author_id", "papers", "cites", "h")
 
-    def __post_init__(self):
-        if min(self.papers, self.cites, self.h) < 0:
-            raise _FieldError(f"{self.author_id!r}: negative scalar metric")
-        if self.h > self.papers:
-            raise _FieldError(
-                f"{self.author_id!r}: h ({self.h}) exceeds paper count ({self.papers})"
-            )
-        if self.papers > 0 and self.h > self.cites:
-            raise _FieldError(
-                f"{self.author_id!r}: h ({self.h}) exceeds citation count ({self.cites})"
-            )
+    def __init__(self, author_id: str, papers: int, cites: int, h: int):
+        if min(papers, cites, h) < 0:
+            raise _FieldError(f"{author_id!r}: negative scalar metric")
+        if h > papers:
+            raise _FieldError(f"{author_id!r}: h ({h}) exceeds paper count ({papers})")
+        if papers > 0 and h > cites:
+            raise _FieldError(f"{author_id!r}: h ({h}) exceeds citation count ({cites})")
+        object.__setattr__(self, "author_id", author_id)
+        object.__setattr__(self, "papers", papers)
+        object.__setattr__(self, "cites", cites)
+        object.__setattr__(self, "h", h)
 
 
 def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:

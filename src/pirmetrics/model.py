@@ -2,6 +2,14 @@
 
 Everything here is an immutable value type with no I/O and no statistics.
 Instances are safe to share across threads.
+
+The value types that check their fields when built (YearWindow,
+AuthorCorpus, CoverageDiagnostics, IndicatorProfile, and
+engine.MissingValuePolicy and io.ScalarMetrics) share one frozen base,
+FrozenValue, and write their __init__ out by hand. They are not
+dataclasses: every command is a new process, and importing dataclasses
+and building each class through it, which compiles its methods with
+exec, made up several milliseconds of every start.
 """
 
 from __future__ import annotations
@@ -9,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -38,21 +45,61 @@ class ModelError(ValueError):
     """Invalid construction of a domain value."""
 
 
-@dataclass(frozen=True)
-class YearWindow:
+# bound once: the hot value types' __init__s set every field through it
+_set = object.__setattr__
+
+
+class FrozenValue:
+    """Base of an immutable value with named fields, compared and hashed by their values.
+
+    A subclass lists its fields in _fields and sets each in its own
+    __init__ through object.__setattr__; assigning or deleting an
+    attribute afterwards raises AttributeError. A value equals only a
+    value of the same class with equal fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild a value through __init__, since no field can be set afterwards
+        return self.__class__, self._values()
+
+
+class YearWindow(FrozenValue):
     """Inclusive range of calendar years under evaluation.
 
     The canonical target window is five years long, e.g. 2009..2013.
     """
 
-    start_year: int
-    end_year: int
+    __slots__ = _fields = ("start_year", "end_year")
 
-    def __post_init__(self):
-        if self.start_year > self.end_year:
-            raise ModelError(
-                f"window start {self.start_year} is after end {self.end_year}"
-            )
+    def __init__(self, start_year: int, end_year: int):
+        if start_year > end_year:
+            raise ModelError(f"window start {start_year} is after end {end_year}")
+        _set(self, "start_year", start_year)
+        _set(self, "end_year", end_year)
 
     def __contains__(self, year: int) -> bool:
         """True iff start_year <= year <= end_year."""
@@ -129,24 +176,24 @@ class Event(_EventFields):
         return tuple.__new__(cls, (kind, journal, year, count))
 
 
-@dataclass(frozen=True)
-class AuthorCorpus:
+class AuthorCorpus(FrozenValue):
     """All recorded events for one author, optionally tagged with a group.
 
     Multiple events with the same (kind, journal, year) are allowed and
     are summed on use, so event order never matters.
     """
 
-    author_id: str
-    events: tuple[Event, ...]
-    group: str | None = None
+    # no __slots__: the cached merged property keeps its value in the instance __dict__
+    _fields = ("author_id", "events", "group")
 
-    def __post_init__(self):
-        if not self.author_id:
+    def __init__(self, author_id: str, events: Iterable[Event], group: str | None = None):
+        if not author_id:
             raise ModelError("author_id must be non-empty")
-        if self.group is not None and not self.group:
+        if group is not None and not group:
             raise ModelError("group, when present, must be non-empty")
-        object.__setattr__(self, "events", tuple(self.events))
+        _set(self, "author_id", author_id)
+        _set(self, "events", tuple(events))
+        _set(self, "group", group)
 
     def events_of_kind(self, kind: EventKind) -> tuple[Event, ...]:
         return tuple(e for e in self.events if e.kind == kind)
@@ -252,8 +299,7 @@ class ImpactTable:
         return f"ImpactTable({len(self)} entries)"
 
 
-@dataclass(frozen=True)
-class CoverageDiagnostics:
+class CoverageDiagnostics(FrozenValue):
     """How much of one event stream was usable in a weighted mean.
 
     total_count counts events eligible under the window policy,
@@ -261,18 +307,19 @@ class CoverageDiagnostics:
     skipped under the missing-value policy. matched + dropped == total.
     """
 
-    total_count: int = 0
-    matched_count: int = 0
-    dropped_count: int = 0
+    __slots__ = _fields = ("total_count", "matched_count", "dropped_count")
 
-    def __post_init__(self):
-        if min(self.total_count, self.matched_count, self.dropped_count) < 0:
+    def __init__(self, total_count: int = 0, matched_count: int = 0, dropped_count: int = 0):
+        if min(total_count, matched_count, dropped_count) < 0:
             raise ModelError("coverage counts must be non-negative")
-        if self.matched_count + self.dropped_count != self.total_count:
+        if matched_count + dropped_count != total_count:
             raise ModelError(
-                f"coverage counts inconsistent: {self.matched_count} matched "
-                f"+ {self.dropped_count} dropped != {self.total_count} total"
+                f"coverage counts inconsistent: {matched_count} matched "
+                f"+ {dropped_count} dropped != {total_count} total"
             )
+        _set(self, "total_count", total_count)
+        _set(self, "matched_count", matched_count)
+        _set(self, "dropped_count", dropped_count)
 
 
 def derive_ratios(
@@ -295,29 +342,35 @@ def derive_ratios(
     return p_over_i, p_over_r, i_over_r, pi_over_2r
 
 
-@dataclass(frozen=True)
-class IndicatorProfile:
+class IndicatorProfile(FrozenValue):
     """Per-author dimensions and ratios for one indicator family.
 
     p, i and r are weighted mean impacts of the publication, citation and
     reference streams; None marks a dimension with no matched events.
+    coverage holds a copy of the mapping given, so a profile is not
+    hashable.
     """
 
-    author_id: str
-    indicator: IndicatorName
-    window: YearWindow
-    p: float | None
-    i: float | None
-    r: float | None
-    p_over_i: float | None
-    p_over_r: float | None
-    i_over_r: float | None
-    pi_over_2r: float | None
-    coverage: Mapping[EventKind, CoverageDiagnostics] = field(default_factory=dict)
+    __slots__ = _fields = ("author_id", "indicator", "window", "p", "i", "r",
+                           "p_over_i", "p_over_r", "i_over_r", "pi_over_2r", "coverage")
 
-    def __post_init__(self):
-        for name in ("p", "i", "r"):
-            v = getattr(self, name)
+    def __init__(
+        self, author_id: str, indicator: IndicatorName, window: YearWindow,
+        p: float | None, i: float | None, r: float | None,
+        p_over_i: float | None, p_over_r: float | None, i_over_r: float | None, pi_over_2r: float | None,
+        coverage: Mapping[EventKind, CoverageDiagnostics] = {},  # copied, so never changed
+    ):
+        for name, v in (("p", p), ("i", i), ("r", r)):
             if v is not None and v < 0:
                 raise ModelError(f"dimension {name} must be non-negative, got {v}")
-        object.__setattr__(self, "coverage", dict(self.coverage))
+        _set(self, "author_id", author_id)
+        _set(self, "indicator", indicator)
+        _set(self, "window", window)
+        _set(self, "p", p)
+        _set(self, "i", i)
+        _set(self, "r", r)
+        _set(self, "p_over_i", p_over_i)
+        _set(self, "p_over_r", p_over_r)
+        _set(self, "i_over_r", i_over_r)
+        _set(self, "pi_over_2r", pi_over_2r)
+        _set(self, "coverage", dict(coverage))

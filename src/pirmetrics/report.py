@@ -355,7 +355,8 @@ def aggregate_report(
     deltas: for every ratio variable present in two or more families,
     the relative median/mean offsets between family pairs (first family
     listed against each later one), as percentages of the second
-    family's value, (a - b) / b.
+    family's value, (a - b) / b. A delta that overflows the float range
+    raises StatsError naming its ratio and families.
     """
     if not rows:
         raise ReportError("no rows")
@@ -383,11 +384,11 @@ def aggregate_report(
             a = pooled.get(f"{ratio}_{fam_a.lower()}")
             b = pooled.get(f"{ratio}_{fam_b.lower()}")
             if a and b and b.median != 0 and b.mean != 0:
-                deltas.append([
-                    ratio, fam_a, fam_b,
-                    100.0 * ((a.median - b.median) / b.median),
-                    100.0 * ((a.mean - b.mean) / b.mean),
-                ])
+                median_delta = 100.0 * ((a.median - b.median) / b.median)
+                mean_delta = 100.0 * ((a.mean - b.mean) / b.mean)
+                if not (math.isfinite(median_delta) and math.isfinite(mean_delta)):
+                    raise stats.StatsError(f"{ratio!r} delta of {fam_a} against {fam_b} overflows the float range")
+                deltas.append([ratio, fam_a, fam_b, median_delta, mean_delta])
     return (
         (["variable", *SUMMARY_COLUMNS, "within_ss", "between_ss", "total_ss", "pct_reduction"], aggregate),
         (["variable", "family_a", "family_b", "median_delta_pct", "mean_delta_pct"], deltas),

@@ -3,6 +3,8 @@ import gc
 import hashlib
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -1119,6 +1121,17 @@ def test_version_runs_from_source(runner):
     assert result.output == f"pirmetrics, version {pirmetrics.__version__}\n" == "pirmetrics, version 0.1.0\n"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_locale():
+    # only what pirmetrics.cli adds after click counts, so a click that imports either itself passes
+    code = (
+        "import sys, click; before = set(sys.modules); import pirmetrics.cli; "
+        "print(sorted({'dataclasses', 'locale'} & (set(sys.modules) - before)))"
+    )
+    src = Path(pirmetrics.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def snapshot(directory: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
@@ -1252,4 +1265,20 @@ class TestStatisticOverflow:
         result = runner.invoke(main, ["summarize", "--profiles", str(path), "--out", str(out)])
         assert result.exit_code == EXIT_COMPUTE, result.output
         assert "Error: 'p_sjr': describe overflows the float range" in result.output
+        assert not out.exists()
+
+    def test_delta_overflow_exits_8(self, runner, tmp_path):
+        # every statistic is finite; the pi delta of SJR against SNIP is 1e312 percent
+        family = ",".join(f"{cell}_{fam}" for fam in ("sjr", "snip") for cell in ("p", "i", "r", "pi", "pr", "ir", "pi2r"))
+        cells = "1,1,1,1e300,1,1,1,1,1,1,1e-10,1,1,1"
+        path = tmp_path / "infdelta.csv"
+        path.write_text(
+            f"author_id,group,papers,cites,h,{family}\n"
+            + "".join(f"{author},{group},1,1,1,{cells}\n" for author, group in zip("abcd", ("G1", "G1", "G2", "G2"))),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["summarize", "--profiles", str(path), "--out", str(out)])
+        assert result.exit_code == EXIT_COMPUTE, result.output
+        assert "Error: 'pi' delta of SJR against SNIP overflows the float range" in result.output
         assert not out.exists()
