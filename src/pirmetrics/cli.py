@@ -131,7 +131,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) 
         config = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise _fail(f"config file {path} cannot be read: {exc.strerror or exc}", EXIT_INPUT)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the recursion limit
         raise _fail(f"config file {path} is not valid json: {exc}", EXIT_INPUT)
     if not isinstance(config, dict):
         raise _fail(f"config file {path} must hold a json object", EXIT_INPUT)

@@ -8,16 +8,9 @@ the journal impact values for one of those authors, enough to drive the
 full pipeline end to end.
 """
 
-from importlib import resources
 from pathlib import Path
-
-PROFILES = "profiles.csv"
-SCALARS = "scalars.csv"
-AUTHOR_EVENTS = "author_events.csv"
-IMPACT_TABLE = "impact_table.csv"
 
 
 def fixture_path(name: str) -> Path:
-    """Filesystem path of one bundled fixture file."""
-    path = resources.files(__name__) / name
-    return Path(str(path))
+    """Filesystem path of one bundled fixture file; fixture_path('') is their directory."""
+    return Path(__file__).parent / name

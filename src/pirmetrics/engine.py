@@ -19,6 +19,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 
 from .model import (
+    FAMILY_FIELDS,
     AuthorCorpus,
     CoverageDiagnostics,
     Event,
@@ -31,6 +32,7 @@ from .model import (
     YearWindow,
     derive_ratios,
     merge_counts,
+    variable_name,
 )
 
 
@@ -252,9 +254,9 @@ def compute_profile(
     r = dims[EventKind.REFERENCE]
     p_over_i, p_over_r, i_over_r, pi_over_2r = derive_ratios(p, i, r)
     cells = (p, i, r, p_over_i, p_over_r, i_over_r, pi_over_2r)
-    for name, value in zip(("p", "i", "r", "pi", "pr", "ir", "pi2r"), cells):
+    for name, value in zip(FAMILY_FIELDS, cells):
         if value is not None and not math.isfinite(value):
-            raise EngineError(f"{indicator} cell {name}_{indicator.lower()} is not finite ({value})")
+            raise EngineError(f"{indicator} cell {variable_name(name, indicator)} is not finite ({value})")
     return IndicatorProfile(
         author_id=corpus.author_id,
         indicator=indicator,

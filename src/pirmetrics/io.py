@@ -140,7 +140,8 @@ def _rows(source, fmt: str, required: list[str], label: str, pick=None):
         else:
             try:
                 payload = json.load(stream, object_pairs_hook=_json_object)
-            except ValueError as exc:  # a JSONDecodeError, or an integer beyond int's digit limit
+            # a JSONDecodeError, an integer beyond int's digit limit, or nesting deeper than the recursion limit
+            except (ValueError, RecursionError) as exc:
                 raise IngestError(f"{label}: invalid json: {exc}") from exc
             if not isinstance(payload, list):
                 raise IngestError(f"{label}: expected a json array of row objects")

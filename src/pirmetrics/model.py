@@ -101,19 +101,11 @@ class YearWindow(FrozenValue):
         _set(self, "start_year", start_year)
         _set(self, "end_year", end_year)
 
-    def __contains__(self, year: int) -> bool:
-        """True iff start_year <= year <= end_year."""
-        return self.start_year <= year <= self.end_year
-
-    def __str__(self) -> str:
-        return f"{self.start_year}:{self.end_year}"
-
     @classmethod
     def parse(cls, text: str) -> "YearWindow":
-        """Parse 'START:END' (also accepts 'START-END')."""
-        sep = ":" if ":" in text else "-"
+        """Parse 'START:END'."""
         try:
-            start, end = text.split(sep)
+            start, end = text.split(":")
             return cls(int(start), int(end))
         except (ValueError, TypeError) as exc:
             if isinstance(exc, ModelError):
@@ -374,3 +366,31 @@ class IndicatorProfile(FrozenValue):
         _set(self, "i_over_r", i_over_r)
         _set(self, "pi_over_2r", pi_over_2r)
         _set(self, "coverage", dict(coverage))
+
+
+class DimensionCells(NamedTuple):
+    """The seven cells of one author and indicator family: P, I, R, then P/I, P/R, I/R and (P+I)/2R.
+
+    Their field names are the cell names of every report and profiles file.
+    """
+
+    p: float | None
+    i: float | None
+    r: float | None
+    pi: float | None
+    pr: float | None
+    ir: float | None
+    pi2r: float | None
+
+    @classmethod
+    def from_profile(cls, profile: IndicatorProfile) -> "DimensionCells":
+        return cls(profile.p, profile.i, profile.r,
+                   profile.p_over_i, profile.p_over_r, profile.i_over_r, profile.pi_over_2r)
+
+
+FAMILY_FIELDS = DimensionCells._fields  # the dimensions first, then the ratios
+
+
+def variable_name(field: str, family: IndicatorName) -> str:
+    """The report variable of one family cell, e.g. 'pi_sjr': the field, '_', the family lowercased."""
+    return f"{field}_{family.lower()}"

@@ -6,8 +6,8 @@ Variable naming used throughout reports and the command line:
     p_<fam>, i_<fam>, r_<fam>              dimensions for one family
     pi_<fam>, pr_<fam>, ir_<fam>, pi2r_<fam>   the four ratios
 
-Family suffixes are the family name lowercased, so the canonical
-profiles.csv header is
+A family cell's name is model.variable_name(field, family): the field,
+then the family name lowercased, so the canonical profiles.csv header is
 
     author_id,group,papers,cites,h,
     p_sjr,i_sjr,r_sjr,pi_sjr,pr_sjr,ir_sjr,pi2r_sjr,
@@ -22,7 +22,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import combinations, groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -31,13 +31,12 @@ from . import stats
 from .io import (
     ScalarMetrics, _encode_table, _FieldError, _located, _parse_count, _parse_float, _rows, _text, save_text,
 )
-from .model import SJR, SNIP, IndicatorName, IndicatorProfile
+from .model import FAMILY_FIELDS, SJR, SNIP, DimensionCells, IndicatorName, IndicatorProfile, variable_name
 
 NA = "NA"
 
 Table = tuple[list[str], list[list]]  # a report: its header, and one list of raw cells per row
 
-FAMILY_FIELDS = ("p", "i", "r", "pi", "pr", "ir", "pi2r")
 _NO_CELLS = (None,) * len(FAMILY_FIELDS)  # the cells of a family a row lacks
 SCALAR_FIELDS = ("papers", "cites", "h")
 
@@ -48,30 +47,6 @@ class ReportError(ValueError):
 
 class GroupError(ReportError):
     """Rows whose groups cannot carry the requested grouped statistics."""
-
-
-class DimensionCells(NamedTuple):
-    """The seven per-family cells of an author row, in FAMILY_FIELDS order."""
-
-    p: float | None
-    i: float | None
-    r: float | None
-    pi: float | None
-    pr: float | None
-    ir: float | None
-    pi2r: float | None
-
-    @classmethod
-    def from_profile(cls, profile: IndicatorProfile) -> "DimensionCells":
-        return cls(
-            p=profile.p,
-            i=profile.i,
-            r=profile.r,
-            pi=profile.p_over_i,
-            pr=profile.p_over_r,
-            ir=profile.i_over_r,
-            pi2r=profile.pi_over_2r,
-        )
 
 
 class AuthorTableRow(NamedTuple):
@@ -85,26 +60,13 @@ class AuthorTableRow(NamedTuple):
     families: Mapping[IndicatorName, DimensionCells]
 
     def value(self, variable: str) -> float | None:
-        """Look a report variable up by name (e.g. 'h' or 'pi_sjr')."""
-        if variable in SCALAR_FIELDS:
-            v = getattr(self, variable)
-            return None if v is None else float(v)
-        fieldname, _, suffix = variable.partition("_")
-        if fieldname in FAMILY_FIELDS and suffix:
-            for family, cells in self.families.items():
-                if family.lower() == suffix:
-                    return getattr(cells, fieldname)
-        raise ReportError(
-            f"unknown variable {variable!r}; available: {', '.join(_variable_names(self))}"
-        )
+        """Look a report variable up by name (e.g. 'h' or 'pi_sjr'), as _column does."""
+        return _column((self,), variable)[0]
 
 
-def _variable_names(row: AuthorTableRow) -> list[str]:
-    """All variable names defined by a row, scalar counters first."""
-    names = list(SCALAR_FIELDS)
-    for family in row.families:
-        names.extend(f"{f}_{family.lower()}" for f in FAMILY_FIELDS)
-    return names
+def _variable_names(families: Iterable[IndicatorName]) -> list[str]:
+    """Every variable of a row with these families, scalar counters first."""
+    return [*SCALAR_FIELDS, *(variable_name(f, family) for family in families for f in FAMILY_FIELDS)]
 
 
 def author_table(
@@ -179,23 +141,26 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
     """
     rows = []
     seen: set[str] = set()
-    # (parse, position, name) of every scalar and family cell, and where each
-    # family's seven cells start in it; both worked out once, from the header
-    layout: list[tuple[Callable, int | None, str]] = []
-    families: list[tuple[IndicatorName, int]] = []
+    # (parse, position, name) of every scalar and family cell, and the slice of
+    # it that holds each family's cells; both worked out once, from the header
+    layout: list[tuple[Callable, int | None, str | None]] = []
+    families: list[tuple[IndicatorName, slice]] = []
 
     def every_column(header: list[str]) -> list[str]:
         """author_id and group, then the whole header; layout gives the cells' positions."""
         position = {col: i for i, col in enumerate(header, start=2)}
-        suffixes: list[str] = []
+        layout.extend((_parse_count, position.get(name), name) for name in SCALAR_FIELDS)
+        # each family suffix, as the header spells it, in first-seen order -> {field: column}
+        by_suffix: dict[str, dict[str, str]] = {}
         for col in header:
             fieldname, _, suffix = col.partition("_")
-            if fieldname in FAMILY_FIELDS and suffix and suffix not in suffixes:
-                suffixes.append(suffix)
-        layout.extend((_parse_count, position.get(name), name) for name in SCALAR_FIELDS)
-        for suffix in suffixes:
-            families.append((_canonical_family(suffix), len(layout)))
-            layout.extend((_parse_float, position.get(f"{f}_{suffix}"), f"{f}_{suffix}") for f in FAMILY_FIELDS)
+            if fieldname in FAMILY_FIELDS and suffix:
+                by_suffix.setdefault(suffix, {})[fieldname] = col
+        for suffix, columns in by_suffix.items():
+            start = len(layout)
+            layout.extend((_parse_float, position.get(col), col)
+                          for col in map(columns.get, FAMILY_FIELDS))
+            families.append((_canonical_family(suffix), slice(start, len(layout))))
         return ["author_id", "group", *header]
 
     try:
@@ -215,7 +180,7 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
                     papers=cells[0],
                     cites=cells[1],
                     h=cells[2],
-                    families={family: DimensionCells(*cells[k:k + 7]) for family, k in families},
+                    families={family: DimensionCells(*cells[part]) for family, part in families},
                 )
             )
     except _FieldError as exc:
@@ -250,24 +215,28 @@ def _optional(parse, raw, what: str):
 # grouped and aggregate summaries
 
 def _column(rows: Sequence[AuthorTableRow], variable: str) -> list[float | None]:
-    """Every row's value of a variable, as AuthorTableRow.value gives it.
+    """Every row's value of a variable (e.g. 'h' or 'pi_sjr'); a scalar counter reads as a float.
 
-    The variable is matched to its scalar field, or to its family and
-    field, once, against the first row; a row without that family falls
-    back to AuthorTableRow.value.
+    The one lookup of a variable by name. A family cell's family is the
+    first one whose lowercased name is the variable's suffix: matched once,
+    against the first row, and again for a row without that family. A row
+    that has no such variable raises ReportError, listing its variables.
     """
-    first = rows[0]
     if variable in SCALAR_FIELDS:
         return [None if v is None else float(v) for v in map(attrgetter(variable), rows)]
     fieldname, _, suffix = variable.partition("_")
-    family = None
-    if fieldname in FAMILY_FIELDS and suffix:
-        family = next((f for f in first.families if f.lower() == suffix), None)
-    if family is None:
-        first.value(variable)  # raises the unknown-variable error
+
+    def family_of(row: AuthorTableRow) -> IndicatorName:
+        if fieldname in FAMILY_FIELDS and suffix:
+            for family in row.families:
+                if family.lower() == suffix:
+                    return family
+        raise ReportError(f"unknown variable {variable!r}; available: {', '.join(_variable_names(row.families))}")
+
+    family = family_of(rows[0])
     get = attrgetter(fieldname)
     return [
-        row.value(variable) if (cells := row.families.get(family)) is None else get(cells)
+        get(row.families[family_of(row)] if (cells := row.families.get(family)) is None else cells)
         for row in rows
     ]
 
@@ -285,7 +254,7 @@ def _group_columns(
     groups in first-seen order and a group's cells in row order, so the
     columns of a group line up; an undefined or non-finite cell is None.
     """
-    variables = list(dict.fromkeys(variables)) if variables else _variable_names(rows[0])
+    variables = list(dict.fromkeys(variables)) if variables else _variable_names(rows[0].families)
     members: dict[str | None, list[int]] = {}
     for index, row in enumerate(rows):
         members.setdefault(group_of(row), []).append(index)
@@ -379,10 +348,10 @@ def aggregate_report(
         aggregate.append([variable, *summary, *terms])
 
     deltas = []
-    for ratio in ("pi", "pr", "ir", "pi2r"):
+    for ratio in FAMILY_FIELDS[3:]:
         for fam_a, fam_b in combinations(rows[0].families, 2):
-            a = pooled.get(f"{ratio}_{fam_a.lower()}")
-            b = pooled.get(f"{ratio}_{fam_b.lower()}")
+            a = pooled.get(variable_name(ratio, fam_a))
+            b = pooled.get(variable_name(ratio, fam_b))
             if a and b and b.median != 0 and b.mean != 0:
                 median_delta = 100.0 * ((a.median - b.median) / b.median)
                 mean_delta = 100.0 * ((a.mean - b.mean) / b.mean)
@@ -472,13 +441,12 @@ def figure_data(
         family = order_family or next(iter(rows[0].families), None)
         if family is None:
             raise ReportError("the profiles hold no indicator family to order authors by")
-        suffix = family.lower()
-        order_var = f"i_{suffix}"
-        header = ["author_id", "group", f"p_{suffix}", order_var, f"r_{suffix}"]
+        p_var, order_var, r_var = (variable_name(f, family) for f in FAMILY_FIELDS[:3])
+        header = ["author_id", "group", p_var, order_var, r_var]
         order = _column(rows, order_var)  # first, so a lookup error names order_var
         defined = [
             (row, p, i, r)
-            for row, p, i, r in zip(rows, _column(rows, f"p_{suffix}"), order, _column(rows, f"r_{suffix}"))
+            for row, p, i, r in zip(rows, _column(rows, p_var), order, _column(rows, r_var))
             if i is not None
         ]
         defined.sort(key=lambda d: (-d[2], d[0].author_id))
@@ -546,8 +514,7 @@ def author_table_export(rows: Sequence[AuthorTableRow]) -> Table:
         for family in row.families:
             if family not in families:
                 families.append(family)
-    header = ["author_id", "group", "papers", "cites", "h"]
-    header.extend(f"{f}_{family.lower()}" for family in families for f in FAMILY_FIELDS)
+    header = ["author_id", "group", *_variable_names(families)]
     data = []
     for row in rows:
         rec: list = [row.author_id, row.group or "", row.papers, row.cites, row.h]
@@ -606,6 +573,9 @@ def render_boxplot_svg(data: list[list]) -> str:
     def sx(v: float) -> float:
         return label_w + (v - lo) / span * plot_w
 
+    def line(x1: float, y1: float, x2: float, y2: float, extra: str = "") -> str:
+        return f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" stroke="black"{extra}/>'
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{row_height * len(data) + 20}" font-family="monospace" font-size="11">'
@@ -615,22 +585,13 @@ def render_boxplot_svg(data: list[list]) -> str:
         top = cy - row_height * 0.3
         bot = cy + row_height * 0.3
         parts.append(f'<text x="4" y="{cy + 4:.1f}">{escape(f"{group} {variable}")}</text>')
-        parts.append(
-            f'<line x1="{sx(wlo):.1f}" y1="{cy:.1f}" x2="{sx(q1):.1f}" y2="{cy:.1f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<line x1="{sx(q3):.1f}" y1="{cy:.1f}" x2="{sx(whi):.1f}" y2="{cy:.1f}" stroke="black"/>'
-        )
-        for wx in (wlo, whi):
-            parts.append(
-                f'<line x1="{sx(wx):.1f}" y1="{top:.1f}" x2="{sx(wx):.1f}" y2="{bot:.1f}" stroke="black"/>'
-            )
+        parts.append(line(sx(wlo), cy, sx(q1), cy))  # the whiskers
+        parts.append(line(sx(q3), cy, sx(whi), cy))
+        parts.extend(line(sx(wx), top, sx(wx), bot) for wx in (wlo, whi))  # their caps
         parts.append(
             f'<rect x="{sx(q1):.1f}" y="{top:.1f}" width="{max(sx(q3) - sx(q1), 0.5):.1f}" '
             f'height="{bot - top:.1f}" fill="none" stroke="black"/>'
         )
-        parts.append(
-            f'<line x1="{sx(q2):.1f}" y1="{top:.1f}" x2="{sx(q2):.1f}" y2="{bot:.1f}" stroke="black" stroke-width="2"/>'
-        )
+        parts.append(line(sx(q2), top, sx(q2), bot, ' stroke-width="2"'))  # the median
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -137,6 +137,7 @@ def _mean(vals: list[float]) -> float:
 
 
 def _median(ordered: list[float]) -> float:
+    """Middle order statistic; mean of the two middle values for even n."""
     n = len(ordered)
     mid = n // 2
     if n % 2:
@@ -152,6 +153,11 @@ def _sample_std(vals: list[float]) -> float:
 
 
 def _quantile(ordered: list[float], q: float) -> float:
+    """Order statistic at fractional position 1 + (n-1)*q, interpolated, for q in [0, 1].
+
+    This single definition backs every quartile in the package; change it
+    here to switch conventions.
+    """
     pos = (len(ordered) - 1) * q
     lo = math.floor(pos)
     hi = math.ceil(pos)
@@ -163,30 +169,6 @@ def _quantile(ordered: list[float], q: float) -> float:
     # in [a, b]; only b - a beyond the float range needs the second form
     value = a + (b - a) * frac
     return value if math.isfinite(value) else a * (1.0 - frac) + b * frac
-
-
-def mean(values: Sequence[float]) -> float:
-    return _mean(_check_sample(values))
-
-
-def median(values: Sequence[float]) -> float:
-    """Middle order statistic; mean of the two middle values for even n."""
-    return _median(sorted(_check_sample(values)))
-
-
-def sample_std(values: Sequence[float]) -> float:
-    return _sample_std(_check_sample(values))
-
-
-def quantile(values: Sequence[float], q: float) -> float:
-    """Order statistic at fractional position 1 + (n-1)*q, interpolated.
-
-    This single definition backs every quartile in the package; change it
-    here to switch conventions.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise StatsError(f"quantile must be in [0, 1], got {q}")
-    return _quantile(sorted(_check_sample(values)), q)
 
 
 @_finite

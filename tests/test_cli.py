@@ -1010,7 +1010,8 @@ class TestExitCodeByKind:
 
 
 class TestUnreadableInputs:
-    """An input that is a directory, a missing path, or a csv that is not UTF-8, exits 3 with no traceback."""
+    """An input that cannot be read or parsed (a directory, a missing path, a csv that is not UTF-8,
+    an empty csv, json nested too deep) exits 3 with no traceback."""
 
     @staticmethod
     def input_args(role: str, path: str) -> list[str]:
@@ -1029,6 +1030,8 @@ class TestUnreadableInputs:
         "config": "config file {path} cannot be read: ",
     }
 
+    LABELS = {"events": "events", "impacts": "impact table", "scalars": "scalars", "profiles": "profiles"}
+
     @pytest.mark.parametrize(
         "role, name",
         [
@@ -1045,6 +1048,54 @@ class TestUnreadableInputs:
         assert result.exit_code == EXIT_INPUT, result.output
         assert self.MESSAGES[role].format(path=path) in result.output
         assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    @pytest.mark.parametrize("role", MESSAGES)
+    def test_deeply_nested_json_exit(self, runner, tmp_path, role):
+        # the json decoder recurses once per level: this is deeper than the recursion limit
+        # (1000 Python frames, and up to 10000 C levels from Python 3.12 on)
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*self.input_args(role, str(path)), "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT, result.output
+        invalid = f"config file {path} is not valid json" if role == "config" else f"{self.LABELS[role]}: invalid json"
+        assert f"Error: {invalid}: maximum recursion depth exceeded" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    @pytest.mark.parametrize("role", LABELS)
+    def test_empty_csv_exit(self, runner, tmp_path, role):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*self.input_args(role, str(path)), "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT, result.output
+        assert f"Error: {self.LABELS[role]}: empty input, header row required\n" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("{not json", "is not valid json: Expecting property name enclosed in double quotes", id="not-json"),
+            pytest.param('["window", "2009:2013"]', "must hold a json object", id="array"),
+        ],
+    )
+    def test_config_that_is_no_json_object_exit(self, runner, tmp_path, text, message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*self.input_args("config", str(config)), "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT, result.output
+        assert f"Error: config file {config} {message}" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    def test_header_only_profiles_exit_5(self, runner, tmp_path):
+        profiles = tmp_path / "profiles.csv"
+        profiles.write_text("author_id,group,papers,cites,h,p_sjr\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["summarize", "--profiles", str(profiles), "--out", str(out)])
+        assert result.exit_code == EXIT_NO_AUTHORS, result.output
+        assert result.output == "Error: no authors in profiles input\n"
+        assert not out.exists()
 
     @staticmethod
     def with_bad_line(path: Path, lines: list[str], bad: int) -> str:

@@ -82,6 +82,11 @@ class TestLoadImpactTable:
             load_impact_table(csv_stream(text), fmt="json")
         assert "row 1: non-finite" in str(excinfo.value)
 
+    def test_json_bool_value_rejected_with_row(self):
+        text = '[{"journal": "J1", "year": 2010, "indicator": "SJR", "value": true}]'
+        with pytest.raises(IngestError, match=r"^impact table: row 1: impact value must be a number, got True$"):
+            load_impact_table(io.StringIO(text), fmt="json")
+
     def test_malformed_year(self):
         with pytest.raises(IngestError) as excinfo:
             load_impact_table(csv_stream("journal,year,indicator,value\nJ1,MMX,SJR,1\n"))
@@ -168,6 +173,25 @@ class TestLoadEvents:
                 )
             )
         assert "conflicting groups" in str(excinfo.value)
+
+    def test_empty_group_filled_by_a_later_row(self):
+        corpora = load_events(
+            csv_stream(
+                "author_id,group,kind,journal,year,count\n"
+                "a,,publication,J1,2010,1\n"
+                "a,Phy,citation,J1,2010,2\n"
+                "a,,reference,J1,2010,3\n"
+            )
+        )
+        assert [(c.author_id, c.group, len(c.events)) for c in corpora] == [("a", "Phy", 3)]
+
+    def test_later_json_row_missing_a_field_rejected_with_row(self):
+        text = json.dumps([
+            {"author_id": "a", "group": "G", "kind": "publication", "journal": "J1", "year": 2010, "count": 1},
+            {"author_id": "a", "group": "G", "kind": "publication", "journal": "J1", "year": 2011},
+        ])
+        with pytest.raises(IngestError, match=r"^events: row 2: missing fields \['count'\]$"):
+            load_events(io.StringIO(text), fmt="json")
 
     def test_round_trip_csv_and_json(self):
         corpora = load_events(fixture_path("author_events.csv"))

@@ -248,6 +248,20 @@ class TestProfilesRoundTrip:
     def test_canonical_families_recovered_from_header(self, fixture_rows):
         assert set(fixture_rows[0].families) == {SJR, SNIP}
 
+    def test_other_family_suffix_kept_verbatim(self):
+        text = "author_id,group,p_Foo,pi_Foo,i_bar\na,G,1,0.5,2\n"
+        (row,) = load_profiles(io.StringIO(text))
+        assert row.families == {
+            "Foo": DimensionCells(1.0, None, None, 0.5, None, None, None),
+            "bar": DimensionCells(None, 2.0, None, None, None, None, None),
+        }
+        assert (row.value("p_foo"), row.value("pi_foo"), row.value("i_bar")) == (1.0, 0.5, 2.0)
+
+    def test_repeated_author_rejected_with_line(self):
+        text = "author_id,group,p_sjr\na,G,1\nb,G,2\na,H,3\n"
+        with pytest.raises(IngestError, match=r"^profiles: line 4: duplicate author 'a'$"):
+            load_profiles(io.StringIO(text))
+
     def test_families_found_from_any_of_their_columns(self):
         text = "author_id,group,i_snip,pi2r_sjr,p_snip\na,G,2.5,0.75,1\n"
         (row,) = load_profiles(io.StringIO(text))
@@ -451,6 +465,14 @@ class TestFigureData:
         assert impact_column == sorted(impact_column, reverse=True)
         assert impact_column[0] == max(row.value("i_sjr") for row in fixture_rows)
 
+    def test_row_without_the_first_rows_family_matches_its_own_by_suffix(self):
+        rows = [
+            AuthorTableRow("a", "G", 1, 1, 1, {SJR: DimensionCells(1.0, *[None] * 6)}),
+            AuthorTableRow("b", "G", 2, 2, 2, {"Sjr": DimensionCells(2.0, *[None] * 6)}),
+        ]
+        assert figure_data(rows, "scatter", x="p_sjr", y="h")[1] == [["a", "G", 1.0, 1.0], ["b", "G", 2.0, 2.0]]
+        assert [row.value("p_sjr") for row in rows] == [1.0, 2.0]
+
     def test_unknown_kind(self, fixture_rows):
         with pytest.raises(ReportError):
             figure_data(fixture_rows, "violin")
@@ -559,7 +581,7 @@ def _defined(rows, variable) -> list[float]:
 def _reference_describe(values) -> DescriptiveSummary:
     lo, hi = min(values), max(values)
     return DescriptiveSummary(
-        len(values), stats.median(values), stats.mean(values), stats.sample_std(values), lo, hi, hi - lo
+        len(values), stats._median(sorted(values)), stats._mean(values), stats._sample_std(values), lo, hi, hi - lo
     )
 
 
@@ -594,8 +616,8 @@ class TestColumnParity:
             terms = [None] * 4
             if len(grouped) >= 2:
                 everyone = [x for values in grouped for x in values]
-                grand = stats.mean(everyone)
-                means = [(values, stats.mean(values)) for values in grouped]
+                grand = stats._mean(everyone)
+                means = [(values, stats._mean(values)) for values in grouped]
                 within = math.fsum(math.fsum((x - m) ** 2 for x in values) for values, m in means)
                 between = math.fsum(len(values) * (m - grand) ** 2 for values, m in means)
                 total = math.fsum((x - grand) ** 2 for x in everyone)
@@ -640,8 +662,8 @@ class TestColumnParity:
                 values = _defined([row for row in rows if (row.group or "") == group], v)
                 if values:
                     boxes.append([
-                        group, v, stats.quantile(values, 0.25), stats.median(values),
-                        stats.quantile(values, 0.75), min(values), max(values),
+                        group, v, stats._quantile(sorted(values), 0.25), stats._median(sorted(values)),
+                        stats._quantile(sorted(values), 0.75), min(values), max(values),
                     ])
         _same(figure_data(rows, "boxplot")[1], boxes)
         scatter = [[row.author_id, row.group or "", row.value("p_sjr"), row.value("pi_snip")] for row in rows]
@@ -714,7 +736,7 @@ class TestResultTypes:
         # every field of these samples differs from the others, so a swap shows
         n, median, mean, std, lo, hi, span = describe([1.0, 2.0, 5.0])
         assert (n, median, mean, lo, hi, span) == (3, 2.0, 8.0 / 3.0, 1.0, 5.0, 4.0)
-        assert std == stats.sample_std([1.0, 2.0, 5.0])
+        assert std == stats._sample_std([1.0, 2.0, 5.0])
         assert list(stats.boxplot([1.0, 2.0, 5.0])) == [1.5, 2.0, 3.5, 1.0, 5.0]
         within, between, total, pct = variance_decomposition(GroupedSample({"a": [1.0, 2.0], "b": [4.0, 6.0]}))
         assert (within, between, total) == (2.5, 12.25, 14.75)

@@ -23,12 +23,12 @@ from pirmetrics.stats import (
     boxplot,
     correlation_matrix,
     describe,
-    mean,
-    median,
     pearson,
-    quantile,
-    sample_std,
     spearman,
+    _mean,
+    _median,
+    _quantile,
+    _sample_std,
     _significance,
     _t_two_tailed_p,
     variance_decomposition,
@@ -100,10 +100,6 @@ class TestBoxplot:
         b = boxplot([-1e308, 1e308])
         assert (b.q1, b.q2, b.q3) == (-5e307, 0.0, 5e307)
 
-    def test_quantile_bounds(self):
-        with pytest.raises(StatsError):
-            quantile([1.0], 1.5)
-
 
 # each public function that checks a sample, called with the bad sample v,
 # and its message for an empty one
@@ -131,7 +127,7 @@ class TestSingleCheck:
     def test_describe_equals_its_fields(self, values):
         lo, hi = min(values), max(values)
         expected = DescriptiveSummary(
-            len(values), median(values), mean(values), sample_std(values), lo, hi, hi - lo
+            len(values), _median(sorted(values)), _mean(values), _sample_std(values), lo, hi, hi - lo
         )
         # repr tells 0.0 from -0.0, which == does not
         assert repr(describe(values)) == repr(expected)
@@ -140,8 +136,9 @@ class TestSingleCheck:
     @example([0.0, -0.0])
     @example([-0.0, 0.0, 2.5, -0.0])
     def test_boxplot_equals_its_fields(self, values):
+        ordered = sorted(values)
         expected = BoxplotSummary(
-            quantile(values, 0.25), median(values), quantile(values, 0.75), min(values), max(values)
+            _quantile(ordered, 0.25), _median(ordered), _quantile(ordered, 0.75), min(values), max(values)
         )
         assert repr(boxplot(values)) == repr(expected)
 
