@@ -34,7 +34,6 @@ the group's invoke maps each library error through EXIT_CODES.
 from __future__ import annotations
 
 import gc
-import json
 import os
 from pathlib import Path
 
@@ -126,6 +125,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) 
     """Make the json object in the --config file the command's defaults."""
     if value is None:
         return
+    import json  # here, so a run on csv files alone, without --config, never loads it
     path = Path(value)
     try:
         config = json.loads(path.read_text(encoding="utf-8"))

@@ -1,8 +1,9 @@
 """File ingestion and serialisation: impact tables, events, scalar metrics.
 
 csv is the canonical interchange format; json mirrors it with one object
-per row. All text is UTF-8, decimal points are '.', and there are no
-thousands separators.
+per row, and is imported only where it is read or written, so a process
+that handles csv alone never loads it. All text is UTF-8, decimal points
+are '.', and there are no thousands separators.
 
 File schemas
     impact_table.csv  journal,year,indicator,value
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
-import json
 import math
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -138,6 +138,7 @@ def _rows(source, fmt: str, required: list[str], label: str, pick=None):
             except csv.Error as exc:
                 raise IngestError(f"{label}: line {reader.line_num}: {exc}") from None
         else:
+            import json  # here, so a process that reads and writes only csv never loads it
             try:
                 payload = json.load(stream, object_pairs_hook=_json_object)
             # a JSONDecodeError, an integer beyond int's digit limit, or nesting deeper than the recursion limit
@@ -202,8 +203,13 @@ def _located(exc: Exception, label: str, fmt: str, lineno: int) -> IngestError:
 
 
 def _text(raw, key: str) -> str:
-    """A text field, stripped; json null reads as empty, other non-strings are rejected."""
+    """A text field, stripped; json null reads as empty, non-strings and text UTF-8 cannot encode are rejected."""
     if isinstance(raw, str):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which json text may escape and no output can hold
+                raise _FieldError(f"{key} is not valid text, got {raw!r}") from None
         return raw.strip()
     if raw is None:
         return ""
@@ -252,18 +258,18 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
 
     Duplicate keys are rejected with both offending row locations named;
     negative or non-finite values and malformed rows are rejected with
-    their location. Each distinct journal and year text is parsed once
-    per call, and rows that repeat it share the parsed object.
+    their location. Each distinct journal, indicator and year text is
+    parsed once per call, and rows that repeat it share the parsed object.
     """
     # indicator -> ({(journal, year): value}, {(journal, year): first line})
     families: dict[str, tuple[dict[tuple[str, int], float], dict[tuple[str, int], int]]] = {}
-    journals, years = _Parsed(_text, "journal"), _Parsed(_parse_int, "year")
+    journals, indicators, years = _Parsed(_text, "journal"), _Parsed(_text, "indicator"), _Parsed(_parse_int, "year")
     try:
         for lineno, (journal, year, indicator, value) in _rows(
             source, fmt, ["journal", "year", "indicator", "value"], "impact table"
         ):
             journal = journals[journal] if type(journal) is str else _text(journal, "journal")
-            indicator = indicator.strip() if type(indicator) is str else _text(indicator, "indicator")
+            indicator = indicators[indicator] if type(indicator) is str else _text(indicator, "indicator")
             if not journal:
                 raise _FieldError("empty journal id")
             if not indicator:
@@ -311,20 +317,21 @@ def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
     Repeated (author, kind, journal, year) rows are kept as separate
     events; counts merge when used. The group column may be empty, but
     two different non-empty groups for one author are an error. Each
-    distinct journal, year and count text is parsed once per call, and
-    rows that repeat it share the parsed object.
+    distinct author id, group, journal, year and count text is parsed
+    once per call, and rows that repeat it share the parsed object.
     """
     events: dict[str, list[Event]] = {}
     groups: dict[str, str | None] = {}
+    author_ids, group_names = _Parsed(_text, "author_id"), _Parsed(_text, "group")
     journals, years, counts = _Parsed(_text, "journal"), _Parsed(_parse_int, "year"), _Parsed(_parse_int, "count")
     try:
         for lineno, (author_id, group, kind, journal, year, count) in _rows(
             source, fmt, ["author_id", "group", "kind", "journal", "year", "count"], "events"
         ):
-            author_id = author_id.strip() if type(author_id) is str else _text(author_id, "author_id")
+            author_id = author_ids[author_id] if type(author_id) is str else _text(author_id, "author_id")
             if not author_id:
                 raise _FieldError("empty author_id")
-            group = (group.strip() if type(group) is str else _text(group, "group")) or None
+            group = (group_names[group] if type(group) is str else _text(group, "group")) or None
             try:
                 kind = _KINDS[kind]
             except (KeyError, TypeError):  # any other spelling, or a json non-string
@@ -398,7 +405,7 @@ def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
         for lineno, (author_id, papers, cites, h) in _rows(
             source, fmt, ["author_id", "papers", "cites", "h"], "scalars"
         ):
-            author_id = author_id.strip() if type(author_id) is str else _text(author_id, "author_id")
+            author_id = _text(author_id, "author_id")
             if not author_id:
                 raise _FieldError("empty author_id")
             if author_id in out:
@@ -465,6 +472,7 @@ def _encode_table(header: Sequence[str], data: Iterable[Sequence], fmt: str) -> 
         writer.writerows(data)
         return buf.getvalue()
     if fmt == "json":  # indent=2's layout, from the C encoder that json.dumps(indent=2) does not use
+        import json  # as in _rows
         encode = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": ")).encode
         rows = [  # each row framed as it is encoded: keeping every encoded row first raised peak memory
             f"\n  {{\n    {text[1:-1]}\n  }}" if (text := encode(dict(zip(header, row)))) != "{}" else "\n  {}"

@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 from . import stats
 from .io import (
-    ScalarMetrics, _encode_table, _FieldError, _located, _parse_count, _parse_float, _rows, _text, save_text,
+    IngestError, ScalarMetrics, _encode_table, _FieldError, _located, _parse_count, _parse_float, _rows, _text,
+    save_text,
 )
 from .model import FAMILY_FIELDS, SJR, SNIP, DimensionCells, IndicatorName, IndicatorProfile, variable_name
 
@@ -152,10 +153,15 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
         layout.extend((_parse_count, position.get(name), name) for name in SCALAR_FIELDS)
         # each family suffix, as the header spells it, in first-seen order -> {field: column}
         by_suffix: dict[str, dict[str, str]] = {}
+        spellings: dict[str, str] = {}  # each suffix lowercased -> its first column
         for col in header:
             fieldname, _, suffix = col.partition("_")
             if fieldname in FAMILY_FIELDS and suffix:
                 by_suffix.setdefault(suffix, {})[fieldname] = col
+                first = spellings.setdefault(suffix.lower(), col)
+                if first.partition("_")[2] != suffix:  # variables name families lowercased: one would hide
+                    message = f"columns {first!r} and {col!r} spell one family's suffix in two cases"
+                    raise _located(IngestError(message), "profiles", fmt, 1)
         for suffix, columns in by_suffix.items():
             start = len(layout)
             layout.extend((_parse_float, position.get(col), col)
@@ -553,15 +559,21 @@ def render_correlation_text(data: list[list], method: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a label as SVG text: &, < and > escaped as xml.sax.saxutils.escape does, and each code
+# point XML 1.0 cannot hold (the C0 controls but tab, LF and CR; U+FFFE, U+FFFF) as U+FFFD
+_SVG_TEXT = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;",
+    **dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd"),
+})
+
+
 def render_boxplot_svg(data: list[list]) -> str:
     """Minimal SVG of boxplot summary rows (group, variable, q1..whiskers).
 
     Built purely from the five summary fields; one horizontal box per
-    row, 28 px high, in a 640 px wide image.
+    row, 28 px high, in a 640 px wide image. Labels are escaped through
+    _SVG_TEXT, so drawing one imports no xml module.
     """
-    # imported here, as xml.sax.saxutils pulls in urllib.request (~30 ms)
-    from xml.sax.saxutils import escape
-
     if not data:
         return '<svg xmlns="http://www.w3.org/2000/svg" width="0" height="0"></svg>'
     lo = min(row[5] for row in data)
@@ -584,7 +596,7 @@ def render_boxplot_svg(data: list[list]) -> str:
         cy = 10 + idx * row_height + row_height / 2
         top = cy - row_height * 0.3
         bot = cy + row_height * 0.3
-        parts.append(f'<text x="4" y="{cy + 4:.1f}">{escape(f"{group} {variable}")}</text>')
+        parts.append(f'<text x="4" y="{cy + 4:.1f}">{f"{group} {variable}".translate(_SVG_TEXT)}</text>')
         parts.append(line(sx(wlo), cy, sx(q1), cy))  # the whiskers
         parts.append(line(sx(q3), cy, sx(whi), cy))
         parts.extend(line(sx(wx), top, sx(wx), bot) for wx in (wlo, whi))  # their caps

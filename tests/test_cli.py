@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from click.testing import CliRunner
@@ -216,6 +217,16 @@ class TestCompute:
         config.write_text(json.dumps({"families": ["SNIP", "Snip"]}))
         result = runner.invoke(main, args + ["--config", str(config)])
         assert result.exit_code == 2
+        assert not out.exists()
+
+    def test_lone_surrogate_author_id_exit(self, runner, tmp_path):
+        events = tmp_path / "events.json"
+        row = {"author_id": "a\udc80", "group": "G", "kind": "publication", "journal": "J1", "year": 2010, "count": 1}
+        events.write_text(json.dumps([row]), encoding="utf-8")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["compute", "--events", str(events), "--impacts", IMPACTS, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT, result.output
+        assert "Error: events: row 1: author_id is not valid text, got 'a\\udc80'\n" in result.output
         assert not out.exists()
 
     def test_missing_required_flag_is_usage_error(self, runner):
@@ -624,6 +635,38 @@ class TestReport:
         )
         assert result.exit_code == EXIT_UNKNOWN_NAME
         assert "pi_sjr" in result.output
+
+    def test_svg_label_with_a_control_character_is_well_formed(self, runner, tmp_path):
+        profiles = tmp_path / "control.csv"
+        profiles.write_text("author_id,group,papers,cites,h,p_sjr\na,G\x01H,1,1,1,1\nb,G\x01H,2,2,1,2\n"
+                            "c,K,3,3,1,3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        run(runner, "report", "--profiles", str(profiles), "--variable", "p_sjr", "--svg", "--out", str(out))
+        root = ElementTree.parse(out / "control.boxplot.svg").getroot()
+        assert [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")] == ["G\ufffdH p_sjr", "K p_sjr"]
+
+    @pytest.mark.parametrize(
+        "name, text, args, message",
+        [
+            pytest.param("p.csv", "author_id,group,papers,cites,h,p_sjr,p_SJR\na,G,1,1,1,1,2\n",
+                         ["--kind", "scatter", "--x", "p_sjr", "--y", "h"],
+                         "profiles: line 1: columns 'p_sjr' and 'p_SJR' spell one family's suffix in two cases",
+                         id="csv"),
+            pytest.param("p.json", json.dumps([{"author_id": "a", "group": "G", "p_foo": 1, "p_Foo": 2}]), [],
+                         "profiles: row 1: columns 'p_foo' and 'p_Foo' spell one family's suffix in two cases",
+                         id="json"),
+            pytest.param("p.json", json.dumps([{"author_id": "a", "group": "G\ud800", "p_sjr": 1}]), [],
+                         "profiles: row 1: group is not valid text, got 'G\\ud800'", id="lone-surrogate"),
+        ],
+    )
+    def test_profiles_that_no_output_can_show_exit_3(self, runner, tmp_path, name, text, args, message):
+        profiles = tmp_path / name
+        profiles.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["report", "--profiles", str(profiles), *args, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT, result.output
+        assert f"Error: {message}\n" in result.output
+        assert not out.exists()
 
     def test_svg_written(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -1181,6 +1224,45 @@ def test_cli_import_loads_neither_dataclasses_nor_locale():
     src = Path(pirmetrics.__file__).parents[1]
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# what no command on the fixtures runs: xml.sax.saxutils alone would pull in urllib.request and,
+# through it, http, email, ssl, socket and hashlib; json serves json files and --config only
+UNRUN = ("xml", "urllib", "http", "email", "ssl", "socket", "hashlib", "json", "dataclasses")
+
+
+def loaded_unrun(code: str, *args: str) -> list[str]:
+    """The UNRUN modules that running code, in a cold process from src, adds to those loaded at start-up."""
+    code = (f"import sys; before = set(sys.modules)\n{code}\n"
+            f"print(*sorted(m for m in set(sys.modules) - before if m.partition('.')[0] in {UNRUN!r}))")
+    src = Path(pirmetrics.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=src, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_loads_no_unrun_module():
+    assert loaded_unrun("import pirmetrics.cli") == []
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("compute", ["--events", EVENTS, "--impacts", IMPACTS]),
+        ("summarize", ["--profiles", PROFILES]),
+        ("correlate", ["--profiles", PROFILES, "--method", "spearman", "--format", "text"]),
+        ("report", ["--profiles", PROFILES, "--kind", "boxplot", "--kind", "ordered", "--svg"]),
+    ],
+    ids=["compute", "summarize", "correlate", "report"],
+)
+def test_cold_fixture_command_loads_only_what_it_runs(tmp_path, command, args):
+    # each command with the flags the benchmark's fixtures workload gives it
+    code = (
+        "from pirmetrics.cli import main\n"
+        "try:\n    main(args=sys.argv[1:], prog_name='pirmetrics')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+    )
+    assert loaded_unrun(code, command, *args, "--scalars", SCALARS, "--out", str(tmp_path)) == []
 
 
 def snapshot(directory: Path) -> dict[str, bytes]:

@@ -438,6 +438,25 @@ class TestJsonFieldTypes:
         assert f"row 1: {key} must be a string" in str(excinfo.value)
 
     @pytest.mark.parametrize(
+        "loader, key",
+        [
+            (load_events, "author_id"),
+            (load_events, "group"),
+            (load_events, "journal"),
+            (load_impact_table, "journal"),
+            (load_impact_table, "indicator"),
+            (load_scalars, "author_id"),
+            (load_profiles, "author_id"),
+            (load_profiles, "group"),
+        ],
+    )
+    def test_text_utf8_cannot_encode_rejected_with_row(self, loader, key):
+        # json escapes may spell a lone surrogate, which no UTF-8 output file can hold
+        with pytest.raises(IngestError) as excinfo:
+            self.load_with(loader, key, "a\udc80")
+        assert str(excinfo.value).endswith(f": row 1: {key} is not valid text, got 'a\\udc80'")
+
+    @pytest.mark.parametrize(
         "loader, key, value",
         [
             (load_events, "count", 2.7),

@@ -9,7 +9,7 @@ import pytest
 
 from pirmetrics.io import IngestError, ScalarMetrics
 from pirmetrics.model import SJR, SNIP, IndicatorProfile, YearWindow
-from pirmetrics import stats
+from pirmetrics import report, stats
 from pirmetrics.report import (
     FAMILY_FIELDS,
     NA,
@@ -256,6 +256,21 @@ class TestProfilesRoundTrip:
             "bar": DimensionCells(None, 2.0, None, None, None, None, None),
         }
         assert (row.value("p_foo"), row.value("pi_foo"), row.value("i_bar")) == (1.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize(
+        "fmt, text, message",
+        [
+            ("csv", "author_id,group,papers,cites,h,p_sjr,p_SJR\na,G,1,1,1,1,2\n",
+             "profiles: line 1: columns 'p_sjr' and 'p_SJR' spell one family's suffix in two cases"),
+            ("json", json.dumps([{"author_id": "a", "group": "G", "p_foo": 1, "i_bar": 2, "i_Foo": 3}]),
+             "profiles: row 1: columns 'p_foo' and 'i_Foo' spell one family's suffix in two cases"),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_family_suffix_in_two_cases_rejected(self, fmt, text, message):
+        with pytest.raises(IngestError) as excinfo:
+            load_profiles(io.StringIO(text), fmt)
+        assert str(excinfo.value) == message
 
     def test_repeated_author_rejected_with_line(self):
         text = "author_id,group,p_sjr\na,G,1\nb,G,2\na,H,3\n"
@@ -534,6 +549,21 @@ class TestRendering:
         root = ElementTree.fromstring(render_boxplot_svg(data))
         labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert labels == ['Q"A p_sjr', "R&D <lab> p_sjr"]
+
+    def test_svg_label_escape_matches_saxutils(self):
+        from xml.sax.saxutils import escape
+
+        chars = [*"\t\n\r", *map(chr, range(0x20, 0x3000))]  # no surrogate lies in this range
+        assert [c for c in chars if c.translate(report._SVG_TEXT) != escape(c)] == []
+
+    def test_svg_label_with_xml_invalid_characters_parses(self):
+        invalid = [*(chr(c) for c in range(0x20) if chr(c) not in "\t\n\r"), "\ufffe", "\uffff"]
+        group = "G" + "".join(map(chr, range(0x20))) + "\ufffe\uffffH"
+        root = ElementTree.fromstring(render_boxplot_svg([[group, "p_sjr", 1.0, 2.0, 3.0, 0.0, 4.0]]))
+        (label,) = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        shown = "".join("\ufffd" if c in invalid else c for c in group).replace("\r", "\n")  # XML reads CR as LF
+        assert label == f"{shown} p_sjr"
+        assert label.count("\ufffd") == len(invalid) == 31
 
 
 # ---------------------------------------------------------------------------
