@@ -11,6 +11,8 @@ data and journal impact tables, and ships the grouped statistics used
 to compare them across subject areas.
 """
 
+from types import ModuleType as _ModuleType
+
 from .engine import (
     BatchError,
     EngineError,
@@ -61,4 +63,6 @@ from .stats import (
     variance_decomposition,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names, not the submodules bound here by the imports above: a star
+# import must not shadow a caller's own io (or engine, model, stats)
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

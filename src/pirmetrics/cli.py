@@ -48,7 +48,7 @@ from .engine import (
     WindowPolicy,
     compute_profiles,
 )
-from .io import IngestError, load_events, load_impact_table, load_scalars, save_texts
+from .io import IngestError, _encodable, _FieldError, load_events, load_impact_table, load_scalars, save_texts
 from .model import SJR, SNIP, YearWindow, __version__
 from .report import GroupError, ReportError
 from .stats import StatsError
@@ -141,6 +141,13 @@ def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) 
     ctx.default_map = {
         key: value for key, value in config.items() if key in CONFIG_KEYS and value is not None
     }
+    try:  # a json escape of a lone surrogate, which no path, file name or output can hold
+        for key, value in ctx.default_map.items():
+            for text in value if isinstance(value, list) else [value]:
+                if isinstance(text, str):
+                    _encodable(text, key)
+    except _FieldError as exc:
+        raise _fail(f"config file {path}: {exc}", EXIT_USAGE) from None
 
 
 def _input_file(ctx: click.Context, param: click.Parameter, value: str | None) -> Path | None:

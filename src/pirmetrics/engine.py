@@ -87,8 +87,7 @@ class MissingValuePolicy(FrozenValue):
             raise EngineError(f"unknown missing-value mode {mode!r}")
         if max_distance < 0:
             raise EngineError("max_distance must be non-negative")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "max_distance", max_distance)
+        self._freeze(mode, max_distance)
 
     @classmethod
     def parse(cls, text: str) -> "MissingValuePolicy":
@@ -252,24 +251,11 @@ def compute_profile(
     p = dims[EventKind.PUBLICATION]
     i = dims[EventKind.CITATION]
     r = dims[EventKind.REFERENCE]
-    p_over_i, p_over_r, i_over_r, pi_over_2r = derive_ratios(p, i, r)
-    cells = (p, i, r, p_over_i, p_over_r, i_over_r, pi_over_2r)
+    cells = (p, i, r, *derive_ratios(p, i, r))  # in FAMILY_FIELDS order, as IndicatorProfile takes them
     for name, value in zip(FAMILY_FIELDS, cells):
         if value is not None and not math.isfinite(value):
             raise EngineError(f"{indicator} cell {variable_name(name, indicator)} is not finite ({value})")
-    return IndicatorProfile(
-        author_id=corpus.author_id,
-        indicator=indicator,
-        window=window,
-        p=p,
-        i=i,
-        r=r,
-        p_over_i=p_over_i,
-        p_over_r=p_over_r,
-        i_over_r=i_over_r,
-        pi_over_2r=pi_over_2r,
-        coverage=coverage,
-    )
+    return IndicatorProfile(corpus.author_id, indicator, window, *cells, coverage)
 
 
 def compute_profiles(

@@ -2,13 +2,14 @@
 
 csv is the canonical interchange format; json mirrors it with one object
 per row, and is imported only where it is read or written, so a process
-that handles csv alone never loads it. All text is UTF-8, decimal points
-are '.', and there are no thousands separators.
+that handles csv alone never loads it. All text is UTF-8, and numbers
+are ASCII decimal text: '.' is the decimal point, with no thousands or
+'_' separators.
 
-File schemas
-    impact_table.csv  journal,year,indicator,value
-    events.csv        author_id,group,kind,journal,year,count
-    scalars.csv       author_id,papers,cites,h
+File schemas, each named once and read and written through that name
+    impact_table.csv  journal,year,indicator,value             IMPACT_COLUMNS
+    events.csv        author_id,group,kind,journal,year,count  EVENT_COLUMNS
+    scalars.csv       author_id,papers,cites,h                 ScalarMetrics._fields
 
 The profiles.csv schema lives in the report module next to its row type.
 """
@@ -94,7 +95,7 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict | _RepeatedKey:
     return row
 
 
-def _rows(source, fmt: str, required: list[str], label: str, pick=None):
+def _rows(source, fmt: str, required: Sequence[str], label: str, pick=None):
     """Yield (line_number, fields) from csv or json input.
 
     fields holds the row's values of the required columns, in that order.
@@ -202,15 +203,25 @@ def _located(exc: Exception, label: str, fmt: str, lineno: int) -> IngestError:
     return IngestError(f"{label}: {'line' if fmt == 'csv' else 'row'} {lineno}: {exc}")
 
 
+def _encodable(text: str, what: str) -> str:
+    """The text, if UTF-8 can encode it; a lone surrogate, which a json escape may spell, fits no file or path."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _FieldError(f"{what} is not valid text, got {text!r}") from None
+    return text
+
+
+def _decimal(text: str) -> bool:
+    """Whether numeric text is ASCII with no '_': int() and float() also read '_' separators and other digits."""
+    return text.isascii() and "_" not in text
+
+
 def _text(raw, key: str) -> str:
     """A text field, stripped; json null reads as empty, non-strings and text UTF-8 cannot encode are rejected."""
     if isinstance(raw, str):
-        if not raw.isascii():
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate, which json text may escape and no output can hold
-                raise _FieldError(f"{key} is not valid text, got {raw!r}") from None
-        return raw.strip()
+        return _encodable(raw, key).strip()
     if raw is None:
         return ""
     raise _FieldError(f"{key} must be a string, got {raw!r}")
@@ -222,7 +233,7 @@ def _parse_int(raw, what: str) -> int:
     if raw_type is int:
         return raw
     try:
-        if raw_type is str or (raw_type is float and raw.is_integer()):
+        if (raw_type is str and _decimal(raw)) or (raw_type is float and raw.is_integer()):
             return int(raw)
     except ValueError:
         pass
@@ -238,9 +249,9 @@ def _parse_count(raw, what: str) -> int:
 
 
 def _parse_float(raw, what: str) -> float:
-    """A finite number from a number or its text; not a bool, nan or inf."""
+    """A finite number from a number or its decimal text; not a bool, nan or inf."""
     try:
-        if isinstance(raw, bool):
+        if isinstance(raw, bool) or (isinstance(raw, str) and not _decimal(raw)):
             raise ValueError
         value = float(raw)
     except (TypeError, ValueError, OverflowError):
@@ -252,6 +263,9 @@ def _parse_float(raw, what: str) -> float:
 
 # ---------------------------------------------------------------------------
 # impact tables
+
+IMPACT_COLUMNS = ("journal", "year", "indicator", "value")  # as ImpactTable.entries() yields an entry
+
 
 def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
     """Load (journal, year, indicator) -> value entries.
@@ -265,9 +279,7 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
     families: dict[str, tuple[dict[tuple[str, int], float], dict[tuple[str, int], int]]] = {}
     journals, indicators, years = _Parsed(_text, "journal"), _Parsed(_text, "indicator"), _Parsed(_parse_int, "year")
     try:
-        for lineno, (journal, year, indicator, value) in _rows(
-            source, fmt, ["journal", "year", "indicator", "value"], "impact table"
-        ):
+        for lineno, (journal, year, indicator, value) in _rows(source, fmt, IMPACT_COLUMNS, "impact table"):
             journal = journals[journal] if type(journal) is str else _text(journal, "journal")
             indicator = indicators[indicator] if type(indicator) is str else _text(indicator, "indicator")
             if not journal:
@@ -276,7 +288,7 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
                 raise _FieldError("empty indicator name")
             year = years[year] if type(year) in _KEYS else _parse_int(year, "year")
             try:
-                value = float(value) if type(value) is str else _parse_float(value, "impact value")
+                value = float(value) if type(value) is str and _decimal(value) else _parse_float(value, "impact value")
             except ValueError:  # float() refused a text field; _parse_float words the error
                 value = _parse_float(value, "impact value")
             if not 0 <= value < math.inf:  # negative, nan or inf
@@ -301,14 +313,14 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
 
 
 def save_impact_table(table: ImpactTable, destination, fmt: str = "csv") -> None:
-    header = ["journal", "year", "indicator", "value"]
-    save_text(_encode_table(header, sorted(table.entries()), fmt), destination)
+    save_text(_encode_table(IMPACT_COLUMNS, sorted(table.entries()), fmt), destination)
 
 
 # ---------------------------------------------------------------------------
 # author events
 
 _KINDS = {kind.value: kind for kind in EventKind}
+EVENT_COLUMNS = ("author_id", "group", *Event._fields)
 
 
 def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
@@ -325,9 +337,7 @@ def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
     author_ids, group_names = _Parsed(_text, "author_id"), _Parsed(_text, "group")
     journals, years, counts = _Parsed(_text, "journal"), _Parsed(_parse_int, "year"), _Parsed(_parse_int, "count")
     try:
-        for lineno, (author_id, group, kind, journal, year, count) in _rows(
-            source, fmt, ["author_id", "group", "kind", "journal", "year", "count"], "events"
-        ):
+        for lineno, (author_id, group, kind, journal, year, count) in _rows(source, fmt, EVENT_COLUMNS, "events"):
             author_id = author_ids[author_id] if type(author_id) is str else _text(author_id, "author_id")
             if not author_id:
                 raise _FieldError("empty author_id")
@@ -363,13 +373,12 @@ def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
 
 
 def save_events(corpora: Iterable[AuthorCorpus], destination, fmt: str = "csv") -> None:
-    header = ["author_id", "group", "kind", "journal", "year", "count"]
     data = [
         [c.author_id, c.group or "", e.kind.value, e.journal, e.year, e.count]
         for c in corpora
         for e in c.events
     ]
-    save_text(_encode_table(header, data, fmt), destination)
+    save_text(_encode_table(EVENT_COLUMNS, data, fmt), destination)
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +401,14 @@ class ScalarMetrics(FrozenValue):
             raise _FieldError(f"{author_id!r}: h ({h}) exceeds paper count ({papers})")
         if papers > 0 and h > cites:
             raise _FieldError(f"{author_id!r}: h ({h}) exceeds citation count ({cites})")
-        object.__setattr__(self, "author_id", author_id)
-        object.__setattr__(self, "papers", papers)
-        object.__setattr__(self, "cites", cites)
-        object.__setattr__(self, "h", h)
+        self._freeze(author_id, papers, cites, h)
 
 
 def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
     """Load per-author paper/citation/h counters, keyed by author id."""
     out: dict[str, ScalarMetrics] = {}
     try:
-        for lineno, (author_id, papers, cites, h) in _rows(
-            source, fmt, ["author_id", "papers", "cites", "h"], "scalars"
-        ):
+        for lineno, (author_id, papers, cites, h) in _rows(source, fmt, ScalarMetrics._fields, "scalars"):
             author_id = _text(author_id, "author_id")
             if not author_id:
                 raise _FieldError("empty author_id")
@@ -420,8 +424,7 @@ def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
 
 
 def save_scalars(scalars: Mapping[str, ScalarMetrics], destination, fmt: str = "csv") -> None:
-    data = [[m.author_id, m.papers, m.cites, m.h] for m in scalars.values()]
-    save_text(_encode_table(["author_id", "papers", "cites", "h"], data, fmt), destination)
+    save_text(_encode_table(ScalarMetrics._fields, [m._values() for m in scalars.values()], fmt), destination)
 
 
 # ---------------------------------------------------------------------------

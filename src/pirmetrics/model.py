@@ -6,10 +6,11 @@ Instances are safe to share across threads.
 The value types that check their fields when built (YearWindow,
 AuthorCorpus, CoverageDiagnostics, IndicatorProfile, and
 engine.MissingValuePolicy and io.ScalarMetrics) share one frozen base,
-FrozenValue, and write their __init__ out by hand. They are not
-dataclasses: every command is a new process, and importing dataclasses
-and building each class through it, which compiles its methods with
-exec, made up several milliseconds of every start.
+FrozenValue: each names its fields once, in _fields, and its __init__
+checks the values and hands them to FrozenValue._freeze in that order.
+They are not dataclasses: every command is a new process, and importing
+dataclasses and building each class through it, which compiles its
+methods with exec, made up several milliseconds of every start.
 """
 
 from __future__ import annotations
@@ -45,21 +46,26 @@ class ModelError(ValueError):
     """Invalid construction of a domain value."""
 
 
-# bound once: the hot value types' __init__s set every field through it
+# bound once: _freeze sets every field of every checked value through it
 _set = object.__setattr__
 
 
 class FrozenValue:
     """Base of an immutable value with named fields, compared and hashed by their values.
 
-    A subclass lists its fields in _fields and sets each in its own
-    __init__ through object.__setattr__; assigning or deleting an
-    attribute afterwards raises AttributeError. A value equals only a
+    A subclass lists its fields in _fields, and its __init__ sets them
+    all through _freeze once it has checked them; assigning or deleting
+    an attribute afterwards raises AttributeError. A value equals only a
     value of the same class with equal fields.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        """Set the fields to the values given, in _fields order; the one place a field is set."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -98,8 +104,7 @@ class YearWindow(FrozenValue):
     def __init__(self, start_year: int, end_year: int):
         if start_year > end_year:
             raise ModelError(f"window start {start_year} is after end {end_year}")
-        _set(self, "start_year", start_year)
-        _set(self, "end_year", end_year)
+        self._freeze(start_year, end_year)
 
     @classmethod
     def parse(cls, text: str) -> "YearWindow":
@@ -183,9 +188,7 @@ class AuthorCorpus(FrozenValue):
             raise ModelError("author_id must be non-empty")
         if group is not None and not group:
             raise ModelError("group, when present, must be non-empty")
-        _set(self, "author_id", author_id)
-        _set(self, "events", tuple(events))
-        _set(self, "group", group)
+        self._freeze(author_id, tuple(events), group)
 
     def events_of_kind(self, kind: EventKind) -> tuple[Event, ...]:
         return tuple(e for e in self.events if e.kind == kind)
@@ -309,9 +312,7 @@ class CoverageDiagnostics(FrozenValue):
                 f"coverage counts inconsistent: {matched_count} matched "
                 f"+ {dropped_count} dropped != {total_count} total"
             )
-        _set(self, "total_count", total_count)
-        _set(self, "matched_count", matched_count)
-        _set(self, "dropped_count", dropped_count)
+        self._freeze(total_count, matched_count, dropped_count)
 
 
 def derive_ratios(
@@ -355,17 +356,7 @@ class IndicatorProfile(FrozenValue):
         for name, v in (("p", p), ("i", i), ("r", r)):
             if v is not None and v < 0:
                 raise ModelError(f"dimension {name} must be non-negative, got {v}")
-        _set(self, "author_id", author_id)
-        _set(self, "indicator", indicator)
-        _set(self, "window", window)
-        _set(self, "p", p)
-        _set(self, "i", i)
-        _set(self, "r", r)
-        _set(self, "p_over_i", p_over_i)
-        _set(self, "p_over_r", p_over_r)
-        _set(self, "i_over_r", i_over_r)
-        _set(self, "pi_over_2r", pi_over_2r)
-        _set(self, "coverage", dict(coverage))
+        self._freeze(author_id, indicator, window, p, i, r, p_over_i, p_over_r, i_over_r, pi_over_2r, dict(coverage))
 
 
 class DimensionCells(NamedTuple):

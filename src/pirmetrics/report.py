@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import stats
 from .io import (
-    IngestError, ScalarMetrics, _encode_table, _FieldError, _located, _parse_count, _parse_float, _rows, _text,
+    ScalarMetrics, _encodable, _encode_table, _FieldError, _located, _parse_count, _parse_float, _rows, _text,
     save_text,
 )
 from .model import FAMILY_FIELDS, SJR, SNIP, DimensionCells, IndicatorName, IndicatorProfile, variable_name
@@ -39,7 +39,7 @@ NA = "NA"
 Table = tuple[list[str], list[list]]  # a report: its header, and one list of raw cells per row
 
 _NO_CELLS = (None,) * len(FAMILY_FIELDS)  # the cells of a family a row lacks
-SCALAR_FIELDS = ("papers", "cites", "h")
+SCALAR_FIELDS = ScalarMetrics._fields[1:]  # papers, cites, h
 
 
 class ReportError(ValueError):
@@ -157,11 +157,11 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
         for col in header:
             fieldname, _, suffix = col.partition("_")
             if fieldname in FAMILY_FIELDS and suffix:
-                by_suffix.setdefault(suffix, {})[fieldname] = col
+                # checked: its suffix names the family in every variable and output column
+                by_suffix.setdefault(suffix, {})[fieldname] = _encodable(col, "column")
                 first = spellings.setdefault(suffix.lower(), col)
                 if first.partition("_")[2] != suffix:  # variables name families lowercased: one would hide
-                    message = f"columns {first!r} and {col!r} spell one family's suffix in two cases"
-                    raise _located(IngestError(message), "profiles", fmt, 1)
+                    raise _FieldError(f"columns {first!r} and {col!r} spell one family's suffix in two cases")
         for suffix, columns in by_suffix.items():
             start = len(layout)
             layout.extend((_parse_float, position.get(col), col)
@@ -169,6 +169,7 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
             families.append((_canonical_family(suffix), slice(start, len(layout))))
         return ["author_id", "group", *header]
 
+    lineno = 1  # the header's, where every_column's errors arise
     try:
         for lineno, fields in _rows(source, fmt, ["author_id", "group"], "profiles", every_column):
             author_id = _text(fields[0], "author_id")
@@ -350,7 +351,7 @@ def aggregate_report(
         pooled[variable] = summary = _statistic(stats.describe, values, variable)
         grouped = {g: vals for g in group_names if (vals := [v for v in columns[g][variable] if v is not None])}
         terms = (_statistic(stats.variance_decomposition, stats.GroupedSample(grouped), variable)
-                 if len(grouped) >= 2 else (None,) * 4)
+                 if len(grouped) >= 2 else (None,) * len(stats.VarianceDecomposition._fields))
         aggregate.append([variable, *summary, *terms])
 
     deltas = []
@@ -365,7 +366,7 @@ def aggregate_report(
                     raise stats.StatsError(f"{ratio!r} delta of {fam_a} against {fam_b} overflows the float range")
                 deltas.append([ratio, fam_a, fam_b, median_delta, mean_delta])
     return (
-        (["variable", *SUMMARY_COLUMNS, "within_ss", "between_ss", "total_ss", "pct_reduction"], aggregate),
+        (["variable", *SUMMARY_COLUMNS, *stats.VarianceDecomposition._fields], aggregate),
         (["variable", "family_a", "family_b", "median_delta_pct", "mean_delta_pct"], deltas),
     )
 
@@ -425,7 +426,7 @@ def figure_data(
         raise ReportError("no rows")
     if kind == "boxplot":
         variables, _, columns = _group_columns(rows, variables, lambda row: row.group or "")
-        header = ["group", "variable", "q1", "q2", "q3", "whisker_low", "whisker_high"]
+        header = ["group", "variable", *stats.BoxplotSummary._fields]
         data = []
         for group in sorted(columns):
             for variable in variables:

@@ -266,10 +266,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     Requires equal lengths, n >= 3; a constant vector yields an undefined
     cell (r None, with a note) rather than a silent zero.
     """
-    return _pearson(_check_sample(x), _check_sample(y))
-
-
-def _pearson(xs: list[float], ys: list[float]) -> CorrelationCell:
+    xs, ys = _check_sample(x), _check_sample(y)
     if len(xs) != len(ys):
         raise StatsError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
@@ -301,10 +298,7 @@ def _pearson(xs: list[float], ys: list[float]) -> CorrelationCell:
 
 def average_ranks(values: Sequence[float]) -> list[float]:
     """Ascending ranks 1..n with ties sharing their average rank."""
-    return _average_ranks(_check_sample(values))
-
-
-def _average_ranks(vals: list[float]) -> list[float]:
+    vals = _check_sample(values)
     order = sorted(range(len(vals)), key=vals.__getitem__)
     ranks = [0.0] * len(vals)
     start = 0
@@ -321,15 +315,10 @@ def _average_ranks(vals: list[float]) -> list[float]:
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     """Rank correlation: Pearson applied to average-rank vectors."""
-    return _spearman(_check_sample(x), _check_sample(y))
+    return pearson(average_ranks(x), average_ranks(y))
 
 
-def _spearman(xs: list[float], ys: list[float]) -> CorrelationCell:
-    return _pearson(_average_ranks(xs), _average_ranks(ys))
-
-
-# the unchecked forms: correlation_matrix passes them finite floats only
-_CORRELATIONS = {"pearson": _pearson, "spearman": _spearman}
+_CORRELATIONS = {"pearson": pearson, "spearman": spearman}
 
 
 def correlation_matrix(

@@ -327,6 +327,27 @@ class TestCompute:
         assert "Invalid value" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, args",
+        [
+            pytest.param("name", "x\ud800", ["summarize", "--profiles", PROFILES], id="name"),
+            pytest.param("out", "o\ud800", ["summarize", "--profiles", PROFILES], id="out"),
+            pytest.param("profiles", "p\ud800.csv", ["summarize"], id="input-path"),
+            pytest.param("families", ["SJR", "S\udc80"], ["compute", "--events", EVENTS, "--impacts", IMPACTS],
+                         id="families"),
+        ],
+    )
+    def test_config_text_utf8_cannot_encode_usage_error(self, runner, tmp_path, monkeypatch, key, value, args):
+        # a json escape may spell a lone surrogate, which no path, file name or output can hold
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        result = runner.invoke(main, [*args, "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        text = value if isinstance(value, str) else value[-1]
+        assert f"Error: config file {path}: {key} is not valid text, got {text!r}\n" in result.output
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("fail_fast, logged", [("false", ["a", "b"]), (False, ["a", "b"]), (True, [])])
     def test_config_fail_fast_is_a_boolean(self, runner, tmp_path, fail_fast, logged):
         events = tmp_path / "events.csv"
@@ -657,6 +678,9 @@ class TestReport:
                          id="json"),
             pytest.param("p.json", json.dumps([{"author_id": "a", "group": "G\ud800", "p_sjr": 1}]), [],
                          "profiles: row 1: group is not valid text, got 'G\\ud800'", id="lone-surrogate"),
+            # a family column's suffix names the family in every variable and output header
+            pytest.param("p.json", json.dumps([{"author_id": a, "group": g, "p_x\ud800": 1} for a, g in ("aG", "bH")]),
+                         [], "profiles: row 1: column is not valid text, got 'p_x\\ud800'", id="lone-surrogate-key"),
         ],
     )
     def test_profiles_that_no_output_can_show_exit_3(self, runner, tmp_path, name, text, args, message):
@@ -1213,6 +1237,15 @@ def test_version_runs_from_source(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0, result.output
     assert result.output == f"pirmetrics, version {pirmetrics.__version__}\n" == "pirmetrics, version 0.1.0\n"
+
+
+def test_star_import_binds_no_submodule():
+    # the package's submodules io, engine, model and stats would shadow a caller's own names
+    namespace: dict = {}
+    exec("import io\nfrom pirmetrics import *", namespace)
+    assert namespace["io"] is sys.modules["io"]
+    assert not {"engine", "io", "model", "stats"} & set(pirmetrics.__all__)
+    assert {"compute_profile", "load_events", "pearson", "IndicatorProfile"} <= set(pirmetrics.__all__)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_locale():

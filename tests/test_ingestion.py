@@ -481,6 +481,43 @@ class TestJsonFieldTypes:
         assert corpus.events == (Event(EventKind.CITATION, "J1", 2010, 3),)
 
 
+class TestDecimalText:
+    """Numeric text is ASCII decimal: int() and float() alone also read '_' separators and other scripts' digits."""
+
+    IMPACTS = "journal,year,indicator,value\n"
+    EVENTS = "author_id,group,kind,journal,year,count\n"
+
+    @pytest.mark.parametrize(
+        "loader, text, message",
+        [
+            (load_impact_table, IMPACTS + "J1,\uff12\uff10\uff11\uff10,SJR,1_0.5\n",
+             "impact table: line 2: year must be an integer, got '\uff12\uff10\uff11\uff10'"),
+            (load_impact_table, IMPACTS + "J1,2_010,SJR,1\n", "impact table: line 2: year must be an integer, got '2_010'"),
+            (load_impact_table, IMPACTS + "J1,2010,SJR,1_0.5\n",
+             "impact table: line 2: impact value must be a number, got '1_0.5'"),
+            (load_impact_table, IMPACTS + "J1,2010,SJR,\u0661.5\n",
+             "impact table: line 2: impact value must be a number, got '\u0661.5'"),
+            (load_events, EVENTS + "a,G,publication,J1,2010,1_0\n", "events: line 2: count must be an integer, got '1_0'"),
+            (load_events, EVENTS + "a,G,publication,J1,\u0662\u0660\u0661\u0660,1\n",
+             "events: line 2: year must be an integer, got '\u0662\u0660\u0661\u0660'"),
+            (load_scalars, "author_id,papers,cites,h\na,1_2,20,1\n", "scalars: line 2: papers must be an integer, got '1_2'"),
+            (load_profiles, "author_id,group,h,p_sjr\na,G,1,1_0.5\n", "profiles: line 2: p_sjr must be a number, got '1_0.5'"),
+            (load_profiles, "author_id,group,h,p_sjr\na,G,\uff11,1\n", "profiles: line 2: h must be an integer, got '\uff11'"),
+        ],
+        ids=["impact-fullwidth-year", "impact-separated-year", "impact-separated-value", "impact-arabic-indic-value",
+             "events-separated-count", "events-arabic-indic-year", "scalars-separated", "profiles-separated-cell",
+             "profiles-fullwidth-h"],
+    )
+    def test_rejected_with_line(self, loader, text, message):
+        with pytest.raises(IngestError) as excinfo:
+            loader(csv_stream(text))
+        assert str(excinfo.value) == message
+
+    def test_ascii_forms_still_load(self):
+        table = load_impact_table(csv_stream(self.IMPACTS + "J1, 2010 ,SJR,1.5e1\nJ1,+2011,SJR, .5 \n"))
+        assert sorted(table.entries()) == [("J1", 2010, "SJR", 15.0), ("J1", 2011, "SJR", 0.5)]
+
+
 class TestLoaderFuzz:
     """Whatever the input, a loader returns or raises IngestError, nothing else."""
 
