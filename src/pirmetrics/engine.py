@@ -30,6 +30,7 @@ from .model import (
     IndicatorProfile,
     JournalRef,
     YearWindow,
+    _decimal,
     derive_ratios,
     merge_counts,
     variable_name,
@@ -100,6 +101,8 @@ class MissingValuePolicy(FrozenValue):
         mode, _, dist = text.partition(":")
         if mode == cls.NEAREST:
             try:
+                if not _decimal(dist):
+                    raise ValueError
                 return cls(cls.NEAREST, int(dist))
             except ValueError:
                 raise EngineError(

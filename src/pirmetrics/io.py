@@ -26,7 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import MAX_COUNT, AuthorCorpus, Event, EventKind, FrozenValue, ImpactTable, ModelError
+from .model import MAX_COUNT, AuthorCorpus, Event, EventKind, FrozenValue, ImpactTable, ModelError, _decimal
 
 
 class IngestError(ValueError):
@@ -75,7 +75,7 @@ def _not_utf8(path, label: str) -> IngestError:
 
 
 class _RepeatedKey(NamedTuple):
-    """What the json reader makes of an object that repeats a key; no row is one."""
+    """What _by_name makes of pairs that repeat a name; no row is one."""
 
     key: str
 
@@ -83,8 +83,12 @@ class _RepeatedKey(NamedTuple):
         return f"an object that repeats the key {self.key!r}"
 
 
-def _json_object(pairs: list[tuple[str, object]]) -> dict | _RepeatedKey:
-    """A json object as a dict, or a _RepeatedKey naming the first key it repeats."""
+def _by_name(pairs: list[tuple[str, object]]) -> dict | _RepeatedKey:
+    """(name, value) pairs as a dict, or a _RepeatedKey naming the first name they repeat.
+
+    The one repeated-name rule: a json object's keys, and a csv header's
+    column names, mapped to their positions.
+    """
     row = dict(pairs)
     if len(row) < len(pairs):
         seen = set()
@@ -99,12 +103,13 @@ def _rows(source, fmt: str, required: Sequence[str], label: str, pick=None):
     """Yield (line_number, fields) from csv or json input.
 
     fields holds the row's values of the required columns, in that order.
-    Each column is found once: by its position in the csv header, or by
-    key in a json row. Column order is free and other columns are
-    ignored, but a repeated csv column name or json key is an error.
-    pick, when given, chooses the columns read from the header (the csv
-    header, or the first json row's fields), and every later json row
-    must then carry exactly the first row's fields.
+    Column order is free and other columns are ignored. Each column is
+    found by name in one map, built once: the csv header's {name:
+    position}, or a json row itself. _by_name builds both, so a repeated
+    csv column name or json key is the same error, naming the first name
+    repeated. pick, when given, chooses the columns read from the header
+    (the csv header, or the first json row's fields), and every later
+    json row must then carry exactly the first row's fields.
 
     A csv row is numbered by the physical line it ends on, and must have
     exactly as many fields as its header; blank lines are skipped. A csv
@@ -120,14 +125,13 @@ def _rows(source, fmt: str, required: Sequence[str], label: str, pick=None):
                 header = next(reader, None)
                 if header is None:
                     raise IngestError(f"{label}: empty input, header row required")
-                repeated = [c for i, c in enumerate(header) if c in header[:i]]
-                if repeated:
-                    raise IngestError(f"{label}: duplicate column {repeated[0]!r} in header")
-                missing = [c for c in required if c not in header]
+                position = _by_name([(name, i) for i, name in enumerate(header)])
+                if isinstance(position, _RepeatedKey):
+                    raise IngestError(f"{label}: duplicate column {position.key!r} in header")
+                missing = [c for c in required if c not in position]
                 if missing:
                     raise IngestError(f"{label}: missing columns {missing} in header")
-                columns = pick(header) if pick else required
-                get = itemgetter(*map(header.index, columns))
+                get = itemgetter(*map(position.__getitem__, pick(header) if pick else required))
                 width = len(header)
                 for fields in reader:
                     if len(fields) != width:
@@ -141,7 +145,7 @@ def _rows(source, fmt: str, required: Sequence[str], label: str, pick=None):
         else:
             import json  # here, so a process that reads and writes only csv never loads it
             try:
-                payload = json.load(stream, object_pairs_hook=_json_object)
+                payload = json.load(stream, object_pairs_hook=_by_name)
             # a JSONDecodeError, an integer beyond int's digit limit, or nesting deeper than the recursion limit
             except (ValueError, RecursionError) as exc:
                 raise IngestError(f"{label}: invalid json: {exc}") from exc
@@ -211,11 +215,6 @@ def _encodable(text: str, what: str) -> str:
         except UnicodeEncodeError:
             raise _FieldError(f"{what} is not valid text, got {text!r}") from None
     return text
-
-
-def _decimal(text: str) -> bool:
-    """Whether numeric text is ASCII with no '_': int() and float() also read '_' separators and other digits."""
-    return text.isascii() and "_" not in text
 
 
 def _text(raw, key: str) -> str:

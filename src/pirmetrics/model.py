@@ -42,6 +42,16 @@ SNIP: IndicatorName = "SNIP"
 MAX_COUNT = 2**53
 
 
+def _decimal(text: str) -> bool:
+    """Whether numeric text is ASCII with no '_': int() and float() also read '_' separators and other digits.
+
+    The one digit rule: the loaders in io apply it to file fields, and
+    YearWindow.parse and engine.MissingValuePolicy.parse to flag and
+    config values.
+    """
+    return text.isascii() and "_" not in text
+
+
 class ModelError(ValueError):
     """Invalid construction of a domain value."""
 
@@ -111,6 +121,8 @@ class YearWindow(FrozenValue):
         """Parse 'START:END'."""
         try:
             start, end = text.split(":")
+            if not _decimal(text):
+                raise ValueError
             return cls(int(start), int(end))
         except (ValueError, TypeError) as exc:
             if isinstance(exc, ModelError):

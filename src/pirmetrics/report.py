@@ -39,6 +39,7 @@ NA = "NA"
 Table = tuple[list[str], list[list]]  # a report: its header, and one list of raw cells per row
 
 _NO_CELLS = (None,) * len(FAMILY_FIELDS)  # the cells of a family a row lacks
+_CANONICAL_FAMILIES = {SJR.lower(): SJR, SNIP.lower(): SNIP}  # a profiles column suffix -> its family
 SCALAR_FIELDS = ScalarMetrics._fields[1:]  # papers, cites, h
 
 
@@ -61,8 +62,8 @@ class AuthorTableRow(NamedTuple):
     families: Mapping[IndicatorName, DimensionCells]
 
     def value(self, variable: str) -> float | None:
-        """Look a report variable up by name (e.g. 'h' or 'pi_sjr'), as _column does."""
-        return _column((self,), variable)[0]
+        """Look a report variable up by name (e.g. 'h' or 'pi_sjr'), as _columns does."""
+        return _columns((self,), (variable,))[0][0]
 
 
 def _variable_names(families: Iterable[IndicatorName]) -> list[str]:
@@ -166,7 +167,7 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
             start = len(layout)
             layout.extend((_parse_float, position.get(col), col)
                           for col in map(columns.get, FAMILY_FIELDS))
-            families.append((_canonical_family(suffix), slice(start, len(layout))))
+            families.append((_CANONICAL_FAMILIES.get(suffix, suffix), slice(start, len(layout))))
         return ["author_id", "group", *header]
 
     lineno = 1  # the header's, where every_column's errors arise
@@ -195,14 +196,6 @@ def load_profiles(source, fmt: str = "csv") -> list[AuthorTableRow]:
     return rows
 
 
-def _canonical_family(suffix: str) -> IndicatorName:
-    if suffix == SJR.lower():
-        return SJR
-    if suffix == SNIP.lower():
-        return SNIP
-    return suffix
-
-
 def _optional(parse, raw, what: str):
     """None for an undefined cell (NA or empty), else the parsed, non-negative value.
 
@@ -221,31 +214,32 @@ def _optional(parse, raw, what: str):
 # ---------------------------------------------------------------------------
 # grouped and aggregate summaries
 
-def _column(rows: Sequence[AuthorTableRow], variable: str) -> list[float | None]:
-    """Every row's value of a variable (e.g. 'h' or 'pi_sjr'); a scalar counter reads as a float.
+def _columns(rows: Sequence[AuthorTableRow], variables: Iterable[str]) -> list[list[float | None]]:
+    """Every row's value of each variable (e.g. 'h' or 'pi_sjr'), a list per variable; a counter reads as a float.
 
-    The one lookup of a variable by name. A family cell's family is the
-    first one whose lowercased name is the variable's suffix: matched once,
-    against the first row, and again for a row without that family. A row
-    that has no such variable raises ReportError, listing its variables.
+    The one lookup of variables by name. A family cell's family is the
+    first one whose lowercased name is the variable's suffix, found in
+    one {lowercased name: family} map of the first row's families, built
+    once per call. A row without that family is looked up on its own, as
+    a first row. Variables are resolved in order, so the first that a row
+    lacks raises ReportError, listing that row's variables.
     """
-    if variable in SCALAR_FIELDS:
-        return [None if v is None else float(v) for v in map(attrgetter(variable), rows)]
-    fieldname, _, suffix = variable.partition("_")
-
-    def family_of(row: AuthorTableRow) -> IndicatorName:
-        if fieldname in FAMILY_FIELDS and suffix:
-            for family in row.families:
-                if family.lower() == suffix:
-                    return family
-        raise ReportError(f"unknown variable {variable!r}; available: {', '.join(_variable_names(row.families))}")
-
-    family = family_of(rows[0])
-    get = attrgetter(fieldname)
-    return [
-        get(row.families[family_of(row)] if (cells := row.families.get(family)) is None else cells)
-        for row in rows
-    ]
+    lowercased = {family.lower(): family for family in reversed([*rows[0].families])}  # the first of a name wins
+    columns = []
+    for variable in variables:
+        fieldname, _, suffix = variable.partition("_")
+        if variable in SCALAR_FIELDS:
+            columns.append([None if v is None else float(v) for v in map(attrgetter(variable), rows)])
+        elif fieldname in FAMILY_FIELDS and suffix and suffix in lowercased:
+            family, get = lowercased[suffix], attrgetter(fieldname)
+            columns.append([
+                _columns((row,), (variable,))[0][0] if (cells := row.families.get(family)) is None else get(cells)
+                for row in rows
+            ])
+        else:
+            names = ", ".join(_variable_names(rows[0].families))
+            raise ReportError(f"unknown variable {variable!r}; available: {names}")
+    return columns
 
 
 def _group_columns(
@@ -266,8 +260,8 @@ def _group_columns(
     for index, row in enumerate(rows):
         members.setdefault(group_of(row), []).append(index)
     pooled = {
-        variable: [v if v is not None and math.isfinite(v) else None for v in _column(rows, variable)]
-        for variable in variables
+        variable: [v if v is not None and math.isfinite(v) else None for v in column]
+        for variable, column in zip(variables, _columns(rows, variables))
     }
     columns = {
         group: {variable: [column[i] for i in indices] for variable, column in pooled.items()}
@@ -441,7 +435,7 @@ def figure_data(
         header = ["author_id", "group", x, y]
         data = [
             [row.author_id, row.group or "", vx, vy]
-            for row, vx, vy in zip(rows, _column(rows, x), _column(rows, y))
+            for row, vx, vy in zip(rows, *_columns(rows, (x, y)))
         ]
         return header, data
     if kind == "ordered_dimensions":
@@ -450,12 +444,8 @@ def figure_data(
             raise ReportError("the profiles hold no indicator family to order authors by")
         p_var, order_var, r_var = (variable_name(f, family) for f in FAMILY_FIELDS[:3])
         header = ["author_id", "group", p_var, order_var, r_var]
-        order = _column(rows, order_var)  # first, so a lookup error names order_var
-        defined = [
-            (row, p, i, r)
-            for row, p, i, r in zip(rows, _column(rows, p_var), order, _column(rows, r_var))
-            if i is not None
-        ]
+        order, ps, rs = _columns(rows, (order_var, p_var, r_var))  # order_var first, so a lookup error names it
+        defined = [(row, p, i, r) for row, p, i, r in zip(rows, ps, order, rs) if i is not None]
         defined.sort(key=lambda d: (-d[2], d[0].author_id))
         data = [[row.author_id, row.group or "", p, i, r] for row, p, i, r in defined]
         return header, data
@@ -516,11 +506,7 @@ def render_table(
 
 
 def author_table_export(rows: Sequence[AuthorTableRow]) -> Table:
-    families: list[IndicatorName] = []
-    for row in rows:
-        for family in row.families:
-            if family not in families:
-                families.append(family)
+    families = list(dict.fromkeys(family for row in rows for family in row.families))  # in first-seen order
     header = ["author_id", "group", *_variable_names(families)]
     data = []
     for row in rows:

@@ -276,6 +276,11 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     # vector can round to a nearby float, leaving spurious deviations
     if all(v == xs[0] for v in xs) or all(v == ys[0] for v in ys):
         return CorrelationCell(r=None, n=n, note="constant input")
+    # a vector whose largest magnitude is under 1/2 is scaled up by a power of two, which is exact,
+    # to at least 1/2: a tiny vector's mean and deviations would otherwise round to the subnormal grid
+    kx, ky = (max(0, -math.frexp(max(map(abs, vs)))[1]) for vs in (xs, ys))
+    if kx or ky:
+        xs, ys = [math.ldexp(v, kx) for v in xs], [math.ldexp(v, ky) for v in ys]
     mx, my = _mean(xs), _mean(ys)
     dx = [v - mx for v in xs]
     dy = [v - my for v in ys]

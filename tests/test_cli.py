@@ -328,6 +328,32 @@ class TestCompute:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("window", "2_009:2013", "cannot parse year window from '2_009:2013'"),
+            ("window", "2009:２０１３", "cannot parse year window from '2009:２０１３'"),
+            ("missing", "nearest:1_0", "bad nearest-year distance in 'nearest:1_0'; expected nearest:K"),
+            ("missing", "nearest:١", "bad nearest-year distance in 'nearest:١'; expected nearest:K"),
+        ],
+        ids=["window-separated", "window-fullwidth", "nearest-separated", "nearest-arabic-indic"],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_flag_digits_follow_the_file_digit_rule(self, runner, tmp_path, key, value, message, source):
+        # int() alone reads '_' separators and other scripts' digits, which every input file refuses
+        out = tmp_path / "o"
+        args = ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--out", str(out)]
+        if source == "flag":
+            args += [f"--{key}", value]
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({key: value}))
+            args += ["--config", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"Error: Invalid value for '--{key}': {message}\n" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, value, args",
         [
             pytest.param("name", "x\ud800", ["summarize", "--profiles", PROFILES], id="name"),

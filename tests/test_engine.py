@@ -167,8 +167,9 @@ class TestWeightedMeanImpact:
         assert MissingValuePolicy.parse("drop").mode == "drop"
         nearest = MissingValuePolicy.parse("nearest:2")
         assert nearest.mode == "nearest" and nearest.max_distance == 2
-        with pytest.raises(EngineError):
-            MissingValuePolicy.parse("nearest:two")
+        for text in ("nearest:two", "nearest:1_0", "nearest:\u0661"):  # digits as the input files read them
+            with pytest.raises(EngineError, match="bad nearest-year distance"):
+                MissingValuePolicy.parse(text)
         with pytest.raises(EngineError):
             MissingValuePolicy.parse("fuzzy")
         assert WindowPolicy.parse("open-references") is WindowPolicy.OPEN_REFERENCES

@@ -34,7 +34,7 @@ class TestYearWindow:
 
     def test_parse(self):
         assert YearWindow.parse("2009:2013") == YearWindow(2009, 2013)
-        for text in ("nineteen:ninety", "2009-2013", "2009:2011:2013"):
+        for text in ("nineteen:ninety", "2009-2013", "2009:2011:2013", "2_009:2013", "2009:\uff12\uff10\uff11\uff13"):
             with pytest.raises(ModelError, match="cannot parse year window"):
                 YearWindow.parse(text)
 

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +232,16 @@ class TestVarianceDecomposition:
             assert d.total_ss == pytest.approx(d.within_ss + d.between_ss, rel=1e-9, abs=1e-9)
 
 
+def _exact_pearson(x, y) -> float:
+    """Pearson's r from exact rational arithmetic: r**2 is a Fraction, and only its square root rounds."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+    sxx = sum((a - mx) ** 2 for a in xs)
+    syy = sum((b - my) ** 2 for b in ys)
+    return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+
+
 class TestPearson:
     def test_self_correlation(self):
         cell = pearson([1.0, 2.0, 5.0, 3.0], [1.0, 2.0, 5.0, 3.0])
@@ -256,6 +268,12 @@ class TestPearson:
             max_size=40,
         )
     )
+    # y is nearly constant: scipy warns NearConstantInputWarning and gives r = 0.408, numpy.corrcoef
+    # too, while exact arithmetic gives r**2 = 1/4
+    @example(pairs=[(0.0, 100.0), (0.0, 99.99999999999999), (1.0, 100.0)])
+    # y is subnormal: its mean and deviations round to the subnormal grid unless scaled up first, and
+    # scipy, without a warning, gives r = 0.816 where exact arithmetic gives 1
+    @example(pairs=[(0.0, 0.0), (0.0, 0.0), (1.0, 5e-324)])
     def test_against_scipy(self, pairs):
         x = [p[0] for p in pairs]
         y = [p[1] for p in pairs]
@@ -263,8 +281,13 @@ class TestPearson:
             assert pearson(x, y).r is None
             return
         ours = pearson(x, y)
-        ref_r, ref_p = scipy.stats.pearsonr(x, y)
-        if math.isnan(ref_r):
+        assert ours.r == pytest.approx(_exact_pearson(x, y), abs=1e-9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ref_r, ref_p = scipy.stats.pearsonr(x, y)
+        # scipy is the less accurate side on near-constant or subnormal input: the exact oracle alone decides there
+        near_constant = any(issubclass(w.category, scipy.stats.NearConstantInputWarning) for w in caught)
+        if math.isnan(ref_r) or near_constant or any(0 < abs(v) < sys.float_info.min for v in x + y):
             return
         assert ours.r == pytest.approx(ref_r, abs=1e-9)
 
