@@ -15,7 +15,8 @@ failed run leaves an earlier run's files as they were.
 Exit codes
     0  success
     2  usage error (bad flags, arguments or config values, --kind scatter
-       without both --x and --y, or an output that cannot be written)
+       without both --x and --y or with one variable for both, or an
+       output that cannot be written)
     3  malformed, missing or unreadable input file, named with its line
        where it has one (a csv that is not UTF-8 included)
     4  missing impact value under the strict policy
@@ -368,8 +369,8 @@ def report_cmd(
     order_family: str | None, svg: bool,
 ) -> Files:
     """Figure-data exports: boxplot summaries, scatter pairs, orderings."""
-    if "scatter" in kinds and not (x_var and y_var):
-        raise click.UsageError("--kind scatter needs both --x and --y")
+    if "scatter" in kinds and not (x_var and y_var and x_var != y_var):
+        raise click.UsageError("--kind scatter needs both --x and --y, naming two different variables")
     rows = _load_rows(profiles, scalars)
     files = []
     for kind in kinds or ("boxplot",):

@@ -94,10 +94,8 @@ class MissingValuePolicy(FrozenValue):
     def parse(cls, text: str) -> "MissingValuePolicy":
         """Parse 'strict', 'drop' or 'nearest:K'."""
         text = text.strip().lower()
-        if text == cls.STRICT:
-            return cls(cls.STRICT)
-        if text == cls.DROP:
-            return cls(cls.DROP)
+        if text in (cls.STRICT, cls.DROP):
+            return cls(text)
         mode, _, dist = text.partition(":")
         if mode == cls.NEAREST:
             try:

@@ -151,26 +151,26 @@ def _rows(source, fmt: str, required: Sequence[str], label: str, pick=None):
                 raise IngestError(f"{label}: invalid json: {exc}") from exc
             if not isinstance(payload, list):
                 raise IngestError(f"{label}: expected a json array of row objects")
+            # the one check of a row's required fields, the first row's included: a KeyError below
+            need = get = itemgetter(*required)
             first = None
             for i, row in enumerate(payload, start=1):
                 if not isinstance(row, dict):
                     if isinstance(row, _RepeatedKey):
                         raise IngestError(f"{label}: row {i}: duplicate key {row.key!r}")
                     raise IngestError(f"{label}: row {i}: expected an object")
-                if first is None or (pick and row.keys() != first):
-                    missing = [c for c in required if c not in row]
-                    if missing:
-                        raise IngestError(f"{label}: row {i}: missing fields {missing}")
-                    if first is not None:
-                        raise IngestError(
-                            f"{label}: row {i}: fields differ from the first row's: "
-                            f"missing {[c for c in first if c not in row]}, extra {[c for c in row if c not in first]}"
-                        )
-                    first = row.keys()
-                    get = itemgetter(*(pick(list(first)) if pick else required))
                 try:
+                    if pick and row.keys() != first:
+                        need(row)  # before the fields-differ check, so a row lacking a required field says so
+                        if first is not None:
+                            raise IngestError(
+                                f"{label}: row {i}: fields differ from the first row's: "
+                                f"missing {[c for c in first if c not in row]}, extra {[c for c in row if c not in first]}"
+                            )
+                        first = row.keys()
+                        get = itemgetter(*pick(list(first)))
                     fields = get(row)
-                except KeyError:  # a later row without pick lacks a required field
+                except KeyError:
                     missing = [c for c in required if c not in row]
                     raise IngestError(f"{label}: row {i}: missing fields {missing}") from None
                 yield i, fields

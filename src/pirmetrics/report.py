@@ -390,11 +390,9 @@ def correlation_report(
     _, _, columns = _group_columns(rows, variables or DEFAULT_CORRELATION_VARIABLES, _required_group)
     data = []
     for group in sorted(columns):
-        names, grid = stats.correlation_matrix(columns[group], method=method)
-        for a, b in combinations(range(len(names)), 2):
-            r, n, significance, note = grid[a][b]
+        for a, b, (r, n, significance, note) in stats.correlation_matrix(columns[group], method=method):
             mark = SIGNIFICANCE_MARKS.get(significance, "")
-            data.append([group, names[a], names[b], r, n, significance, mark, note or ""])
+            data.append([group, a, b, r, n, significance, mark, note or ""])
     return ["group", "row", "column", "r", "n", "significance", "mark", "note"], data
 
 
@@ -412,7 +410,7 @@ def figure_data(
     """Tabular exports backing the three figure styles.
 
     boxplot: one row of quartile/whisker fields per (group, variable).
-    scatter: (author_id, group, x, y) for the chosen variable pair.
+    scatter: (author_id, group, x, y) for the chosen pair of two different variables.
     ordered_dimensions: authors sorted by the impact dimension of the
     chosen family, descending, with the family's P, I, R columns.
     """
@@ -430,8 +428,8 @@ def figure_data(
                 data.append([group, variable, *_statistic(stats.boxplot, values, variable, group)])
         return header, data
     if kind == "scatter":
-        if not x or not y:
-            raise ReportError("scatter needs x and y variable names")
+        if not x or not y or x == y:  # a repeated name would be one json key, and a header the loaders refuse
+            raise ReportError("scatter needs x and y variable names that differ")
         header = ["author_id", "group", x, y]
         data = [
             [row.author_id, row.group or "", vx, vy]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping, Sequence
+from itertools import combinations
 from typing import NamedTuple
 
 
@@ -328,8 +329,13 @@ _CORRELATIONS = {"pearson": pearson, "spearman": spearman}
 
 def correlation_matrix(
     columns: Mapping[str, Sequence[float]], method: str = "pearson"
-) -> tuple[list[str], list[list[CorrelationCell]]]:
-    """Symmetric matrix of correlation cells over named columns.
+) -> list[tuple[str, str, CorrelationCell]]:
+    """The correlation cells above the diagonal: (row, column, cell) for each pair of named columns.
+
+    The pairs come in row-major order, as combinations(columns, 2) gives
+    them, which is the order of correlation_report's rows; no diagonal or
+    mirrored cell is built. The name is the one the benchmark traces, as
+    stats.correlation_matrix_s.
 
     Pairs with undefined values (None or NaN in either column) are
     excluded pairwise; each cell's n reports the pairs actually used.
@@ -344,29 +350,23 @@ def correlation_matrix(
     names = list(columns)
     if len(names) < 2:
         raise StatsError("need at least two columns")
-    data = {name: list(columns[name]) for name in names}
-    length = len(data[names[0]])
+    length = len(columns[names[0]])
     for name in names:
-        if len(data[name]) != length:
+        if len(columns[name]) != length:
             raise StatsError(
-                f"column {name!r} has length {len(data[name])}, expected {length}"
+                f"column {name!r} has length {len(columns[name])}, expected {length}"
             )
     # each cell is found usable or not once, here; None marks an unusable one
-    usable = [[float(v) if v is not None and math.isfinite(v) else None for v in data[name]] for name in names]
-
-    grid: list[list[CorrelationCell]] = [[None] * len(names) for _ in names]  # type: ignore[list-item]
-    for a in range(len(names)):
-        xs_all = usable[a]
-        grid[a][a] = CorrelationCell(r=1.0, n=sum(1 for v in xs_all if v is not None))
-        for b in range(a + 1, len(names)):
-            pairs = [(xv, yv) for xv, yv in zip(xs_all, usable[b]) if xv is not None and yv is not None]
-            if len(pairs) < 3:
-                cell = CorrelationCell(
-                    r=None, n=len(pairs), note=f"only {len(pairs)} usable pairs"
-                )
-            else:
-                xs, ys = zip(*pairs)
-                cell = corr(list(xs), list(ys))
-            grid[a][b] = cell
-            grid[b][a] = cell
-    return names, grid
+    usable = {name: [float(v) if v is not None and math.isfinite(v) else None for v in columns[name]] for name in names}
+    cells = []
+    for a, b in combinations(names, 2):
+        pairs = [(xv, yv) for xv, yv in zip(usable[a], usable[b]) if xv is not None and yv is not None]
+        if len(pairs) < 3:
+            cell = CorrelationCell(
+                r=None, n=len(pairs), note=f"only {len(pairs)} usable pairs"
+            )
+        else:
+            xs, ys = zip(*pairs)
+            cell = corr(list(xs), list(ys))
+        cells.append((a, b, cell))
+    return cells

@@ -1101,6 +1101,20 @@ class TestExitCodeByKind:
             assert "--kind scatter needs both --x and --y" in result.output
             assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_scatter_with_one_variable_for_both_axes_is_a_usage_error(self, runner, tmp_path, fmt):
+        out = tmp_path / "out"
+        out.mkdir()
+        # a missing profiles file as well: the flags are checked before any input is loaded
+        for profiles in (PROFILES, str(tmp_path / "missing.csv")):
+            result = runner.invoke(main, [
+                "report", "--profiles", profiles, "--out", str(out), "--format", fmt,
+                "--kind", "boxplot", "--kind", "scatter", "--x", "p_sjr", "--y", "p_sjr",
+            ])
+            assert result.exit_code == 2, result.output
+            assert "--kind scatter needs both --x and --y, naming two different variables" in result.output
+            assert list(out.iterdir()) == []
+
 
 class TestUnreadableInputs:
     """An input that cannot be read or parsed (a directory, a missing path, a csv that is not UTF-8,

@@ -185,6 +185,11 @@ class TestLoadEvents:
         )
         assert [(c.author_id, c.group, len(c.events)) for c in corpora] == [("a", "Phy", 3)]
 
+    def test_first_json_row_missing_fields_rejected_as_a_later_one_is(self):
+        text = json.dumps([{"author_id": "a", "group": "G", "kind": "publication", "year": 2010}])
+        with pytest.raises(IngestError, match=r"^events: row 1: missing fields \['journal', 'count'\]$"):
+            load_events(io.StringIO(text), fmt="json")
+
     def test_later_json_row_missing_a_field_rejected_with_row(self):
         text = json.dumps([
             {"author_id": "a", "group": "G", "kind": "publication", "journal": "J1", "year": 2010, "count": 1},

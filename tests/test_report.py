@@ -184,6 +184,21 @@ class TestProfilesRoundTrip:
             f"profiles: row 2: fields differ from the first row's: missing {missing}, extra {extra}"
         )
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([{"author_id": "a", "p_sjr": 1}], "profiles: row 1: missing fields ['group']"),
+            # a required field's absence is named before the fields that differ from the first row's
+            ([{"author_id": "a", "group": "G", "p_sjr": 1}, {"group": "G", "h": 1}],
+             "profiles: row 2: missing fields ['author_id']"),
+        ],
+        ids=["first-row", "later-row"],
+    )
+    def test_json_rows_missing_a_required_field(self, rows, message):
+        with pytest.raises(IngestError) as excinfo:
+            load_profiles(io.StringIO(json.dumps(rows)), "json")
+        assert str(excinfo.value) == message
+
     def test_json_fields_in_another_order_load(self):
         rows = [{"author_id": "a", "group": "G", "p_sjr": 1}, {"p_sjr": 2, "group": "G", "author_id": "b"}]
         loaded = load_profiles(io.StringIO(json.dumps(rows)), "json")
@@ -495,6 +510,11 @@ class TestFigureData:
     def test_scatter_needs_x_and_y(self, fixture_rows):
         with pytest.raises(ReportError):
             figure_data(fixture_rows, "scatter", x="p_sjr")
+
+    def test_scatter_needs_two_different_variables(self, fixture_rows):
+        # one name twice would make a header the loaders refuse, and one key of a json object
+        with pytest.raises(ReportError, match="scatter needs x and y variable names that differ"):
+            figure_data(fixture_rows, "scatter", x="p_sjr", y="p_sjr")
 
 
 class TestRendering:

@@ -18,6 +18,7 @@ import pirmetrics
 from pirmetrics.report import author_table_export, correlation_report
 from pirmetrics.stats import (
     BoxplotSummary,
+    CorrelationCell,
     DescriptiveSummary,
     GroupedSample,
     StatsError,
@@ -392,33 +393,40 @@ class TestSpearman:
 
 class TestCorrelationMatrix:
     def test_identical_columns_unit_offdiagonal(self):
-        names, grid = correlation_matrix(
+        [(row, column, cell)] = correlation_matrix(
             {"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0]}, method="pearson"
         )
-        assert names == ["a", "b"]
-        assert grid[0][1].r == pytest.approx(1.0)
-        assert grid[0][1] is grid[1][0]
-        assert grid[0][0].r == 1.0 and grid[1][1].r == 1.0
+        assert (row, column) == ("a", "b")
+        assert cell.r == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("names", ["abc", "wxyz"])
+    def test_only_the_cells_above_the_diagonal_in_row_major_order(self, names):
+        columns = {name: [float(k), float(k * k), float(k + 3), float(k % 2)] for k, name in enumerate(names)}
+        cells = correlation_matrix(columns)
+        assert [(row, column) for row, column, _ in cells] == list(itertools.combinations(names, 2))
+        assert all(isinstance(cell, CorrelationCell) for _, _, cell in cells)
+        for row, column, cell in cells:
+            assert cell == pearson(columns[row], columns[column])
 
     def test_pairwise_exclusion_of_undefined(self):
-        names, grid = correlation_matrix(
+        [(_, _, cell)] = correlation_matrix(
             {
                 "a": [1.0, 2.0, None, 4.0, 5.0],
                 "b": [2.0, 4.0, 9.0, 8.0, 10.0],
             },
             method="pearson",
         )
-        cell = grid[0][1]
         assert cell.n == 4
         assert cell.r == pytest.approx(1.0, abs=1e-12)
 
     def test_small_or_constant_cells_flagged_not_fatal(self):
-        names, grid = correlation_matrix(
+        cells = correlation_matrix(
             {"a": [1.0, None, None, 2.0], "b": [1.0, 2.0, 3.0, 4.0], "c": [5.0, 5.0, 5.0, 5.0]},
         )
-        ab = grid[0][1]
+        ab = cells[0][2]
         assert ab.r is None and "2 usable pairs" in ab.note
-        bc = grid[1][2]
+        bc = cells[2][2]
+        assert cells[2][:2] == ("b", "c")
         assert bc.r is None and bc.note == "constant input"
 
     def test_length_mismatch_raises(self):
@@ -434,11 +442,11 @@ class TestCorrelationMatrix:
             correlation_matrix({"a": [1.0], "b": [2.0]}, method="kendall")
 
     def test_spearman_method_dispatch(self):
-        names, grid = correlation_matrix(
+        [(_, _, cell)] = correlation_matrix(
             {"a": [1.0, 2.0, 3.0, 4.0], "b": [1.0, 8.0, 27.0, 64.0]},
             method="spearman",
         )
-        assert grid[0][1].r == pytest.approx(1.0, abs=1e-12)
+        assert cell.r == pytest.approx(1.0, abs=1e-12)
 
 
 def scipy_significance(r, n):
