@@ -266,6 +266,69 @@ def _parse_float(raw, what: str) -> float:
 IMPACT_COLUMNS = ("journal", "year", "indicator", "value")  # as ImpactTable.entries() yields an entry
 
 
+class _TableRead:
+    """An impact table file for load_impact_table to read, begun in a forked child if asked.
+
+    With in_child, a forked child runs load_impact_table(path, fmt) while
+    the caller goes on, sends the table's families back through a pipe
+    as marshal bytes, and ends with os._exit: it runs no atexit handler,
+    flushes no stream and writes no file. Without a child, or when the
+    child sends no whole payload, load_impact_table reads the path
+    itself, so every result, error and message is the serial read's. As
+    a context manager it kills and reaps a child that nothing collected,
+    so no process outlives the block, whatever the block raises.
+    """
+
+    __slots__ = ("path", "_pid", "_fd")
+
+    def __init__(self, path: Path, fmt: str, in_child: bool):
+        self.path, self._pid, self._fd = path, None, None
+        if in_child:
+            self._fd, write_fd = os.pipe()
+            self._pid = os.fork()
+            if self._pid == 0:
+                code = 1
+                try:
+                    import marshal
+                    os.close(self._fd)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(marshal.dumps(load_impact_table(path, fmt)._families))
+                    code = 0
+                finally:  # whatever was raised: the parent reads the path again and meets it there
+                    os._exit(code)
+            os.close(write_fd)
+
+    def _collect(self) -> dict | None:
+        """The families the child read, or None when no child sent them whole; the child is reaped."""
+        if self._pid is None:
+            return None
+        pipe, self._fd = open(self._fd, "rb", buffering=0), None  # unbuffered: read() is one growing buffer
+        with pipe:
+            payload = pipe.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if status == 0:
+            import marshal
+            try:
+                return marshal.loads(payload)
+            except (EOFError, ValueError, TypeError):  # a short or undecodable payload
+                pass
+        return None
+
+    def __enter__(self) -> _TableRead:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        if self._pid is not None:
+            import signal
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
 def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
     """Load (journal, year, indicator) -> value entries.
 
@@ -273,7 +336,14 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
     negative or non-finite values and malformed rows are rejected with
     their location. Each distinct journal, indicator and year text is
     parsed once per call, and rows that repeat it share the parsed object.
+    source is a path, a text stream, or a _TableRead, whose child's table
+    is taken as read, or whose path is read here when no child sent one.
     """
+    if isinstance(source, _TableRead):
+        read = source._collect()
+        if read is not None:
+            return ImpactTable._of_checked(read)
+        source = source.path
     # indicator -> ({(journal, year): value}, {(journal, year): first line})
     families: dict[str, tuple[dict[tuple[str, int], float], dict[tuple[str, int], int]]] = {}
     journals, indicators, years = _Parsed(_text, "journal"), _Parsed(_text, "indicator"), _Parsed(_parse_int, "year")

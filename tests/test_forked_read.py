@@ -1,0 +1,290 @@
+"""compute reads a large impact table in a forked child while it reads the events.
+
+Each path is forced through cli.FORK_MIN_BYTES alone: 0 sends every
+existing pair of inputs to the child, a size no file reaches keeps the
+read serial. Both paths must give the same exit code, log and bytes.
+"""
+
+import csv
+import json
+import marshal
+import os
+import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from pirmetrics import cli
+from pirmetrics import io as pio
+from pirmetrics.cli import EXIT_INPUT, main
+from pirmetrics.data import fixture_path
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
+
+FORKED, SERIAL = 0, 1 << 62
+EVENTS = str(fixture_path("author_events.csv"))
+IMPACTS = str(fixture_path("impact_table.csv"))
+SCALARS = str(fixture_path("scalars.csv"))
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The number of forks so far; os.fork itself still forks."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def compute(monkeypatch, gate: int, args: list[str], out: Path):
+    """(exit code, log, {file name: bytes}) of one compute run with the fork gate at gate."""
+    monkeypatch.setattr(cli, "FORK_MIN_BYTES", gate)
+    result = CliRunner().invoke(main, ["compute", *args, "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return result.exit_code, result.output.replace(str(out), "OUT"), files
+
+
+def both_paths(monkeypatch, forks, tmp_path: Path, args: list[str]):
+    """compute on the serial path, then on the forked one; the two results, which must be equal."""
+    serial = compute(monkeypatch, SERIAL, args, tmp_path / "serial")
+    assert not forks
+    forked = compute(monkeypatch, FORKED, args, tmp_path / "forked")
+    assert len(forks) == 1
+    assert forked == serial
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    return forked
+
+
+def write_table(path: Path, columns: tuple, rows: list) -> str:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        if path.suffix == ".json":
+            json.dump([dict(zip(columns, row)) for row in rows], f)
+        else:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+    return str(path)
+
+
+def generated_inputs(directory: Path, fmt: str, coverage: float, seed: int = 7) -> list[str]:
+    """Small seeded events, impacts and scalars files; below full coverage the table has gaps."""
+    rng = random.Random(seed)
+    journals = [f"Journal {k}" if k % 5 else f"Annals {k}, Series B" for k in range(12)]
+    impacts = [
+        (journal, year, family, round(rng.uniform(0.2, 6.0), 3))
+        for journal in journals for year in range(2005, 2017) for family in ("SJR", "SNIP")
+        if rng.random() < coverage
+    ]
+    events, scalars = [], []
+    for a in range(9):
+        author, papers = f"Author {a}", 0
+        for i in range(25):
+            kind = "publication" if i == 0 else rng.choice(("publication", "citation", "reference"))
+            year, count = (rng.randint(2009, 2013) if i == 0 else rng.randint(2006, 2016)), rng.randint(1, 4)
+            events.append((author, f"G{a % 3}", kind, rng.choice(journals), year, count))
+            papers += count if kind == "publication" else 0
+        scalars.append((author, papers, papers * 3, min(papers, 2)))
+    directory.mkdir(parents=True, exist_ok=True)
+    return [
+        "--events", write_table(directory / f"events.{fmt}", pio.EVENT_COLUMNS, events),
+        "--impacts", write_table(directory / f"impacts.{fmt}", pio.IMPACT_COLUMNS, impacts),
+        "--scalars", write_table(directory / f"scalars.{fmt}", ("author_id", "papers", "cites", "h"), scalars),
+    ]
+
+
+class TestSameBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_fixtures(self, monkeypatch, forks, tmp_path, fmt):
+        code, log, files = both_paths(
+            monkeypatch, forks, tmp_path,
+            ["--events", EVENTS, "--impacts", IMPACTS, "--scalars", SCALARS, "--format", fmt],
+        )
+        assert code == 0 and len(files) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "coverage, policy, code",
+        [
+            pytest.param(1.0, ["--missing", "strict"], 0, id="strict"),
+            pytest.param(0.8, ["--missing", "strict"], 4, id="strict-gap"),
+            pytest.param(0.8, ["--missing", "drop"], 0, id="drop"),
+            pytest.param(0.8, ["--missing", "nearest:2", "--window-policy", "open-references"], 0, id="nearest"),
+        ],
+    )
+    def test_generated_inputs(self, monkeypatch, forks, tmp_path, fmt, coverage, policy, code):
+        args = generated_inputs(tmp_path / "inputs", fmt, coverage)
+        got, log, files = both_paths(monkeypatch, forks, tmp_path, [*args, *policy, "--format", fmt])
+        assert got == code and len(files) == (code == 0)
+
+    def test_without_fork_the_read_is_serial(self, monkeypatch, tmp_path):
+        args = ["--events", EVENTS, "--impacts", IMPACTS]
+        expected = compute(monkeypatch, SERIAL, args, tmp_path / "serial")
+        monkeypatch.delattr(os, "fork")
+        assert compute(monkeypatch, FORKED, args, tmp_path / "forked") == expected
+
+    def test_a_process_with_threads_reads_serially(self, monkeypatch, forks, tmp_path):
+        args = ["--events", EVENTS, "--impacts", IMPACTS]
+        expected = compute(monkeypatch, SERIAL, args, tmp_path / "serial")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        thread.start()
+        try:
+            assert compute(monkeypatch, FORKED, args, tmp_path / "forked") == expected and not forks
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    def test_the_fixtures_stay_below_the_gate(self, forks, tmp_path):
+        result = CliRunner().invoke(main, ["compute", "--events", EVENTS, "--impacts", IMPACTS,
+                                           "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0 and not forks
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            pytest.param(
+                "impacts.csv", "journal,year,indicator,value\nJ1,2010,SJR,1.5\nJ2,2011,SJR,2.5\nJ3,2_010,SJR,1\n",
+                "impact table: line 4: year must be an integer, got '2_010'", id="csv",
+            ),
+            pytest.param(
+                "impacts.json",
+                json.dumps([{"journal": "J1", "year": 2010, "indicator": "SJR", "value": 1.5},
+                            {"journal": "J2", "year": 2011, "indicator": "SJR", "value": -2.5}]),
+                "impact table: row 2: negative impact value -2.5", id="json",
+            ),
+        ],
+    )
+    def test_bad_last_row(self, monkeypatch, forks, tmp_path, name, text, message):
+        impacts = tmp_path / name
+        impacts.write_text(text, encoding="utf-8")
+        code, log, files = both_paths(monkeypatch, forks, tmp_path, ["--events", EVENTS, "--impacts", str(impacts)])
+        assert code == EXIT_INPUT and message in log and not files
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "no-permission"])
+    def test_unreadable_impacts(self, monkeypatch, forks, tmp_path, kind):
+        impacts = tmp_path / "impacts.csv"
+        if kind == "directory":
+            impacts.mkdir()
+        else:
+            impacts.write_bytes(Path(IMPACTS).read_bytes() + (b"J9,2010,SJR,\xff\n" if kind == "not-utf8" else b""))
+            if kind == "no-permission":
+                impacts.chmod(0)  # a process that may read every file, as root may, still reads it
+        code, log, files = both_paths(monkeypatch, forks, tmp_path, ["--events", EVENTS, "--impacts", str(impacts)])
+        if kind != "no-permission" or not os.access(impacts, os.R_OK):
+            assert code == EXIT_INPUT and "impact table: " in log and not files
+
+    def test_the_events_error_wins(self, monkeypatch, forks, tmp_path):
+        events, impacts = tmp_path / "events.csv", tmp_path / "impacts.csv"
+        events.write_text("author_id,group,kind,journal,year,count\na,G,publication,J1,2010,0\n", encoding="utf-8")
+        impacts.write_text("journal,year,indicator,value\nJ1,2010,SJR,nan\n", encoding="utf-8")
+        code, log, files = both_paths(monkeypatch, forks, tmp_path, ["--events", str(events), "--impacts", str(impacts)])
+        assert code == EXIT_INPUT and "events: line 2: " in log and "impact table" not in log
+
+
+class TestChildFailure:
+    """A child that sends no whole payload leaves the parent to read the table itself."""
+
+    ARGS = ["--events", EVENTS, "--impacts", IMPACTS, "--scalars", SCALARS]
+
+    def in_the_child(self, monkeypatch, module, name, replace):
+        """Replace module.name in the forked child alone; the test process keeps the original."""
+        original, parent = getattr(module, name), os.getpid()
+        monkeypatch.setattr(module, name, lambda *a: original(*a) if os.getpid() == parent else replace(original, *a))
+
+    def expected(self, monkeypatch, tmp_path):
+        return compute(monkeypatch, SERIAL, self.ARGS, tmp_path / "serial")
+
+    @pytest.mark.parametrize("status", [0, 1])
+    def test_exit_without_payload(self, monkeypatch, forks, tmp_path, status):
+        expected = self.expected(monkeypatch, tmp_path)
+        # the child looks load_impact_table up in io
+        self.in_the_child(monkeypatch, pio, "load_impact_table", lambda load, path, fmt: os._exit(status))
+        assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
+
+    def test_exception(self, monkeypatch, forks, tmp_path):
+        expected = self.expected(monkeypatch, tmp_path)
+
+        def raise_(load, path, fmt):
+            raise MemoryError
+
+        self.in_the_child(monkeypatch, pio, "load_impact_table", raise_)
+        assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(lambda data: data[:-7], id="short"),
+            pytest.param(lambda data: b"", id="empty"),
+            pytest.param(lambda data: b"\xff not marshal", id="undecodable"),
+        ],
+    )
+    def test_bad_payload(self, monkeypatch, forks, tmp_path, payload):
+        expected = self.expected(monkeypatch, tmp_path)
+        self.in_the_child(monkeypatch, marshal, "dumps", lambda dumps, value: payload(dumps(value)))
+        assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
+
+
+class TestNoChildLeft:
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError, IndexError])
+    def test_after_load_events_raises(self, monkeypatch, forks, tmp_path, error):
+        def load_events(path, fmt):
+            raise error
+
+        monkeypatch.setattr(cli, "load_events", load_events)
+        code, log, files = compute(monkeypatch, FORKED, ["--events", EVENTS, "--impacts", IMPACTS], tmp_path / "out")
+        assert code != 0 and not files and len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_after_the_table_is_collected(self, monkeypatch, forks, tmp_path):
+        code, log, files = compute(monkeypatch, FORKED, ["--events", EVENTS, "--impacts", IMPACTS], tmp_path / "out")
+        assert code == 0 and len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_traced_compute_records_the_table_read_in_the_parent(tmp_path):
+    """perfbench's tracer, run on inputs above the gate, still sees io.load_impact_table and its rows."""
+    journals = [f"Journal {k:05d}" for k in range(800)]
+    impacts = write_table(
+        tmp_path / "impacts.csv", pio.IMPACT_COLUMNS,
+        [(j, year, family, 1.25) for j in journals for year in range(2005, 2013) for family in ("SJR", "SNIP")],
+    )
+    events = write_table(
+        tmp_path / "events.csv", pio.EVENT_COLUMNS,
+        [(f"Author {k % 300}", "G1", "publication", journals[k % 800], 2010, 1) for k in range(8000)],
+    )
+    assert min(os.path.getsize(events), os.path.getsize(impacts)) >= cli.FORK_MIN_BYTES
+    spans_path = tmp_path / "spans.json"
+    # the wrapper counts the forks of the traced process, then runs trace_cli.py as its own main
+    wrapper = (
+        "import os, runpy, sys; "
+        "os.register_at_fork(after_in_parent=lambda: sys.stderr.write('forked\\n')); "
+        "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", wrapper, str(REPO / "perfbench" / "trace_cli.py"), str(spans_path), "compute", "--",
+         "compute", "--events", events, "--impacts", impacts, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("forked\n") == 1
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    (table,) = [span for span in spans if span[0] == "io.load_impact_table"]
+    (events_span,) = [span for span in spans if span[0] == "io.load_events"]
+    assert table[5] == {"rows": len(pio.load_impact_table(impacts))} == {"rows": 800 * 8 * 2}
+    assert table[1] >= events_span[2]  # collected after the events were read

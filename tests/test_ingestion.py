@@ -42,6 +42,10 @@ class TestLoadImpactTable:
         table = load_impact_table(csv_stream("journal,year,indicator,value\n"))
         assert len(table) == 0
 
+    def test_source_of_another_type_is_refused(self):
+        with pytest.raises(IngestError, match="^cannot read from int$"):
+            load_impact_table(42)
+
     def test_duplicate_key_names_both_lines(self):
         text = (
             "journal,year,indicator,value\n"
