@@ -4,12 +4,17 @@ Small-sample machinery for grouped author indicators. All reductions use
 compensated summation (math.fsum) so results are independent of how the
 input happens to be batched or ordered. The result types are named
 tuples, so each unpacks into its report columns in field order.
+
+Pearson's r is split into a per-vector half (_deviations) and a per-pair
+half (_correlate), so correlation_matrix prepares each column once per
+group and set of excluded rows, not once for every pair it is in.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Mapping, Sequence
 from itertools import combinations
 from typing import NamedTuple
@@ -261,6 +266,50 @@ def _significance(r: float, n: int) -> int | None:
     return None
 
 
+def _deviations(vals: list[float]) -> tuple[list[float], float] | None:
+    """The vector's half of Pearson's r: its unit-scaled deviations and their sum of squares.
+
+    None for a constant vector. Every step here depends on this vector
+    alone, so correlation_matrix prepares a column once for all of its
+    pairs; vals is a checked sample of at least 3 values.
+    """
+    # constancy is decided on the raw values; the mean of a constant
+    # vector can round to a nearby float, leaving spurious deviations
+    if vals.count(vals[0]) == len(vals):
+        return None
+    # a vector is scaled by a power of two, which leaves r as it is: one whose largest magnitude is under 1/2
+    # up to at least 1/2, as a tiny vector's mean and deviations would otherwise round to the subnormal grid,
+    # and one whose n-fold sum could near the float maximum down, as its sums would otherwise overflow: below
+    # 2**(1021 - n.bit_length()) each, n values sum to under 2**1021 and their deviations' sum to under 2**1022
+    top = math.frexp(max(map(abs, vals)))[1]
+    k = -top if top < 0 else min(0, 1021 - top - len(vals).bit_length())
+    if k:
+        vals = [math.ldexp(v, k) for v in vals]
+    m = _mean(vals)
+    dev = [v - m for v in vals]
+    # the float mean can be an ulp off: take out the deviations' own mean too (corrected two-pass mean)
+    c = math.fsum(dev) / len(dev)
+    dev = [v - c for v in dev]
+    # scale deviations to unit magnitude so squaring cannot under/overflow. The scale is never 0: the
+    # rounded mean is off the exact one by rounding only, so a non-constant vector keeps two distinct
+    # deviations, one of which differs from c, and a float difference is 0 only between equal floats
+    scale = max(map(abs, dev))
+    dev = [v / scale for v in dev]
+    return dev, math.fsum(map(operator.mul, dev, dev))
+
+
+def _correlate(
+    x: tuple[list[float], float] | None, y: tuple[list[float], float] | None, n: int
+) -> CorrelationCell:
+    """The pair's half of Pearson's r, from both vectors' _deviations."""
+    if x is None or y is None:
+        return CorrelationCell(r=None, n=n, note="constant input")
+    (dx, sxx), (dy, syy) = x, y
+    r = math.fsum(map(operator.mul, dx, dy)) / math.sqrt(sxx * syy)
+    r = max(-1.0, min(1.0, r))
+    return CorrelationCell(r=r, n=n, significance=_significance(r, n))
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     """Pearson product-moment correlation with t-test significance.
 
@@ -273,33 +322,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     n = len(xs)
     if n < 3:
         raise StatsError(f"need at least 3 pairs, got {n}")
-    # constancy is decided on the raw values; the mean of a constant
-    # vector can round to a nearby float, leaving spurious deviations
-    if all(v == xs[0] for v in xs) or all(v == ys[0] for v in ys):
-        return CorrelationCell(r=None, n=n, note="constant input")
-    # a vector whose largest magnitude is under 1/2 is scaled up by a power of two, which is exact,
-    # to at least 1/2: a tiny vector's mean and deviations would otherwise round to the subnormal grid
-    kx, ky = (max(0, -math.frexp(max(map(abs, vs)))[1]) for vs in (xs, ys))
-    if kx or ky:
-        xs, ys = [math.ldexp(v, kx) for v in xs], [math.ldexp(v, ky) for v in ys]
-    mx, my = _mean(xs), _mean(ys)
-    dx = [v - mx for v in xs]
-    dy = [v - my for v in ys]
-    # the float mean can be an ulp off: take out the deviations' own mean too (corrected two-pass mean)
-    cx, cy = math.fsum(dx) / n, math.fsum(dy) / n
-    # scale deviations to unit magnitude so squaring cannot under/overflow
-    scale_x = max(abs(v - cx) for v in dx)
-    scale_y = max(abs(v - cy) for v in dy)
-    if scale_x == 0.0 or scale_y == 0.0:
-        return CorrelationCell(r=None, n=n, note="constant input")
-    dx = [(v - cx) / scale_x for v in dx]
-    dy = [(v - cy) / scale_y for v in dy]
-    sxx = math.fsum(v * v for v in dx)
-    syy = math.fsum(v * v for v in dy)
-    sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    r = sxy / math.sqrt(sxx * syy)
-    r = max(-1.0, min(1.0, r))
-    return CorrelationCell(r=r, n=n, significance=_significance(r, n))
+    return _correlate(_deviations(xs), _deviations(ys), n)
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
@@ -324,7 +347,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
     return pearson(average_ranks(x), average_ranks(y))
 
 
-_CORRELATIONS = {"pearson": pearson, "spearman": spearman}
+_METHODS = ("pearson", "spearman")
 
 
 def correlation_matrix(
@@ -340,13 +363,13 @@ def correlation_matrix(
     Pairs with undefined values (None or NaN in either column) are
     excluded pairwise; each cell's n reports the pairs actually used.
     Statistically undefined cells (constant column, fewer than 3 usable
-    pairs) are flagged per cell instead of raising.
+    pairs) are flagged per cell instead of raising. Each cell equals
+    pearson or spearman on its usable pairs, but a column, or its ranks
+    under spearman, is prepared once per call (one group) and set of rows
+    its pairs leave out, not once for every pair.
     """
-    if method not in _CORRELATIONS:
-        raise StatsError(
-            f"unknown method {method!r}; expected one of {sorted(_CORRELATIONS)}"
-        )
-    corr = _CORRELATIONS[method]
+    if method not in _METHODS:
+        raise StatsError(f"unknown method {method!r}; expected one of {list(_METHODS)}")
     names = list(columns)
     if len(names) < 2:
         raise StatsError("need at least two columns")
@@ -356,17 +379,21 @@ def correlation_matrix(
             raise StatsError(
                 f"column {name!r} has length {len(columns[name])}, expected {length}"
             )
-    # each cell is found usable or not once, here; None marks an unusable one
+    # each cell is found usable or not once, here; a column's holes are the rows of its unusable cells
     usable = {name: [float(v) if v is not None and math.isfinite(v) else None for v in columns[name]] for name in names}
+    holes = {name: frozenset(i for i, v in enumerate(vals) if v is None) for name, vals in usable.items()}
+    prepared = {}  # (column, rows left out) -> the column's _deviations on the other rows
     cells = []
     for a, b in combinations(names, 2):
-        pairs = [(xv, yv) for xv, yv in zip(usable[a], usable[b]) if xv is not None and yv is not None]
-        if len(pairs) < 3:
-            cell = CorrelationCell(
-                r=None, n=len(pairs), note=f"only {len(pairs)} usable pairs"
-            )
+        left_out = holes[a] | holes[b]
+        n = length - len(left_out)
+        if n < 3:
+            cell = CorrelationCell(r=None, n=n, note=f"only {n} usable pairs")
         else:
-            xs, ys = zip(*pairs)
-            cell = corr(list(xs), list(ys))
+            for name in (a, b):
+                if (name, left_out) not in prepared:
+                    vals = [v for i, v in enumerate(usable[name]) if i not in left_out]
+                    prepared[name, left_out] = _deviations(average_ranks(vals) if method == "spearman" else vals)
+            cell = _correlate(prepared[a, left_out], prepared[b, left_out], n)
         cells.append((a, b, cell))
     return cells

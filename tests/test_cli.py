@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -637,6 +638,23 @@ class TestCorrelate:
         text = (out / "ds.pearson.txt").read_text()
         assert "Chem (pearson)" in text
         assert "^c" in text
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    def test_values_near_the_float_maximum(self, runner, tmp_path, method):
+        # two Chem authors at p_sjr = 1e308: the pearson sums of that column overflowed
+        with open(PROFILES, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        group, p_sjr = rows[0].index("group"), rows[0].index("p_sjr")
+        for row in [row for row in rows if row[group] == "Chem"][:2]:
+            row[p_sjr] = "1e308"
+        path = tmp_path / "huge.csv"
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        out = tmp_path / "out"
+        run(runner, "correlate", "--profiles", str(path), "--out", str(out), "--method", method)
+        cells = read_rows(out / f"huge.{method}.csv")
+        assert len(cells) == 4 * 21
+        assert all(math.isfinite(float(cell["r"])) for cell in cells)
 
 
 class TestReport:

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pirmetrics
+from pirmetrics import stats
 from pirmetrics.report import author_table_export, correlation_report
 from pirmetrics.stats import (
     BoxplotSummary,
@@ -240,7 +241,44 @@ def _exact_pearson(x, y) -> float:
     sxy = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
     sxx = sum((a - mx) ** 2 for a in xs)
     syy = sum((b - my) ** 2 for b in ys)
-    return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+    r = math.sqrt(sxy * sxy / (sxx * syy))
+    return r if sxy > 0 else -r  # sxy itself may be beyond the float range
+
+
+def _pairwise_definition(columns, method):
+    """correlation_matrix cell by cell: pearson or spearman on each pair's usable rows."""
+    corr = {"pearson": pearson, "spearman": spearman}[method]
+    cells = []
+    for a, b in itertools.combinations(columns, 2):
+        pairs = [
+            (x, y) for x, y in zip(columns[a], columns[b])
+            if x is not None and y is not None and math.isfinite(x) and math.isfinite(y)
+        ]
+        if len(pairs) < 3:
+            cell = CorrelationCell(r=None, n=len(pairs), note=f"only {len(pairs)} usable pairs")
+        else:
+            cell = corr([x for x, _ in pairs], [y for _, y in pairs])
+        cells.append((a, b, cell))
+    return cells
+
+
+# magnitudes from the least subnormal to the float maximum, with ties and holes
+_extremes = [0.0, -0.0, 1.0, 5e-324, -5e-324, sys.float_info.min, 1e308, -1e308, sys.float_info.max]
+_cells = st.one_of(
+    st.floats(-1e308, 1e308), st.sampled_from(_extremes), st.sampled_from([None, math.nan, math.inf, -math.inf])
+)
+
+
+@st.composite
+def _column_sets(draw):
+    length = draw(st.integers(0, 12))
+    columns = {}
+    for name in "abcd"[: draw(st.integers(2, 4))]:
+        if draw(st.booleans()):
+            columns[name] = [draw(_cells)] * length
+        else:
+            columns[name] = draw(st.lists(_cells, min_size=length, max_size=length))
+    return columns
 
 
 class TestPearson:
@@ -275,6 +313,8 @@ class TestPearson:
     # y is subnormal: its mean and deviations round to the subnormal grid unless scaled up first, and
     # scipy, without a warning, gives r = 0.816 where exact arithmetic gives 1
     @example(pairs=[(0.0, 0.0), (0.0, 0.0), (1.0, 5e-324)])
+    # x's sums overflow unless x is scaled down first; scipy overflows to nan, exact arithmetic gives -2/sqrt(5)
+    @example(pairs=[(1e308, 1.0), (1e308, 2.0), (0.5, 3.0), (3.0, 4.0)])
     def test_against_scipy(self, pairs):
         x = [p[0] for p in pairs]
         y = [p[1] for p in pairs]
@@ -324,6 +364,22 @@ class TestPearson:
             oracle = 99 if p < 0.01 else 95 if p < 0.05 else 90 if p < 0.10 else None
             assert _significance(r, 30) == oracle == expected
         assert _significance(1.0, 5) == 99
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e308, 1e308), st.sampled_from(_extremes)), min_size=3, max_size=12))
+    # near-constant: the rounded means sit an ulp from the exact ones
+    @example(vals=[1.0, 1.0, 1.0 + 2**-52])
+    @example(vals=[0.1] * 9 + [math.nextafter(0.1, 1.0)])
+    @example(vals=[-1.0] * 11 + [1.0])
+    def test_a_non_constant_vector_keeps_unit_deviations(self, vals):
+        # so _deviations needs no zero-scale guard: only a constant vector has no deviation
+        prepared = stats._deviations(vals)
+        if len(set(vals)) == 1:
+            assert prepared is None
+            return
+        dev, ss = prepared
+        assert max(map(abs, dev)) == 1.0
+        assert 1.0 <= ss <= len(vals)
 
 
 class TestSpearman:
@@ -447,6 +503,35 @@ class TestCorrelationMatrix:
             method="spearman",
         )
         assert cell.r == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    @settings(max_examples=300, deadline=None)
+    @given(columns=_column_sets())
+    # a's sums overflow unless a is scaled down first, and c spans the float range both ways
+    @example(columns={"a": [1e308, 1e308, 0.5, 3.0], "b": [1.0, 2.0, 3.0, 4.0], "c": [1e308, -1e308, 1e308, 0.0]})
+    # subnormal columns, and a column constant on its usable rows
+    @example(columns={"a": [5e-324, 0.0, 0.0, 1e-323], "b": [0.0, -5e-324, 5e-324, 1.0], "c": [1.0, 1.0, 1.0, None]})
+    # each column is prepared for two sets of excluded rows, one per pair it is in
+    @example(columns={"a": [1.0, None, 3.0, 2.0, 5.0], "b": [2.0, 1.0, None, 4.0, 4.0], "c": [math.nan, 2, 1, 3, 0.5]})
+    def test_equals_the_per_pair_definition(self, method, columns):
+        assert correlation_matrix(columns, method) == _pairwise_definition(columns, method)
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    @pytest.mark.parametrize("every_variable, calls", [(False, 4 * 7), (True, 4 * 17)], ids=["default", "all"])
+    def test_each_group_prepares_each_variable_once(self, fixture_rows, monkeypatch, method, every_variable, calls):
+        prepared = []
+        deviations = stats._deviations
+
+        def counted(vals):
+            prepared.append(len(vals))
+            return deviations(vals)
+
+        monkeypatch.setattr(stats, "_deviations", counted)
+        variables = author_table_export(fixture_rows)[0][2:] if every_variable else None
+        _, data = correlation_report(fixture_rows, method=method, variables=variables)
+        # the fixtures leave no cell undefined, so every pair of a group uses all of its authors
+        assert len(prepared) == calls
+        assert len(data) == 4 * (calls // 4) * (calls // 4 - 1) // 2
 
 
 def scipy_significance(r, n):
