@@ -13,7 +13,7 @@ invoke writes the whole set: every file or, on any error, none, so a
 failed run leaves an earlier run's files as they were.
 
 Where the platform can fork, compute reads a large impact table in a
-second process while it reads the events (see FORK_MIN_BYTES). Its
+second process while it reads the events (see io.FORK_MIN_BYTES). Its
 outputs and exit codes are those of reading the two one after the other.
 
 Exit codes
@@ -74,13 +74,8 @@ Files = tuple[str, str, list[tuple[str, str, str]]]
 # the settings a config file may hold; any other key is ignored
 CONFIG_KEYS = frozenset({"events", "impacts", "scalars", "profiles", "out", "format", "window",
                          "families", "missing", "window_policy", "fail_fast", "name"})
-# compute reads the impact table in a forked child, while it reads the events, only where the
-# platform can fork and the smaller of the two files holds at least this many bytes. The overlap can
-# hide no more than the smaller read, and the fork, the pipe and the decode cost 4-5 ms in process,
-# against 0.4 ms to read the bundled 3.6 KB table. On csv files cut from a benchmark workload (2 CPUs,
-# min of 25 runs) the forked reads were 1-3 ms slower at 96-128 KiB, level within noise at 160-256 KiB
-# and 6-12 ms faster from 320 KiB on; so the fixtures stay serial, and full-size inputs fork.
-FORK_MIN_BYTES = 256 * 1024
+# the json type of each config value, as its flag reads it; every other key holds a string
+CONFIG_TYPES = {"families": "a string or a list of strings", "fail_fast": "a boolean or a string"}
 
 
 def _fail(message: str, exit_code: int) -> click.ClickException:
@@ -153,11 +148,15 @@ def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) 
     ctx.default_map = {
         key: value for key, value in config.items() if key in CONFIG_KEYS and value is not None
     }
-    try:  # a json escape of a lone surrogate, which no path, file name or output can hold
+    try:
         for key, value in ctx.default_map.items():
-            for text in value if isinstance(value, list) else [value]:
-                if isinstance(text, str):
-                    _encodable(text, key)
+            if key == "fail_fast" and isinstance(value, bool):
+                continue
+            texts = value if key == "families" and isinstance(value, list) else [value]
+            if not all(isinstance(text, str) for text in texts):
+                raise _FieldError(f"{key} must be {CONFIG_TYPES.get(key, 'a string')}, got {value!r}")
+            for text in texts:  # a json escape may spell a lone surrogate, which no path, file name or output can hold
+                _encodable(text, key)
     except _FieldError as exc:
         raise _fail(f"config file {path}: {exc}", EXIT_USAGE) from None
 
@@ -185,7 +184,7 @@ def _check_families(ctx: click.Context, param: click.Parameter, value: tuple[str
         raise click.BadParameter("indicator family names must not be blank")
     if len({f.lower() for f in value}) != len(set(value)):
         raise click.BadParameter(f"indicator families differ only in case: {', '.join(value)}")
-    return value
+    return tuple(dict.fromkeys(value))
 
 
 def _check_variables(ctx: click.Context, param: click.Parameter, value: tuple[str, ...]) -> tuple[str, ...]:
@@ -237,23 +236,8 @@ def _read(loader, path: Path):
     return loader(path, _format(path))
 
 
-def _table_in_child(events: Path, impacts: Path) -> bool:
-    """Whether compute reads the impact table in a forked child: where it can fork and both files are large."""
-    import threading  # loaded at start-up already
-    # a child holds a copy of every lock other threads held at the fork, and could wait on one forever
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    try:
-        return min(events.stat().st_size, impacts.stat().st_size) >= FORK_MIN_BYTES
-    except OSError:  # a missing or unreadable file: the serial read words the error
-        return False
-
-
 def _write_files(out: str, dataset: str, files: list[tuple[str, str, str]]) -> None:
-    """Write each (report name, text, extension) file under out, all of them or none.
-
-    A file named twice, as by a repeated --kind, is written once with its last text and logged twice.
-    """
+    """Write each (report name, text, extension) file under out, all of them or none."""
     paths = [Path(out) / f"{dataset}.{report_name}.{ext}" for report_name, _, ext in files]
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
@@ -318,7 +302,7 @@ def compute(
     events, impacts = _require(events, "--events"), _require(impacts, "--impacts")
     table_fmt = _format(impacts)
     # the two reads share no state; in a child, the table's read runs on another CPU
-    with _TableRead(impacts, table_fmt, _table_in_child(events, impacts)) as table_source:
+    with _TableRead(impacts, table_fmt, events) as table_source:
         corpora = _read(load_events, events)
         table = load_impact_table(table_source, table_fmt)
     scalar_metrics = _read(load_scalars, scalars) if scalars else {}
@@ -404,7 +388,7 @@ def report_cmd(
         raise click.UsageError("--kind scatter needs both --x and --y, naming two different variables")
     rows = _load_rows(profiles, scalars)
     files = []
-    for kind in kinds or ("boxplot",):
+    for kind in dict.fromkeys(kinds or ("boxplot",)):
         header, data = rpt.figure_data(
             rows, "ordered_dimensions" if kind == "ordered" else kind,
             variables=variables or None, x=x_var, y=y_var, order_family=order_family,

@@ -266,37 +266,55 @@ def _parse_float(raw, what: str) -> float:
 IMPACT_COLUMNS = ("journal", "year", "indicator", "value")  # as ImpactTable.entries() yields an entry
 
 
-class _TableRead:
-    """An impact table file for load_impact_table to read, begun in a forked child if asked.
+# compute reads the impact table in a forked child, while it reads the events, only where the
+# platform can fork and the smaller of the two files holds at least this many bytes. The overlap can
+# hide no more than the smaller read, and the fork, the pipe and the decode cost 4-5 ms in process,
+# against 0.4 ms to read the bundled 3.6 KB table. On csv files cut from a benchmark workload (2 CPUs,
+# min of 25 runs) the forked reads were 1-3 ms slower at 96-128 KiB, level within noise at 160-256 KiB
+# and 6-12 ms faster from 320 KiB on; so the fixtures stay serial, and full-size inputs fork.
+FORK_MIN_BYTES = 256 * 1024
 
-    With in_child, a forked child runs load_impact_table(path, fmt) while
-    the caller goes on, sends the table's families back through a pipe
-    as marshal bytes, and ends with os._exit: it runs no atexit handler,
-    flushes no stream and writes no file. Without a child, or when the
-    child sends no whole payload, load_impact_table reads the path
-    itself, so every result, error and message is the serial read's. As
-    a context manager it kills and reaps a child that nothing collected,
-    so no process outlives the block, whatever the block raises.
+
+class _TableRead:
+    """An impact table file for load_impact_table to read, begun in a forked child where that pays.
+
+    The child is forked only where the platform can fork, no other thread
+    runs, and both the table and the file read alongside it hold at least
+    FORK_MIN_BYTES. It runs load_impact_table(path, fmt) while the caller
+    goes on, sends the table's families back through a pipe as marshal
+    bytes, and ends with os._exit: it runs no atexit handler, flushes no
+    stream and writes no file. Without a child, or when the child sends
+    no whole payload, load_impact_table reads the path itself, so every
+    result, error and message is the serial read's. As a context manager
+    it kills and reaps a child that nothing collected, so no process
+    outlives the block, whatever the block raises.
     """
 
     __slots__ = ("path", "_pid", "_fd")
 
-    def __init__(self, path: Path, fmt: str, in_child: bool):
+    def __init__(self, path: Path, fmt: str, alongside: Path):
         self.path, self._pid, self._fd = path, None, None
-        if in_child:
-            self._fd, write_fd = os.pipe()
-            self._pid = os.fork()
-            if self._pid == 0:
-                code = 1
-                try:
-                    import marshal
-                    os.close(self._fd)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(marshal.dumps(load_impact_table(path, fmt)._families))
-                    code = 0
-                finally:  # whatever was raised: the parent reads the path again and meets it there
-                    os._exit(code)
-            os.close(write_fd)
+        try:
+            large = min(path.stat().st_size, alongside.stat().st_size) >= FORK_MIN_BYTES
+        except OSError:  # a missing or unreadable file: the serial read words the error
+            return
+        import threading  # loaded at start-up already
+        # a child holds a copy of every lock other threads held at the fork, and could wait on one forever
+        if not large or not hasattr(os, "fork") or threading.active_count() > 1:
+            return
+        self._fd, write_fd = os.pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            code = 1
+            try:
+                import marshal
+                os.close(self._fd)
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(marshal.dumps(load_impact_table(path, fmt)._families))
+                code = 0
+            finally:  # whatever was raised: the parent reads the path again and meets it there
+                os._exit(code)
+        os.close(write_fd)
 
     def _collect(self) -> dict | None:
         """The families the child read, or None when no child sent them whole; the child is reaped."""
@@ -356,12 +374,8 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
             if not indicator:
                 raise _FieldError("empty indicator name")
             year = years[year] if type(year) in _KEYS else _parse_int(year, "year")
-            try:
-                value = float(value) if type(value) is str and _decimal(value) else _parse_float(value, "impact value")
-            except ValueError:  # float() refused a text field; _parse_float words the error
-                value = _parse_float(value, "impact value")
-            if not 0 <= value < math.inf:  # negative, nan or inf
-                _parse_float(value, "impact value")  # raises for nan and inf
+            value = _parse_float(value, "impact value")
+            if value < 0:
                 raise _FieldError(f"negative impact value {value}")
             family = families.get(indicator)
             if family is None:

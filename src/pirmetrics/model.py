@@ -123,11 +123,10 @@ class YearWindow(FrozenValue):
             start, end = text.split(":")
             if not _decimal(text):
                 raise ValueError
-            return cls(int(start), int(end))
+            start, end = int(start), int(end)
         except (ValueError, TypeError) as exc:
-            if isinstance(exc, ModelError):
-                raise
             raise ModelError(f"cannot parse year window from {text!r}") from exc
+        return cls(start, end)
 
 
 class EventKind(enum.Enum):

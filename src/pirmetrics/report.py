@@ -560,7 +560,7 @@ def render_boxplot_svg(data: list[list]) -> str:
     _SVG_TEXT, so drawing one imports no xml module.
     """
     if not data:
-        return '<svg xmlns="http://www.w3.org/2000/svg" width="0" height="0"></svg>'
+        return '<svg xmlns="http://www.w3.org/2000/svg" width="0" height="0"></svg>\n'
     lo = min(row[5] for row in data)
     hi = max(row[6] for row in data)
     span = (hi - lo) or 1.0

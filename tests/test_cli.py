@@ -220,6 +220,22 @@ class TestCompute:
         assert result.exit_code == 2
         assert not out.exists()
 
+    def test_repeated_family_is_computed_once(self, runner, tmp_path, monkeypatch):
+        args = ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--name", "ds"]
+        run(runner, *args, "--family", "SJR", "--out", str(tmp_path / "once"))
+        calls = []
+        compute_profiles = cli.compute_profiles
+
+        def counted(corpora, table, family, *args, **kwargs):
+            calls.append(family)
+            return compute_profiles(corpora, table, family, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_profiles", counted)
+        run(runner, *args, "--family", "SJR", "--family", "SJR", "--out", str(tmp_path / "twice"))
+        assert calls == ["SJR"]
+        once = (tmp_path / "once" / "ds.profiles.csv").read_bytes()
+        assert (tmp_path / "twice" / "ds.profiles.csv").read_bytes() == once
+
     def test_lone_surrogate_author_id_exit(self, runner, tmp_path):
         events = tmp_path / "events.json"
         row = {"author_id": "a\udc80", "group": "G", "kind": "publication", "journal": "J1", "year": 2010, "count": 1}
@@ -354,6 +370,21 @@ class TestCompute:
         assert f"Error: Invalid value for '--{key}': {message}\n" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_reversed_window_usage_error(self, runner, tmp_path, source):
+        out = tmp_path / "o"
+        args = ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--out", str(out)]
+        if source == "flag":
+            args += ["--window", "2013:2009"]
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"window": "2013:2009"}))
+            args += ["--config", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "Error: Invalid value for '--window': window start 2013 is after end 2009\n" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value, args",
         [
@@ -373,6 +404,34 @@ class TestCompute:
         assert result.exit_code == 2, result.output
         text = value if isinstance(value, str) else value[-1]
         assert f"Error: config file {path}: {key} is not valid text, got {text!r}\n" in result.output
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "key, value, args, kind",
+        [
+            *[
+                pytest.param("fail_fast", value, ["compute", "--events", EVENTS, "--impacts", IMPACTS],
+                             "a boolean or a string", id=f"fail_fast-{name}")
+                for name, value in [("int", 2), ("float", 0.5), ("object", {"a": 1}), ("list", [1])]
+            ],
+            pytest.param("name", ["a"], ["summarize", "--profiles", PROFILES], "a string", id="name-list"),
+            pytest.param("name", True, ["summarize", "--profiles", PROFILES], "a string", id="name-bool"),
+            pytest.param("out", ["a", "b"], ["summarize", "--profiles", PROFILES], "a string", id="out-list"),
+            pytest.param("window", 2009, ["compute", "--events", EVENTS, "--impacts", IMPACTS], "a string",
+                         id="window-int"),
+            pytest.param("families", {"SJR": 1}, ["compute", "--events", EVENTS, "--impacts", IMPACTS],
+                         "a string or a list of strings", id="families-object"),
+            pytest.param("families", ["SJR", 1], ["compute", "--events", EVENTS, "--impacts", IMPACTS],
+                         "a string or a list of strings", id="families-list-int"),
+        ],
+    )
+    def test_config_value_of_the_wrong_json_type_usage_error(self, runner, tmp_path, monkeypatch, key, value, args, kind):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        result = runner.invoke(main, [*args, "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"Error: config file {path}: {key} must be {kind}, got {value!r}\n" in result.output
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("fail_fast, logged", [("false", ["a", "b"]), (False, ["a", "b"]), (True, [])])
@@ -810,6 +869,42 @@ class TestReport:
         once = (tmp_path / "once" / "ds.boxplot.csv").read_text(encoding="utf-8")
         assert (tmp_path / "twice" / "ds.boxplot.csv").read_text(encoding="utf-8") == once
         assert len(once.splitlines()) == 1 + 4 * 2
+
+    @pytest.fixture()
+    def pi_sjr_all_na(self, tmp_path):
+        """The fixture profiles with every author's pi_sjr cell NA."""
+        source = read_rows(Path(PROFILES))
+        for row in source:
+            row["pi_sjr"] = ""
+        profiles = tmp_path / "na.csv"
+        with open(profiles, "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, fieldnames=list(source[0].keys()), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(source)
+        return str(profiles)
+
+    def test_a_variable_na_for_every_author_has_no_boxplot_rows(self, runner, tmp_path, pi_sjr_all_na):
+        out = tmp_path / "out"
+        run(runner, "report", "--profiles", pi_sjr_all_na, "--variable", "pi_sjr", "--variable", "p_sjr",
+            "--out", str(out))
+        assert [r["variable"] for r in read_rows(out / "na.boxplot.csv")] == ["p_sjr"] * 4  # one row per group
+
+    def test_svg_of_no_boxplot_rows_is_empty(self, runner, tmp_path, pi_sjr_all_na):
+        out = tmp_path / "out"
+        run(runner, "report", "--profiles", pi_sjr_all_na, "--variable", "pi_sjr", "--svg", "--out", str(out))
+        assert read_rows(out / "na.boxplot.csv") == []
+        svg = (out / "na.boxplot.svg").read_text(encoding="utf-8")
+        assert svg == '<svg xmlns="http://www.w3.org/2000/svg" width="0" height="0"></svg>\n'
+        assert ElementTree.fromstring(svg).attrib == {"width": "0", "height": "0"}
+
+    def test_repeated_kind_is_done_once(self, runner, tmp_path):
+        args = ["report", "--profiles", PROFILES, "--name", "ds", "--svg"]
+        run(runner, *args, "--out", str(tmp_path / "once"))
+        result = run(runner, *args, "--kind", "boxplot", "--kind", "boxplot", "--out", str(tmp_path / "twice"))
+        wrote = [line for line in result.output.splitlines() if line.startswith("wrote ")]
+        assert wrote == [f"wrote {tmp_path / 'twice' / name}" for name in ("ds.boxplot.csv", "ds.boxplot.svg")]
+        for name in ("ds.boxplot.csv", "ds.boxplot.svg"):
+            assert (tmp_path / "twice" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
 
     def test_text_format_writes_aligned_tables(self, runner, tmp_path):
         out = tmp_path / "out"

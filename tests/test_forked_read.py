@@ -1,6 +1,6 @@
 """compute reads a large impact table in a forked child while it reads the events.
 
-Each path is forced through cli.FORK_MIN_BYTES alone: 0 sends every
+Each path is forced through io.FORK_MIN_BYTES alone: 0 sends every
 existing pair of inputs to the child, a size no file reaches keeps the
 read serial. Both paths must give the same exit code, log and bytes.
 """
@@ -48,7 +48,7 @@ def forks(monkeypatch):
 
 def compute(monkeypatch, gate: int, args: list[str], out: Path):
     """(exit code, log, {file name: bytes}) of one compute run with the fork gate at gate."""
-    monkeypatch.setattr(cli, "FORK_MIN_BYTES", gate)
+    monkeypatch.setattr(pio, "FORK_MIN_BYTES", gate)
     result = CliRunner().invoke(main, ["compute", *args, "--out", str(out)])
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
     return result.exit_code, result.output.replace(str(out), "OUT"), files
@@ -268,7 +268,7 @@ def test_traced_compute_records_the_table_read_in_the_parent(tmp_path):
         tmp_path / "events.csv", pio.EVENT_COLUMNS,
         [(f"Author {k % 300}", "G1", "publication", journals[k % 800], 2010, 1) for k in range(8000)],
     )
-    assert min(os.path.getsize(events), os.path.getsize(impacts)) >= cli.FORK_MIN_BYTES
+    assert min(os.path.getsize(events), os.path.getsize(impacts)) >= pio.FORK_MIN_BYTES
     spans_path = tmp_path / "spans.json"
     # the wrapper counts the forks of the traced process, then runs trace_cli.py as its own main
     wrapper = (

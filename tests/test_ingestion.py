@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -90,6 +91,38 @@ class TestLoadImpactTable:
         text = '[{"journal": "J1", "year": 2010, "indicator": "SJR", "value": true}]'
         with pytest.raises(IngestError, match=r"^impact table: row 1: impact value must be a number, got True$"):
             load_impact_table(io.StringIO(text), fmt="json")
+
+    @pytest.mark.parametrize(
+        "fmt, raw, outcome",
+        [
+            ("csv", "abc", "line 2: impact value must be a number, got 'abc'"),
+            ("csv", "nan", "line 2: non-finite impact value nan"),
+            ("csv", "inf", "line 2: non-finite impact value inf"),
+            ("csv", "-1", "line 2: negative impact value -1.0"),
+            ("csv", "1_0", "line 2: impact value must be a number, got '1_0'"),
+            ("csv", "1e400", "line 2: non-finite impact value inf"),
+            ("csv", "-0", -0.0),
+            ("csv", " 2.5 ", 2.5),
+            ("json", "true", "row 1: impact value must be a number, got True"),
+            ("json", "1e400", "row 1: non-finite impact value inf"),
+            ("json", "-1", "row 1: negative impact value -1.0"),
+            ("json", '"-0"', -0.0),
+            ("json", "-0", 0.0),
+            ("json", "3", 3.0),
+        ],
+    )
+    def test_each_value_reads_one_way(self, fmt, raw, outcome):
+        if fmt == "csv":
+            text = f"journal,year,indicator,value\nJ1,2010,SJR,{raw}\n"
+        else:
+            text = f'[{{"journal": "J1", "year": 2010, "indicator": "SJR", "value": {raw}}}]'
+        if isinstance(outcome, str):
+            with pytest.raises(IngestError) as excinfo:
+                load_impact_table(io.StringIO(text), fmt)
+            assert str(excinfo.value) == f"impact table: {outcome}"
+        else:
+            value = load_impact_table(io.StringIO(text), fmt).get("J1", 2010, "SJR")
+            assert (value, math.copysign(1, value)) == (outcome, math.copysign(1, outcome))
 
     def test_malformed_year(self):
         with pytest.raises(IngestError) as excinfo:

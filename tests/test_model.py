@@ -127,6 +127,17 @@ class TestImpactTable:
             with pytest.raises(ModelError):
                 ImpactTable([("J1", 2010, "SJR", value)])
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (("", 2010, "SJR", 1.0), "journal id must be non-empty"),
+            (("J1", 2010, "", 1.0), "indicator name must be non-empty"),
+        ],
+    )
+    def test_empty_journal_or_indicator_rejected(self, entry, message):
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            ImpactTable([entry])
+
     def test_lookup(self):
         table = ImpactTable([("J1", 2010, "SJR", 1.5), ("J1", 2010, "SNIP", 0.9)])
         assert table.get("J1", 2010, "SJR") == 1.5
