@@ -2,9 +2,11 @@
 
 csv is the canonical interchange format; json mirrors it with one object
 per row, and is imported only where it is read or written, so a process
-that handles csv alone never loads it. All text is UTF-8, and numbers
-are ASCII decimal text: '.' is the decimal point, with no thousands or
-'_' separators.
+that handles csv alone never loads it. A json row is kept as its required
+fields once decoded; the text is decoded a second time only for a bad
+row, or a nested object that holds every required field (see _rows).
+All text is UTF-8, and numbers are ASCII decimal text: '.' is the
+decimal point, with no thousands or '_' separators.
 
 File schemas, each named once and read and written through that name
     impact_table.csv  journal,year,indicator,value             IMPACT_COLUMNS
@@ -115,6 +117,16 @@ def _rows(source, fmt: str, required: Sequence[str], label: str, pick=None):
     exactly as many fields as its header; blank lines are skipped. A csv
     syntax error (say, a bare carriage return in an unquoted field) is
     an IngestError too.
+
+    json text is decoded whole. Without pick, each row object that holds
+    every required field is kept as those fields once decoded, so no
+    dict per row outlives the decode. json makes no tuple, so when the
+    kept objects are exactly the rows, every row is valid and the text
+    is decoded once. Otherwise (a row lacks a field, repeats a key or is
+    no object, or a nested object also held every field) the text is
+    decoded again into dicts, and each row is checked as below, so every
+    message and row number is the same. The text is dropped before the
+    first row is yielded.
     """
     if fmt not in ("csv", "json"):
         raise IngestError(f"unknown format {fmt!r}; expected csv or json")
@@ -144,15 +156,39 @@ def _rows(source, fmt: str, required: Sequence[str], label: str, pick=None):
                 raise IngestError(f"{label}: line {reader.line_num}: {exc}") from None
         else:
             import json  # here, so a process that reads and writes only csv never loads it
+            text = stream.read()
+            # the one check of a row's required fields, the first row's included: a KeyError from need
+            need = get = itemgetter(*required)
+            kept = 0
+
+            def fields_of(pairs):  # _by_name, but a row object holding every required field is kept as them
+                nonlocal kept
+                row = dict(pairs)
+                if len(row) < len(pairs):
+                    return _by_name(pairs)
+                try:
+                    fields = need(row)
+                except KeyError:
+                    return row
+                kept += 1
+                return fields
+
             try:
-                payload = json.load(stream, object_pairs_hook=_by_name)
+                payload = json.loads(text, object_pairs_hook=_by_name if pick else fields_of)
             # a JSONDecodeError, an integer beyond int's digit limit, or nesting deeper than the recursion limit
             except (ValueError, RecursionError) as exc:
                 raise IngestError(f"{label}: invalid json: {exc}") from exc
             if not isinstance(payload, list):
                 raise IngestError(f"{label}: expected a json array of row objects")
-            # the one check of a row's required fields, the first row's included: a KeyError below
-            need = get = itemgetter(*required)
+            if not pick:
+                # json makes no tuple, so the rows are the kept objects, and no other object was kept,
+                # only when the counts agree and every row is a plain tuple (a _RepeatedKey is a subclass)
+                if kept == len(payload) and {tuple}.issuperset(map(type, payload)):
+                    del text
+                    yield from enumerate(payload, start=1)
+                    return
+                payload = json.loads(text, object_pairs_hook=_by_name)
+            del text
             first = None
             for i, row in enumerate(payload, start=1):
                 if not isinstance(row, dict):

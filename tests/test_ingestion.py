@@ -1021,3 +1021,98 @@ class TestParsedOnce:
                 if loader is load_impact_table:
                     result = {name: dict(result.family(name)) for name in result.indicators()}
             assert result == expected
+
+
+class TestJsonRowsAsFields:
+    """A json row is read as its required fields, and every row rule reads as it does for a row object."""
+
+    ROWS = {
+        load_events: ("events", {"author_id": "a", "group": "G", "kind": "citation", "journal": "J1", "year": 2010, "count": 1}),
+        load_impact_table: ("impact table", {"journal": "J1", "year": 2010, "indicator": "SJR", "value": 1.5}),
+        load_scalars: ("scalars", {"author_id": "a", "papers": 3, "cites": 9, "h": 1}),
+    }
+    NESTED_IN = {load_events: "journal", load_impact_table: "journal", load_scalars: "author_id"}
+    LOADERS = pytest.mark.parametrize("loader", list(ROWS), ids=lambda f: f.__name__)
+
+    @staticmethod
+    def rows_of(base: dict, n: int) -> list[dict]:
+        """n valid rows, each with its own first field."""
+        first = next(iter(base))
+        return [{**base, first: f"{base[first]}{i}"} for i in range(n)]
+
+    @staticmethod
+    def repeating(base: dict) -> str:
+        """base as json text, with its last key written twice; json.dumps cannot write that."""
+        last = list(base)[-1]
+        return json.dumps(base)[:-1] + f", {json.dumps(last)}: {json.dumps(base[last])}}}"
+
+    def error_of(self, loader, text: str) -> str:
+        with pytest.raises(IngestError) as excinfo:
+            loader(csv_stream(text), "json")
+        label, _ = self.ROWS[loader]
+        assert str(excinfo.value).startswith(f"{label}: ")
+        return str(excinfo.value)[len(label) + 2:]
+
+    @LOADERS
+    def test_nested_object_holding_every_field_shows_as_an_object(self, loader):
+        _, base = self.ROWS[loader]
+        key = self.NESTED_IN[loader]
+        message = self.error_of(loader, json.dumps([{**base, key: base}]))
+        assert message == f"row 1: {key} must be a string, got {base!r}"
+
+    @LOADERS
+    def test_nested_object_under_an_extra_key_is_ignored(self, loader):
+        _, base = self.ROWS[loader]
+        rows = self.rows_of(base, 3)
+        noted = [rows[0], {**rows[1], "note": base}, rows[2]]
+        assert loader(csv_stream(json.dumps(noted)), "json") == loader(csv_stream(json.dumps(rows)), "json")
+
+    @LOADERS
+    def test_top_level_object_holding_every_field_is_no_array(self, loader):
+        _, base = self.ROWS[loader]
+        assert self.error_of(loader, json.dumps(base)) == "expected a json array of row objects"
+
+    @LOADERS
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda base: {k: v for k, v in base.items() if k != list(base)[-1]}, "row 3: missing fields ['{last}']"),
+            (lambda base: list(base.values()), "row 3: expected an object"),
+            (lambda base: 5, "row 3: expected an object"),
+            (None, "row 3: duplicate key '{last}'"),
+        ],
+        ids=["missing-field", "array", "number", "repeated-key"],
+    )
+    def test_bad_row_after_good_rows_keeps_its_number(self, loader, bad, message):
+        _, base = self.ROWS[loader]
+        good = json.dumps(self.rows_of(base, 2))[:-1]
+        third = self.repeating(base) if bad is None else json.dumps(bad(base))
+        assert self.error_of(loader, f"{good}, {third}]") == message.format(last=list(base)[-1])
+
+    @LOADERS
+    @pytest.mark.parametrize("bad", ["5", "[]", "repeated"])
+    def test_bad_row_after_a_nested_object_holding_every_field(self, loader, bad):
+        # the nested object and its row make two objects read as fields, as many as there are rows
+        _, base = self.ROWS[loader]
+        first = json.dumps({**base, "note": base})
+        if bad == "repeated":
+            bad, message = self.repeating(base), f"duplicate key {list(base)[-1]!r}"
+        else:
+            message = "expected an object"
+        assert self.error_of(loader, f"[{first}, {bad}]") == f"row 2: {message}"
+
+    @LOADERS
+    def test_valid_input_is_decoded_once(self, loader, monkeypatch):
+        calls = []
+        loads = json.loads
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        _, base = self.ROWS[loader]
+        rows = self.rows_of(base, 3)
+        rows[1]["note"] = {"nested": [1, {"deeper": None}]}
+        loader(csv_stream(json.dumps(rows)), "json")
+        assert len(calls) == 1

@@ -138,6 +138,10 @@ class TestImpactTable:
         with pytest.raises(ModelError, match=f"^{message}$"):
             ImpactTable([entry])
 
+    def test_repr_counts_entries(self):
+        assert repr(ImpactTable([("J1", 2010, "SJR", 1.5), ("J1", 2010, "SNIP", 0.9)])) == "ImpactTable(2 entries)"
+        assert repr(ImpactTable([])) == "ImpactTable(0 entries)"
+
     def test_lookup(self):
         table = ImpactTable([("J1", 2010, "SJR", 1.5), ("J1", 2010, "SNIP", 0.9)])
         assert table.get("J1", 2010, "SJR") == 1.5

@@ -791,3 +791,30 @@ class TestResultTypes:
         within, between, total, pct = variance_decomposition(GroupedSample({"a": [1.0, 2.0], "b": [4.0, 6.0]}))
         assert (within, between, total) == (2.5, 12.25, 14.75)
         assert pct == 1.0 - 12.25 / 2.5
+
+
+class TestLibraryGuards:
+    """Guards that no command reaches: the CLI refuses these inputs before a report function sees them."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [group_summary, aggregate_report, correlation_report, lambda rows: figure_data(rows, "boxplot")],
+        ids=["group_summary", "aggregate_report", "correlation_report", "figure_data"],
+    )
+    def test_no_rows(self, build):
+        with pytest.raises(ReportError, match="^no rows$"):
+            build([])
+
+    def test_author_table_of_no_families(self):
+        with pytest.raises(ReportError, match="^at least one profile family required$"):
+            author_table({}, {})
+
+    def test_save_profiles_unknown_format(self):
+        out = io.StringIO()
+        with pytest.raises(ReportError, match=r"^unknown format 'text'; expected csv or json$"):
+            save_profiles([], out, "text")
+        assert out.getvalue() == ""
+
+    def test_render_table_unknown_format(self):
+        with pytest.raises(ReportError, match=r"^unknown format 'xml'; expected csv, json or text$"):
+            render_table(["a"], [[1]], "xml")

@@ -210,6 +210,10 @@ class TestVarianceDecomposition:
         with pytest.raises(StatsError):
             GroupedSample({"a": [1.0], "b": []})
 
+    def test_no_groups_rejected(self):
+        with pytest.raises(StatsError, match="^at least one group required$"):
+            GroupedSample({})
+
     def test_zero_within_is_undefined_reduction(self):
         d = variance_decomposition(GroupedSample({"a": [1.0, 1.0], "b": [2.0, 2.0]}))
         assert d.within_ss == 0
