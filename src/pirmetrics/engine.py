@@ -10,6 +10,14 @@ impact value is looked up for the event's own year. The impact and
 reference dimensions use the same form over the citation and reference
 streams, and the four ratios P/I, P/R, I/R and (P+I)/2R are derived from
 the dimensions.
+
+A batch works out its family's lookups once: compute_profiles builds one
+_FamilyContext (the value dict, the window bounds, the policies, the
+family's year span) and every stream of every author reads from it. The
+context also holds the batch's gap memo, so the drop or nearest:K policy
+fills each absent (journal, year) once per batch, however many streams
+lack it. compute_profile and weighted_mean_impact build a context for
+their one author or stream.
 """
 
 from __future__ import annotations
@@ -143,15 +151,13 @@ def _missing_value(
     """What stands in for an absent impact value under the drop or nearest policy.
 
     span is the family's (first, last) year, None if it has no values; as no
-    year outside holds one, nearest:K stops once both candidates are outside it.
+    year outside holds one, nearest:K starts where the nearer end of the span
+    comes into reach and stops once both candidates are past the farther end.
     """
     if missing.mode == MissingValuePolicy.NEAREST and span:
         first, last = span
-        # the distance to the farther end, capped at K, without min() and max(): they cost more per gap
-        reach = year - first if year - first > last - year else last - year
-        if reach > missing.max_distance:
-            reach = missing.max_distance
-        for distance in range(1, reach + 1):
+        reach = min(max(year - first, last - year), missing.max_distance)
+        for distance in range(max(1, year - last, first - year), reach + 1):
             for candidate in (year - distance, year + distance):
                 value = values.get((journal, candidate))
                 if value is not None:
@@ -159,22 +165,50 @@ def _missing_value(
     return None
 
 
+_UNSEEN = object()  # a gap the memo has not met yet; None is a stored drop
+
+
+class _FamilyContext:
+    """One family's lookups under one window and pair of policies, read by every stream of a batch.
+
+    gaps is the batch's memo of what fills each gap, {(journal, year): value
+    or None}, None for a drop: _missing_value runs once per (journal, year)
+    a stream lacks, however many streams lack it. Under strict the first gap
+    raises, so nothing is stored. A context lives for one call, so two
+    tables, families or policies never share a memo.
+    """
+
+    __slots__ = ("indicator", "window", "values", "get", "lo", "hi", "open_kinds", "missing", "span", "gaps")
+
+    def __init__(
+        self, table: ImpactTable, indicator: IndicatorName, window: YearWindow,
+        missing: MissingValuePolicy, window_policy: WindowPolicy,
+    ):
+        self.indicator, self.window = indicator, window
+        self.values = table.family(indicator)
+        self.get = self.values.get
+        self.lo, self.hi = window.start_year, window.end_year
+        # the kinds whose events count outside the window; publications never do
+        open_references = window_policy == WindowPolicy.OPEN_REFERENCES
+        self.open_kinds = (EventKind.CITATION, EventKind.REFERENCE) if open_references else ()
+        self.missing = missing
+        self.span = table.year_spans.get(indicator) if missing.mode == MissingValuePolicy.NEAREST else None
+        self.gaps: dict[tuple[JournalRef, int], float | None] = {}
+
+
 def _weighted_mean(
-    merged: Mapping[tuple[JournalRef, int], int], kind: EventKind | None, table: ImpactTable,
-    indicator: IndicatorName, window: YearWindow, missing: MissingValuePolicy, window_policy: WindowPolicy,
+    merged: Mapping[tuple[JournalRef, int], int], kind: EventKind | None, context: _FamilyContext,
 ) -> tuple[float | None, CoverageDiagnostics]:
     """The one loop behind weighted_mean_impact and compute_profile, over one kind's merge_counts totals.
 
     Each merged (journal, year) key is looked up as it is in the family's
-    value dict. The keys come in no set order: math.fsum makes the sum
-    independent of the order of its terms, and under strict the first gap
-    met raises for the smallest eligible (journal, year) the family lacks.
+    value dict, and a key it lacks in the batch's gap memo. The keys come
+    in no set order: math.fsum makes the sum independent of the order of
+    its terms, and under strict the first gap met raises for the smallest
+    eligible (journal, year) the family lacks.
     """
-    open_years = window_policy == WindowPolicy.OPEN_REFERENCES and kind not in (None, EventKind.PUBLICATION)
-    lo, hi = window.start_year, window.end_year
-    values = table.family(indicator)
-    get = values.get
-    span = table.year_spans.get(indicator) if missing.mode == MissingValuePolicy.NEAREST else None
+    open_years = kind in context.open_kinds
+    lo, hi, get = context.lo, context.hi, context.get
     matched_terms: list[float] = []
     matched = 0
     dropped = 0
@@ -183,24 +217,27 @@ def _weighted_mean(
             continue
         value = get(key)
         if value is None:
-            if missing.mode == MissingValuePolicy.STRICT:
-                gaps = (k for k in merged if (open_years or lo <= k[1] <= hi) and k not in values)
-                raise MissingImpactError(*min(gaps), indicator)
-            value = _missing_value(values, *key, missing, span)
+            if context.missing.mode == MissingValuePolicy.STRICT:
+                absent = (k for k in merged if (open_years or lo <= k[1] <= hi) and k not in context.values)
+                raise MissingImpactError(*min(absent), context.indicator)
+            value = context.gaps.get(key, _UNSEEN)
+            if value is _UNSEEN:
+                value = context.gaps[key] = _missing_value(context.values, *key, context.missing, context.span)
         if value is None:
             dropped += count
         else:
             matched += count
             matched_terms.append(count * value)
 
+    # matched + dropped is the total and no count is negative, as CoverageDiagnostics() would check
     total = matched + dropped
     if matched == 0:
-        return None, CoverageDiagnostics(total, 0, total)
+        return None, CoverageDiagnostics._of_checked(total, 0, total)
     try:
         mean = math.fsum(matched_terms) / matched
     except OverflowError:  # the terms are non-negative, so the sum overflows
         mean = math.inf
-    return mean, CoverageDiagnostics(total, matched, dropped)
+    return mean, CoverageDiagnostics._of_checked(total, matched, dropped)
 
 
 def weighted_mean_impact(
@@ -225,7 +262,7 @@ def weighted_mean_impact(
         raise EngineError(f"events must share one kind, got {sorted(k.value for k in kinds)}")
     kind = next(iter(kinds)) if kinds else None
     merged = merge_counts(events)[kind] if kinds else {}
-    return _weighted_mean(merged, kind, table, indicator, window, missing, window_policy)
+    return _weighted_mean(merged, kind, _FamilyContext(table, indicator, window, missing, window_policy))
 
 
 def compute_profile(
@@ -244,10 +281,15 @@ def compute_profile(
     propagate. The corpus's merged counts are reused across indicator
     families.
     """
+    return _profile(corpus, _FamilyContext(table, indicator, window, missing, window_policy))
+
+
+def _profile(corpus: AuthorCorpus, context: _FamilyContext) -> IndicatorProfile:
+    """compute_profile of one author, with the lookups of the batch the author is in."""
     dims: dict[EventKind, float | None] = {}
     coverage: dict[EventKind, CoverageDiagnostics] = {}
     for kind, merged in corpus.merged.items():
-        dims[kind], coverage[kind] = _weighted_mean(merged, kind, table, indicator, window, missing, window_policy)
+        dims[kind], coverage[kind] = _weighted_mean(merged, kind, context)
 
     p = dims[EventKind.PUBLICATION]
     i = dims[EventKind.CITATION]
@@ -255,8 +297,10 @@ def compute_profile(
     cells = (p, i, r, *derive_ratios(p, i, r))  # in FAMILY_FIELDS order, as IndicatorProfile takes them
     for name, value in zip(FAMILY_FIELDS, cells):
         if value is not None and not math.isfinite(value):
+            indicator = context.indicator
             raise EngineError(f"{indicator} cell {variable_name(name, indicator)} is not finite ({value})")
-    return IndicatorProfile(corpus.author_id, indicator, window, *cells, coverage)
+    # p, i and r are means of non-negative terms, as IndicatorProfile() checks, and coverage is this profile's own
+    return IndicatorProfile._of_checked(corpus.author_id, context.indicator, context.window, *cells, coverage)
 
 
 def compute_profiles(
@@ -280,13 +324,12 @@ def compute_profiles(
             raise EngineError(f"duplicate author_id {corpus.author_id!r} in batch")
         seen.add(corpus.author_id)
 
+    context = _FamilyContext(table, indicator, window, missing, window_policy)
     profiles: list[IndicatorProfile] = []
     failures: list[tuple[str, Exception]] = []
     for corpus in sorted(corpora, key=lambda c: c.author_id):
         try:
-            profiles.append(
-                compute_profile(corpus, table, indicator, window, missing, window_policy)
-            )
+            profiles.append(_profile(corpus, context))
         except EngineError as exc:
             if fail_fast:
                 raise EngineError(f"author {corpus.author_id!r}: {exc}") from exc

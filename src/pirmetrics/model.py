@@ -8,6 +8,10 @@ AuthorCorpus, CoverageDiagnostics, IndicatorProfile, and
 engine.MissingValuePolicy and io.ScalarMetrics) share one frozen base,
 FrozenValue: each names its fields once, in _fields, and its __init__
 checks the values and hands them to FrozenValue._freeze in that order.
+Building through the class checks every field; FrozenValue._of_checked
+builds the same value without the checks, for values whose fields hold
+by construction: the engine builds each CoverageDiagnostics and
+IndicatorProfile through it, from counts and means it has made itself.
 They are not dataclasses: every command is a new process, and importing
 dataclasses and building each class through it, which compiles its
 methods with exec, made up several milliseconds of every start.
@@ -76,6 +80,16 @@ class FrozenValue:
         """Set the fields to the values given, in _fields order; the one place a field is set."""
         for name, value in zip(self._fields, values):
             _set(self, name, value)
+
+    @classmethod
+    def _of_checked(cls, *values):
+        """A value of fields the caller has already checked, in _fields order, built without __init__'s checks.
+
+        A mapping field is taken as given, not copied, so it must be the new value's own.
+        """
+        value = cls.__new__(cls)
+        value._freeze(*values)
+        return value
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -25,6 +25,7 @@ from pirmetrics.model import (
     Event,
     EventKind,
     ImpactTable,
+    IndicatorProfile,
     YearWindow,
 )
 
@@ -211,6 +212,9 @@ class TestNearestYearReach:
             pytest.param(pub("J3", 2010, 1), 5.0, id="tie-goes-to-earlier"),
             pytest.param(pub("J9", 2010, 1), None, id="journal-not-in-table"),
             pytest.param(Event(EventKind.CITATION, "J1", 2020, 1), 3.0, id="year-after-the-span"),
+            # the span's nearer end is 10**9 years away, exactly K = 10**9
+            pytest.param(Event(EventKind.CITATION, "J1", 2014 + 10**9, 1), 3.0, id="year-far-after-the-span"),
+            pytest.param(Event(EventKind.CITATION, "J1", 2005 - 10**9, 1), 1.0, id="year-far-before-the-span"),
         ],
     )
     def test_far_reach_matches_the_span_quickly(self, event, value):
@@ -218,11 +222,13 @@ class TestNearestYearReach:
             missing = MissingValuePolicy(MissingValuePolicy.NEAREST, distance)
             return weighted_mean_impact([event], self.TABLE, "SJR", WIN, missing, WindowPolicy.OPEN_REFERENCES)
 
-        near = weighted_mean(self.SPAN)
-        assert near[0] == value
-        # a search to distance 10**9 for a value no year holds would run for minutes
+        first, last = self.TABLE.year_spans["SJR"]
+        reach = self.SPAN + max(0, event.year - last, first - event.year)  # every year of the span is in reach
+        # a search that walks every empty year, to 10**9 or from 10**9, would run for minutes
         with deadline(5.0):
+            near = weighted_mean(reach)
             far = weighted_mean(10**9)
+        assert near[0] == value
         assert far == near
 
     def test_far_reach_in_an_unknown_family_drops_quickly(self):
@@ -338,17 +344,39 @@ class TestComputeProfiles:
     def test_empty_batch(self):
         assert compute_profiles([], table_of(), "SJR", WIN) == []
 
-    def test_sorted_by_author_and_equal_to_individual(self):
-        table = table_of(("J1", 2010, 1.0), ("J2", 2011, 2.0))
+    @pytest.mark.parametrize("policy", ["strict", "drop", "nearest:2"])
+    def test_sorted_by_author_and_equal_to_individual(self, policy):
+        missing = MissingValuePolicy.parse(policy)
+        table = table_of(("J1", 2010, 1.0), ("J2", 2011, 2.0), ("J3", 2009, 4.0))
         corpora = [
-            AuthorCorpus("zeta", (pub("J1", 2010, 1),)),
+            AuthorCorpus("zeta", (pub("J1", 2010, 1), pub("J1", 2011, 3))),  # J1 has no 2011
             AuthorCorpus("alpha", (pub("J2", 2011, 2),)),
+            AuthorCorpus("mid", (pub("J3", 2011, 1), pub("J1", 2011, 2))),  # J3 has no 2011; the same J1 gap again
         ]
-        batch = compute_profiles(corpora, table, "SJR", WIN)
-        assert [p.author_id for p in batch] == ["alpha", "zeta"]
+        try:
+            batch, failed = compute_profiles(corpora, table, "SJR", WIN, missing), []
+        except BatchError as exc:
+            batch, failed = exc.profiles, [author_id for author_id, _ in exc.failures]
+        assert [p.author_id for p in batch] == (["alpha"] if policy == "strict" else ["alpha", "mid", "zeta"])
+        assert failed == (["mid", "zeta"] if policy == "strict" else [])
         for corpus in corpora:
-            single = compute_profile(corpus, table, "SJR", WIN)
-            assert single in batch
+            if corpus.author_id in failed:
+                with pytest.raises(MissingImpactError):
+                    compute_profile(corpus, table, "SJR", WIN, missing)
+            else:
+                assert compute_profile(corpus, table, "SJR", WIN, missing) in batch
+        if policy == "nearest:2":  # J1 2011 is 2010's value, J3 2011 is 2009's
+            assert [p.p for p in batch] == [2.0, (1 * 4.0 + 2 * 1.0) / 3, (1 * 1.0 + 3 * 1.0) / 4]
+
+    def test_each_batch_fills_its_gaps_from_its_own_table_and_family(self):
+        # two tables that differ only in the 2010 values that fill both authors' 2011 gap
+        missing = MissingValuePolicy.parse("nearest:1")
+        corpora = [AuthorCorpus(author_id, (pub("J1", 2011, 1),)) for author_id in ("a", "b")]
+        for values in ({"SJR": 1.0, "SNIP": 2.0}, {"SJR": 3.0, "SNIP": 4.0}):
+            table = ImpactTable([("J1", 2010, family, value) for family, value in values.items()])
+            for family, value in values.items():
+                batch = compute_profiles(corpora, table, family, WIN, missing)
+                assert [(p.p, p.coverage[PUB]) for p in batch] == [(value, CoverageDiagnostics(1, 1, 0))] * 2
 
     def test_duplicate_author_ids_rejected(self):
         corpora = [AuthorCorpus("a", ()), AuthorCorpus("a", ())]
@@ -552,6 +580,7 @@ def test_engine_matches_direct_reference_bitwise(policy, window_policy, seed):
     distance = missing.max_distance
     open_refs = window_policy is WindowPolicy.OPEN_REFERENCES
     by_author = {c.author_id: c for c in corpora}
+    coverages = []  # each profile's coverage dict, over both families
     for family in FAMILIES:  # the second family reuses each corpus's cached merge
         try:
             profiles, failures = compute_profiles(corpora, table, family, WIN, missing, window_policy), []
@@ -570,6 +599,12 @@ def test_engine_matches_direct_reference_bitwise(policy, window_policy, seed):
         if policy == "strict":
             assert profiles and failures  # both outcomes are exercised
         for profile in profiles:
+            # the engine builds its values unchecked; the checked constructors give the same ones
+            assert profile == IndicatorProfile(*profile._values())
+            for diag in profile.coverage.values():
+                checked = CoverageDiagnostics(*diag._values())
+                assert diag == checked and repr(diag) == repr(checked)
+            coverages.append(profile.coverage)
             events = by_author[profile.author_id].events
             dims = {}
             for kind in EventKind:
@@ -588,6 +623,7 @@ def test_engine_matches_direct_reference_bitwise(policy, window_policy, seed):
             assert profile.p_over_r == (p / r if p is not None and r else None)
             assert profile.i_over_r == (i / r if i is not None and r else None)
             assert profile.pi_over_2r == ((p + i) / (2.0 * r) if p is not None and i is not None and r else None)
+    assert len({id(coverage) for coverage in coverages}) == len(coverages)  # no two profiles share one
 
 
 def test_readme_library_example_runs():
