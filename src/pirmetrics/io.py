@@ -23,7 +23,7 @@ import io as _stdio
 import math
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -306,24 +306,52 @@ IMPACT_COLUMNS = ("journal", "year", "indicator", "value")  # as ImpactTable.ent
 # platform can fork and the smaller of the two files holds at least this many bytes. The overlap can
 # hide no more than the smaller read, and the fork, the pipe and the decode cost 4-5 ms in process,
 # against 0.4 ms to read the bundled 3.6 KB table. On csv files cut from a benchmark workload (2 CPUs,
-# min of 25 runs) the forked reads were 1-3 ms slower at 96-128 KiB, level within noise at 160-256 KiB
-# and 6-12 ms faster from 320 KiB on; so the fixtures stay serial, and full-size inputs fork.
+# the child on the CPU the parent was not on, min of 50 runs, three runs per size) the forked reads
+# were 0.3-3 ms slower at 96-192 KiB, level within noise at 256 KiB (-8 to +1 ms), 1-2 ms faster at
+# 320 KiB and 10-13 ms faster at 1 MiB; so the fixtures stay serial, and full-size inputs fork.
 FORK_MIN_BYTES = 256 * 1024
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process runs on, from field 39 of /proc/self/stat; None where that is not known."""
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            return int(f.read().rpartition(b")")[2].split()[36])  # fields 3 on follow the command's ')'
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _child_cpus(allowed: set[int] | None, parent_cpu: int | None) -> set[int] | None:
+    """The CPUs a forked table child is pinned to: None forks no child, an empty set leaves it unpinned.
+
+    allowed is the process's CPU set and parent_cpu the CPU it runs on,
+    each None where the platform does not tell. On one CPU the child
+    could only take turns with the parent, so the read stays serial.
+    """
+    if allowed is not None and len(allowed) < 2:
+        return None
+    if allowed is None or parent_cpu is None:
+        return set()
+    return allowed - {parent_cpu}
 
 
 class _TableRead:
     """An impact table file for load_impact_table to read, begun in a forked child where that pays.
 
     The child is forked only where the platform can fork, no other thread
-    runs, and both the table and the file read alongside it hold at least
-    FORK_MIN_BYTES. It runs load_impact_table(path, fmt) while the caller
-    goes on, sends the table's families back through a pipe as marshal
-    bytes, and ends with os._exit: it runs no atexit handler, flushes no
-    stream and writes no file. Without a child, or when the child sends
-    no whole payload, load_impact_table reads the path itself, so every
-    result, error and message is the serial read's. As a context manager
-    it kills and reaps a child that nothing collected, so no process
-    outlives the block, whatever the block raises.
+    runs, the process may run on two CPUs or more, and both the table and
+    the file read alongside it hold at least FORK_MIN_BYTES; otherwise the
+    read stays serial. Where the platform tells which CPU the parent runs
+    on, the child first pins itself to the other allowed CPUs, so the two
+    reads do not share one; if it may not, it runs unpinned. The parent's
+    own affinity is never changed. While the caller goes on, the child
+    runs load_impact_table(path, fmt), sends the table's families back
+    through a pipe as marshal bytes, and ends with os._exit: it runs no
+    atexit handler, flushes no stream and writes no file. Without a child, or when the child sends no whole payload,
+    load_impact_table reads the path itself, so every result, error and
+    message is the serial read's. As a context manager it kills and reaps
+    a child that nothing collected, so no process outlives the block,
+    whatever the block raises.
     """
 
     __slots__ = ("path", "_pid", "_fd")
@@ -338,11 +366,20 @@ class _TableRead:
         # a child holds a copy of every lock other threads held at the fork, and could wait on one forever
         if not large or not hasattr(os, "fork") or threading.active_count() > 1:
             return
+        allowed = getattr(os, "sched_getaffinity", None)
+        cpus = _child_cpus(allowed(0) if allowed else None, _current_cpu())
+        if cpus is None:
+            return
         self._fd, write_fd = os.pipe()
         self._pid = os.fork()
         if self._pid == 0:
             code = 1
             try:
+                if cpus:
+                    try:
+                        os.sched_setaffinity(0, cpus)
+                    except OSError:  # a CPU the process may not use after all: the child runs unpinned
+                        pass
                 import marshal
                 os.close(self._fd)
                 with open(write_fd, "wb") as pipe:
@@ -564,8 +601,10 @@ def save_texts(files: Mapping[Path, str]) -> None:
     only once all are complete does each replace its path, so a failed
     write leaves every earlier file untouched and no temporary file
     behind. An OSError raised here names the path being written as its
-    filename.
+    filename. A killed run can leave no cleanup behind it, so each path's
+    temporary files whose process no longer exists are removed first.
     """
+    _remove_dead_temporaries(files)
     staged = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     try:
         for path, tmp in staged.items():
@@ -579,6 +618,36 @@ def save_texts(files: Mapping[Path, str]) -> None:
         if isinstance(exc, OSError):
             exc.filename = str(path)
         raise
+
+
+def _remove_dead_temporaries(paths: Iterable[Path]) -> None:
+    """Remove each path's .<name>.<pid>.tmp files whose pid no longer exists.
+
+    A live pid's file, or one whose process may not be signalled, stays.
+    """
+    if os.name != "posix":  # elsewhere os.kill(pid, 0) would end the process, not probe it
+        return
+    names: dict[Path, set[str]] = {}
+    for path in paths:
+        names.setdefault(path.parent, set()).add(path.name)
+    for directory, wanted in names.items():
+        try:
+            entries = os.listdir(directory)
+        except OSError:  # staging meets and words it
+            continue
+        for entry in entries:
+            name, _, pid = entry[1:-4].rpartition(".")
+            if entry[0] != "." or not entry.endswith(".tmp") or name not in wanted:
+                continue
+            if not (pid.isascii() and pid.isdigit()):  # the pid save_texts writes, in ascii digits
+                continue
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                with suppress(OSError):
+                    os.unlink(directory / entry)
+            except (OSError, OverflowError):  # not ours to signal, or no pid at all
+                pass
 
 
 def _encode_table(header: Sequence[str], data: Iterable[Sequence], fmt: str) -> str:

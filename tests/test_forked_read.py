@@ -1,8 +1,9 @@
 """compute reads a large impact table in a forked child while it reads the events.
 
-Each path is forced through io.FORK_MIN_BYTES alone: 0 sends every
-existing pair of inputs to the child, a size no file reaches keeps the
-read serial. Both paths must give the same exit code, log and bytes.
+Each path is forced through io.FORK_MIN_BYTES: 0 sends every existing
+pair of inputs to the child (and lets a one-CPU host appear to have
+two, so it forks too), a size no file reaches keeps the read serial.
+Both paths must give the same exit code, log and bytes.
 """
 
 import csv
@@ -30,6 +31,7 @@ EVENTS = str(fixture_path("author_events.csv"))
 IMPACTS = str(fixture_path("impact_table.csv"))
 SCALARS = str(fixture_path("scalars.csv"))
 REPO = Path(__file__).resolve().parents[1]
+AFFINITY = getattr(os, "sched_getaffinity", None)
 
 
 @pytest.fixture()
@@ -46,12 +48,25 @@ def forks(monkeypatch):
     return calls
 
 
-def compute(monkeypatch, gate: int, args: list[str], out: Path):
-    """(exit code, log, {file name: bytes}) of one compute run with the fork gate at gate."""
-    monkeypatch.setattr(pio, "FORK_MIN_BYTES", gate)
+def allowed_cpus(monkeypatch, cpus) -> None:
+    """Make os.sched_getaffinity(pid) give cpus(real set, or an empty one where the platform has none)."""
+    real = AFFINITY or (lambda pid: set())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus(real(pid)), raising=False)
+
+
+def run(args: list[str], out: Path):
+    """(exit code, log, {file name: bytes}) of one compute run."""
     result = CliRunner().invoke(main, ["compute", *args, "--out", str(out)])
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
     return result.exit_code, result.output.replace(str(out), "OUT"), files
+
+
+def compute(monkeypatch, gate: int, args: list[str], out: Path):
+    """run(args, out) with the fork gate at gate."""
+    monkeypatch.setattr(pio, "FORK_MIN_BYTES", gate)
+    if gate == FORKED:  # a one-CPU host forks too
+        allowed_cpus(monkeypatch, lambda real: real if len(real) >= 2 else real | {0, 1})
+    return run(args, out)
 
 
 def both_paths(monkeypatch, forks, tmp_path: Path, args: list[str]):
@@ -195,15 +210,103 @@ class TestErrorParity:
         assert code == EXIT_INPUT and "events: line 2: " in log and "impact table" not in log
 
 
+def in_the_child(monkeypatch, module, name, replace):
+    """Replace module.name in the forked child alone; the test process keeps the original."""
+    original, parent = getattr(module, name), os.getpid()
+    monkeypatch.setattr(module, name, lambda *a: original(*a) if os.getpid() == parent else replace(original, *a))
+
+
+class TestPlacement:
+    """The child runs on an allowed CPU other than the parent's, and only where there are two."""
+
+    ARGS = ["--events", EVENTS, "--impacts", IMPACTS, "--scalars", SCALARS]
+
+    @pytest.mark.parametrize(
+        "allowed, parent, child",
+        [
+            pytest.param({0, 1}, 0, {1}, id="two"),
+            pytest.param({0, 1, 2, 3}, 2, {0, 1, 3}, id="four"),
+            pytest.param({3}, 3, None, id="one-cpu-forks-nothing"),
+            pytest.param({3}, None, None, id="one-cpu-unknown-parent"),
+            pytest.param({0, 1}, None, set(), id="unknown-parent-unpinned"),
+            pytest.param(None, 0, set(), id="unknown-set-unpinned"),
+        ],
+    )
+    def test_child_cpus(self, allowed, parent, child):
+        assert pio._child_cpus(allowed, parent) == child
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat") or AFFINITY is None, reason="no /proc or affinity")
+    def test_current_cpu(self, monkeypatch):
+        assert pio._current_cpu() in AFFINITY(0)
+
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory")
+
+        monkeypatch.setattr(pio, "open", no_proc, raising=False)
+        assert pio._current_cpu() is None
+
+    def test_one_cpu_forks_nothing(self, monkeypatch, forks, tmp_path):
+        expected = compute(monkeypatch, SERIAL, self.ARGS, tmp_path / "serial")
+        monkeypatch.setattr(pio, "FORK_MIN_BYTES", FORKED)
+        allowed_cpus(monkeypatch, lambda real: {0})
+        assert run(self.ARGS, tmp_path / "one-cpu") == expected and not forks
+
+    def test_unknown_parent_cpu_forks_unpinned(self, monkeypatch, forks, tmp_path):
+        expected = compute(monkeypatch, SERIAL, self.ARGS, tmp_path / "serial")
+        pinned = tmp_path / "pinned"
+        monkeypatch.setattr(pio, "_current_cpu", lambda: None)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.touch(), raising=False)
+        assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
+        assert not pinned.exists()
+
+    @pytest.mark.skipif(AFFINITY is None, reason="the platform tells no CPU affinity")
+    def test_the_parents_affinity_stays(self, monkeypatch, forks, tmp_path):
+        before = AFFINITY(0)
+        assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked")[0] == 0 and len(forks) == 1
+        assert AFFINITY(0) == before
+
+    def test_a_failed_pin_leaves_the_child_unpinned(self, monkeypatch, forks, tmp_path):
+        expected = compute(monkeypatch, SERIAL, self.ARGS, tmp_path / "serial")
+        refused = tmp_path / "refused"
+
+        def refuse(pid, cpus):  # called in the child alone
+            refused.touch()
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        monkeypatch.setattr(pio, "_current_cpu", lambda: 0)  # the parent's CPU is known, so the child pins itself
+        assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
+        assert refused.exists()
+
+    @pytest.mark.skipif(
+        AFFINITY is None or len(AFFINITY(0)) < 2 or not os.path.exists("/proc/self/stat"),
+        reason="the process may run on one CPU only, or the platform does not tell which",
+    )
+    def test_the_child_runs_off_the_parents_cpu(self, monkeypatch, forks, tmp_path):
+        expected = compute(monkeypatch, SERIAL, self.ARGS, tmp_path / "serial")
+        allowed, at_fork, seen = AFFINITY(0), [], tmp_path / "child_cpus.json"
+        current_cpu = pio._current_cpu
+
+        def parent_cpu():
+            at_fork.append(current_cpu())
+            return at_fork[-1]
+
+        monkeypatch.setattr(pio, "_current_cpu", parent_cpu)
+
+        def record(load, path, fmt):
+            seen.write_text(json.dumps(sorted(AFFINITY(0))), encoding="utf-8")  # the real set, not the patched one
+            return load(path, fmt)
+
+        in_the_child(monkeypatch, pio, "load_impact_table", record)
+        assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
+        (parent_cpu,) = at_fork
+        assert set(json.loads(seen.read_text(encoding="utf-8"))) == allowed - {parent_cpu}
+
+
 class TestChildFailure:
     """A child that sends no whole payload leaves the parent to read the table itself."""
 
     ARGS = ["--events", EVENTS, "--impacts", IMPACTS, "--scalars", SCALARS]
-
-    def in_the_child(self, monkeypatch, module, name, replace):
-        """Replace module.name in the forked child alone; the test process keeps the original."""
-        original, parent = getattr(module, name), os.getpid()
-        monkeypatch.setattr(module, name, lambda *a: original(*a) if os.getpid() == parent else replace(original, *a))
 
     def expected(self, monkeypatch, tmp_path):
         return compute(monkeypatch, SERIAL, self.ARGS, tmp_path / "serial")
@@ -212,7 +315,7 @@ class TestChildFailure:
     def test_exit_without_payload(self, monkeypatch, forks, tmp_path, status):
         expected = self.expected(monkeypatch, tmp_path)
         # the child looks load_impact_table up in io
-        self.in_the_child(monkeypatch, pio, "load_impact_table", lambda load, path, fmt: os._exit(status))
+        in_the_child(monkeypatch, pio, "load_impact_table", lambda load, path, fmt: os._exit(status))
         assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
 
     def test_exception(self, monkeypatch, forks, tmp_path):
@@ -221,7 +324,7 @@ class TestChildFailure:
         def raise_(load, path, fmt):
             raise MemoryError
 
-        self.in_the_child(monkeypatch, pio, "load_impact_table", raise_)
+        in_the_child(monkeypatch, pio, "load_impact_table", raise_)
         assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
 
     @pytest.mark.parametrize(
@@ -234,7 +337,7 @@ class TestChildFailure:
     )
     def test_bad_payload(self, monkeypatch, forks, tmp_path, payload):
         expected = self.expected(monkeypatch, tmp_path)
-        self.in_the_child(monkeypatch, marshal, "dumps", lambda dumps, value: payload(dumps(value)))
+        in_the_child(monkeypatch, marshal, "dumps", lambda dumps, value: payload(dumps(value)))
         assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
 
 
@@ -282,7 +385,7 @@ def test_traced_compute_records_the_table_read_in_the_parent(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stderr.count("forked\n") == 1
+    assert done.stderr.count("forked\n") == (AFFINITY is None or len(AFFINITY(0)) >= 2)  # one CPU forks nothing
     spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
     (table,) = [span for span in spans if span[0] == "io.load_impact_table"]
     (events_span,) = [span for span in spans if span[0] == "io.load_events"]

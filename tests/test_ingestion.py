@@ -3,6 +3,9 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -447,6 +450,30 @@ class TestSaveTexts:
             pio.save_texts(files)
         assert excinfo.value.filename == str(tmp_path / "a.csv")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="os.kill(pid, 0) probes a process only on posix")
+    def test_a_killed_runs_temporary_file_is_removed(self, tmp_path, monkeypatch):
+        dead = subprocess.Popen([sys.executable, "-c", ""])
+        dead.wait()  # reaped: its pid names no process
+        hidden = dead.pid + 1  # a pid this process may not signal
+        kill = os.kill
+
+        def guarded_kill(pid, sig):
+            if pid == hidden:
+                raise PermissionError(1, "Operation not permitted")
+            return kill(pid, sig)
+
+        monkeypatch.setattr(pio.os, "kill", guarded_kill)
+        planted = {
+            name: tmp_path / name
+            for name in (f".a.csv.{dead.pid}.tmp", f".a.csv.{os.getppid()}.tmp", f".a.csv.{hidden}.tmp",
+                         f".b.csv.{dead.pid}.tmp", ".a.csv.x.tmp", "a.csv.tmp")
+        }
+        for path in planted.values():
+            path.write_text("partial")
+        pio.save_texts({tmp_path / "a.csv": "a\n"})
+        # only the dead run's file beside a.csv goes; b.csv was not written, and the others name no dead pid
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*planted, "a.csv"} - {f".a.csv.{dead.pid}.tmp"})
 
 
 class TestJsonFieldTypes:
