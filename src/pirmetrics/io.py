@@ -24,6 +24,7 @@ import math
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -347,11 +348,12 @@ class _TableRead:
     own affinity is never changed. While the caller goes on, the child
     runs load_impact_table(path, fmt), sends the table's families back
     through a pipe as marshal bytes, and ends with os._exit: it runs no
-    atexit handler, flushes no stream and writes no file. Without a child, or when the child sends no whole payload,
-    load_impact_table reads the path itself, so every result, error and
-    message is the serial read's. As a context manager it kills and reaps
-    a child that nothing collected, so no process outlives the block,
-    whatever the block raises.
+    atexit handler, flushes no stream and writes no file. Without a
+    child, or when the child sends no whole payload, load_impact_table
+    reads the path itself, so every result, error and message is the
+    serial read's. As a context manager it kills and reaps a child that
+    nothing collected, so no process outlives the block, whatever the
+    block raises.
     """
 
     __slots__ = ("path", "_pid", "_fd")
@@ -601,14 +603,19 @@ def save_texts(files: Mapping[Path, str]) -> None:
     only once all are complete does each replace its path, so a failed
     write leaves every earlier file untouched and no temporary file
     behind. An OSError raised here names the path being written as its
-    filename. A killed run can leave no cleanup behind it, so each path's
-    temporary files whose process no longer exists are removed first.
+    filename. On posix each temporary file is held locked until it has
+    replaced its path, and since a killed run can leave no cleanup behind
+    it, each path's temporary files that no run holds are removed first.
     """
-    _remove_dead_temporaries(files)
+    posix = os.name == "posix"
+    if posix:
+        _remove_abandoned_temporaries(files)
     staged = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    held: list[int] = []  # a second descriptor of each staged file, holding its lock until the replace
+    opener = partial(_open_locked, held=held) if posix else None
     try:
         for path, tmp in staged.items():
-            with open(tmp, "w", encoding="utf-8", newline="") as f:
+            with open(tmp, "w", encoding="utf-8", newline="", opener=opener) as f:
                 f.write(files[path])
         for path, tmp in staged.items():
             os.replace(tmp, path)
@@ -618,15 +625,47 @@ def save_texts(files: Mapping[Path, str]) -> None:
         if isinstance(exc, OSError):
             exc.filename = str(path)
         raise
+    finally:
+        for fd in held:
+            os.close(fd)
 
 
-def _remove_dead_temporaries(paths: Iterable[Path]) -> None:
-    """Remove each path's .<name>.<pid>.tmp files whose pid no longer exists.
+def _open_locked(path: Path, flags: int, held: list[int]) -> int:
+    """open()'s opener for a temporary file: the file at path, created and locked, then emptied.
 
-    A live pid's file, or one whose process may not be signalled, stays.
+    The file is emptied only once locked, and only while it is still the
+    file at path: a cleanup may have locked and removed it between the
+    open and the lock, and then it is made again. A duplicate descriptor,
+    appended to held, keeps the lock once open() closes its own.
     """
-    if os.name != "posix":  # elsewhere os.kill(pid, 0) would end the process, not probe it
-        return
+    import fcntl
+
+    while True:
+        fd = os.open(path, flags & ~os.O_TRUNC, 0o666)
+        try:
+            with suppress(OSError):  # a file system without locks: the file is written unlocked, as before
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
+                os.ftruncate(fd, 0)
+                held.append(os.dup(fd))
+                return fd
+        except FileNotFoundError:  # os.stat: the name is gone, so the file is made again
+            pass
+        except BaseException:
+            os.close(fd)
+            raise
+        os.close(fd)
+
+
+def _remove_abandoned_temporaries(paths: Iterable[Path]) -> None:
+    """Remove each path's .<name>.<pid>.tmp files that no run is writing.
+
+    A file goes only when its pid names no process here and no process
+    holds its lock. A pid is known only in its own pid namespace, so a run
+    in another container, or on another host, sharing the directory can
+    look dead here; save_texts's lock keeps that run's files. A run of a
+    version without the lock keeps them only where its pid can be seen.
+    """
     names: dict[Path, set[str]] = {}
     for path in paths:
         names.setdefault(path.parent, set()).add(path.name)
@@ -644,10 +683,32 @@ def _remove_dead_temporaries(paths: Iterable[Path]) -> None:
             try:
                 os.kill(int(pid), 0)
             except ProcessLookupError:
-                with suppress(OSError):
-                    os.unlink(directory / entry)
+                _remove_unlocked(directory / entry)
             except (OSError, OverflowError):  # not ours to signal, or no pid at all
                 pass
+
+
+def _remove_unlocked(path: Path) -> None:
+    """Remove path where no process holds its lock, taking the lock for the removal.
+
+    It opens for writing, as a lock over NFS needs, and without blocking,
+    so a fifo cannot stall it. Whatever it cannot open, lock or match to
+    the file still at path stays.
+    """
+    import fcntl
+
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+    except OSError:
+        return
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        if os.path.samestat(os.fstat(fd), os.stat(path)):
+            os.unlink(path)
+    except OSError:  # held by a run that is writing it, or gone
+        pass
+    finally:
+        os.close(fd)
 
 
 def _encode_table(header: Sequence[str], data: Iterable[Sequence], fmt: str) -> str:

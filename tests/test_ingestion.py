@@ -476,6 +476,70 @@ class TestSaveTexts:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*planted, "a.csv"} - {f".a.csv.{dead.pid}.tmp"})
 
 
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are locked only on posix")
+    def test_a_locked_temporary_file_stays(self, tmp_path):
+        import fcntl
+
+        dead = subprocess.Popen([sys.executable, "-c", ""])
+        dead.wait()
+        # a run whose pid this process cannot see, in another container sharing the directory, say
+        foreign = tmp_path / f".a.csv.{dead.pid}.tmp"
+        foreign.write_text("partial")
+        with open(foreign, "rb+") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            pio.save_texts({tmp_path / "a.csv": "a\n"})
+            assert foreign.read_text() == "partial"
+        pio.save_texts({tmp_path / "a.csv": "a\n"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are locked only on posix")
+    def test_each_temporary_file_is_locked_until_it_replaces_its_path(self, tmp_path, monkeypatch):
+        import fcntl
+
+        replace, locked = os.replace, []
+
+        def replace_checking_the_lock(src, dst):
+            with open(src, "rb+") as other:
+                try:
+                    fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    locked.append(os.path.basename(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(pio.os, "replace", replace_checking_the_lock)
+        pio.save_texts({tmp_path / "a.csv": "a\n", tmp_path / "b.csv": "b\n"})
+        assert locked == ["a.csv", "b.csv"]
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.csv": "a\n", "b.csv": "b\n"}
+
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are locked only on posix")
+    def test_a_temporary_file_removed_before_its_lock_is_made_again(self, tmp_path, monkeypatch):
+        import fcntl
+
+        tmp, flock, removed = tmp_path / f".a.csv.{os.getpid()}.tmp", fcntl.flock, []
+
+        def flock_after_a_cleanup(fd, operation):
+            if not removed:  # another run's cleanup locks and removes the file first
+                tmp.unlink()
+                removed.append(tmp.name)
+            return flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", flock_after_a_cleanup)
+        pio.save_texts({tmp_path / "a.csv": "a\n"})
+        assert removed and {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.csv": "a\n"}
+
+
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are locked only on posix")
+    def test_a_file_system_without_locks_still_writes(self, tmp_path, monkeypatch):
+        import fcntl
+
+        def no_locks(fd, operation):
+            raise OSError(37, "No locks available")
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        pio.save_texts({tmp_path / "a.csv": "a\n", tmp_path / "b.csv": "b\n"})
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.csv": "a\n", "b.csv": "b\n"}
+
+
 class TestJsonFieldTypes:
     ROWS = {
         load_events: {"author_id": "a", "group": "Phy", "kind": "citation", "journal": "J1", "year": 2010, "count": 1},
