@@ -12,12 +12,12 @@ A command returns its files rather than writing them, and the group's
 invoke writes the whole set: every file or, on any error, none, so a
 failed run leaves an earlier run's files as they were.
 
-Where the platform can fork and the process may run on two CPUs or
-more, compute reads a large impact table in a second process while it
-reads the events (see io.FORK_MIN_BYTES); that process runs on a CPU
-other than the one compute runs on, where the platform tells which.
-On one CPU, or for smaller inputs, the two are read one after the
-other, and the outputs and exit codes are the same either way.
+Where the platform can fork, the process may run on two CPUs or more
+and the platform tells which one compute runs on, compute reads a large
+impact table (see io.FORK_MIN_BYTES) in a second process, pinned to the
+other CPUs, while it reads the events. Everywhere else, and for smaller
+inputs, the two are read one after the other; the outputs and exit
+codes are the same either way.
 
 Exit codes
     0  success

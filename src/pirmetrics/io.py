@@ -303,13 +303,14 @@ def _parse_float(raw, what: str) -> float:
 IMPACT_COLUMNS = ("journal", "year", "indicator", "value")  # as ImpactTable.entries() yields an entry
 
 
-# compute reads the impact table in a forked child, while it reads the events, only where the
-# platform can fork and the smaller of the two files holds at least this many bytes. The overlap can
-# hide no more than the smaller read, and the fork, the pipe and the decode cost 4-5 ms in process,
-# against 0.4 ms to read the bundled 3.6 KB table. On csv files cut from a benchmark workload (2 CPUs,
-# the child on the CPU the parent was not on, min of 50 runs, three runs per size) the forked reads
-# were 0.3-3 ms slower at 96-192 KiB, level within noise at 256 KiB (-8 to +1 ms), 1-2 ms faster at
-# 320 KiB and 10-13 ms faster at 1 MiB; so the fixtures stay serial, and full-size inputs fork.
+# compute reads the impact table in a forked child, while it reads the events, only where the child
+# can be placed (see _TableRead) and the smaller of the two files holds at least this many bytes.
+# The overlap can hide no more than the smaller read, and the fork, the pipe and the decode cost 4-5
+# ms in process, against 0.4 ms to read the bundled 3.6 KB table. On csv files cut from a benchmark
+# workload (2 CPUs, the child on the CPU the parent was not on, min of 50 runs, three runs per size)
+# the forked reads were 0.3-3 ms slower at 96-192 KiB, level within noise at 256 KiB (-8 to +1 ms),
+# 1-2 ms faster at 320 KiB and 10-13 ms faster at 1 MiB; so the fixtures stay serial, and full-size
+# inputs fork.
 FORK_MIN_BYTES = 256 * 1024
 
 
@@ -322,38 +323,24 @@ def _current_cpu() -> int | None:
         return None
 
 
-def _child_cpus(allowed: set[int] | None, parent_cpu: int | None) -> set[int] | None:
-    """The CPUs a forked table child is pinned to: None forks no child, an empty set leaves it unpinned.
-
-    allowed is the process's CPU set and parent_cpu the CPU it runs on,
-    each None where the platform does not tell. On one CPU the child
-    could only take turns with the parent, so the read stays serial.
-    """
-    if allowed is not None and len(allowed) < 2:
-        return None
-    if allowed is None or parent_cpu is None:
-        return set()
-    return allowed - {parent_cpu}
-
-
 class _TableRead:
     """An impact table file for load_impact_table to read, begun in a forked child where that pays.
 
     The child is forked only where the platform can fork, no other thread
-    runs, the process may run on two CPUs or more, and both the table and
-    the file read alongside it hold at least FORK_MIN_BYTES; otherwise the
-    read stays serial. Where the platform tells which CPU the parent runs
-    on, the child first pins itself to the other allowed CPUs, so the two
-    reads do not share one; if it may not, it runs unpinned. The parent's
-    own affinity is never changed. While the caller goes on, the child
-    runs load_impact_table(path, fmt), sends the table's families back
-    through a pipe as marshal bytes, and ends with os._exit: it runs no
-    atexit handler, flushes no stream and writes no file. Without a
-    child, or when the child sends no whole payload, load_impact_table
-    reads the path itself, so every result, error and message is the
-    serial read's. As a context manager it kills and reaps a child that
-    nothing collected, so no process outlives the block, whatever the
-    block raises.
+    runs, both the table and the file read alongside it hold at least
+    FORK_MIN_BYTES, and the child can be placed: the process may run on
+    two CPUs or more, and the platform tells which one the parent runs
+    on. The child first pins itself to the other allowed CPUs, so the two
+    reads do not share one; the parent's own affinity is never changed.
+    Everywhere else the read is serial. While the caller goes on, the
+    child runs load_impact_table(path, fmt), sends the table's families
+    back through a pipe as marshal bytes, and ends with os._exit: it runs
+    no atexit handler, flushes no stream and writes no file. Without a
+    child, or when the child sends no whole payload (a refused pin
+    included), load_impact_table reads the path itself, so every result,
+    error and message is the serial read's. As a context manager it
+    kills and reaps a child that nothing collected, so no process
+    outlives the block, whatever the block raises.
     """
 
     __slots__ = ("path", "_pid", "_fd")
@@ -368,20 +355,16 @@ class _TableRead:
         # a child holds a copy of every lock other threads held at the fork, and could wait on one forever
         if not large or not hasattr(os, "fork") or threading.active_count() > 1:
             return
-        allowed = getattr(os, "sched_getaffinity", None)
-        cpus = _child_cpus(allowed(0) if allowed else None, _current_cpu())
-        if cpus is None:
+        allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+        cpus = allowed - {_current_cpu()}
+        if not cpus or cpus == allowed:  # one CPU, or the parent's is not known: no place for the child
             return
         self._fd, write_fd = os.pipe()
         self._pid = os.fork()
         if self._pid == 0:
             code = 1
             try:
-                if cpus:
-                    try:
-                        os.sched_setaffinity(0, cpus)
-                    except OSError:  # a CPU the process may not use after all: the child runs unpinned
-                        pass
+                os.sched_setaffinity(0, cpus)
                 import marshal
                 os.close(self._fd)
                 with open(write_fd, "wb") as pipe:
@@ -636,12 +619,13 @@ def _open_locked(path: Path, flags: int, held: list[int]) -> int:
     The file is emptied only once locked, and only while it is still the
     file at path: a cleanup may have locked and removed it between the
     open and the lock, and then it is made again. A duplicate descriptor,
-    appended to held, keeps the lock once open() closes its own.
+    appended to held, keeps the lock once open() closes its own. A
+    symlink at path is refused (ELOOP), never followed.
     """
     import fcntl
 
     while True:
-        fd = os.open(path, flags & ~os.O_TRUNC, 0o666)
+        fd = os.open(path, flags & ~os.O_TRUNC | os.O_NOFOLLOW, 0o666)
         try:
             with suppress(OSError):  # a file system without locks: the file is written unlocked, as before
                 fcntl.flock(fd, fcntl.LOCK_EX)
@@ -692,13 +676,14 @@ def _remove_unlocked(path: Path) -> None:
     """Remove path where no process holds its lock, taking the lock for the removal.
 
     It opens for writing, as a lock over NFS needs, and without blocking,
-    so a fifo cannot stall it. Whatever it cannot open, lock or match to
-    the file still at path stays.
+    so a fifo cannot stall it, and without following a symlink, so a
+    link's target is never opened. Whatever it cannot open, lock or
+    match to the file still at path stays.
     """
     import fcntl
 
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+        fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
     except OSError:
         return
     try:

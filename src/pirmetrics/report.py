@@ -249,12 +249,15 @@ def _group_columns(
 ) -> tuple[list[str], dict[str, list[float | None]], dict[str | None, dict[str, list[float | None]]]]:
     """The pooled column of every variable, and each group's slice of it.
 
-    group_of gives a row's group key, and may raise for a row that has
-    none. Variables default to those of the first row; a repeated one
-    counts once, at its first place. Pooled columns are in row order,
-    groups in first-seen order and a group's cells in row order, so the
-    columns of a group line up; an undefined or non-finite cell is None.
+    No rows raise ReportError. group_of gives a row's group key, and
+    may raise for a row that has none. Variables default to those of
+    the first row; a repeated one counts once, at its first place.
+    Pooled columns are in row order, groups in first-seen order and a
+    group's cells in row order, so the columns of a group line up; an
+    undefined or non-finite cell is None.
     """
+    if not rows:
+        raise ReportError("no rows")
     variables = list(dict.fromkeys(variables)) if variables else _variable_names(rows[0].families)
     members: dict[str | None, list[int]] = {}
     for index, row in enumerate(rows):
@@ -297,8 +300,6 @@ def group_summary(
     group. Undefined values are excluded per variable, and the excluded
     column counts them.
     """
-    if not rows:
-        raise ReportError("no rows")
     _, _, columns = _group_columns(rows, variables, _required_group)
     data = []
     for group in sorted(columns):
@@ -328,8 +329,6 @@ def aggregate_report(
     family's value, (a - b) / b. A delta that overflows the float range
     raises StatsError naming its ratio and families.
     """
-    if not rows:
-        raise ReportError("no rows")
     # pooled in row order: the min, max and median of equal 0.0 and -0.0 depend on it
     _, everyone, columns = _group_columns(rows, variables, lambda row: row.group)
     group_names = sorted(group for group in columns if group is not None)
@@ -385,8 +384,6 @@ def correlation_report(
     Undefined values are excluded pairwise within a group; cells that
     cannot be computed are flagged in the note column, not fatal.
     """
-    if not rows:
-        raise ReportError("no rows")
     _, _, columns = _group_columns(rows, variables or DEFAULT_CORRELATION_VARIABLES, _required_group)
     data = []
     for group in sorted(columns):

@@ -2,7 +2,8 @@
 
 Each path is forced through io.FORK_MIN_BYTES: 0 sends every existing
 pair of inputs to the child (and lets a one-CPU host appear to have
-two, so it forks too), a size no file reaches keeps the read serial.
+two, and a host that does not tell the parent's CPU tell one, so it
+forks too), a size no file reaches keeps the read serial.
 Both paths must give the same exit code, log and bytes.
 """
 
@@ -32,6 +33,7 @@ IMPACTS = str(fixture_path("impact_table.csv"))
 SCALARS = str(fixture_path("scalars.csv"))
 REPO = Path(__file__).resolve().parents[1]
 AFFINITY = getattr(os, "sched_getaffinity", None)
+KNOWS_CPU = pio._current_cpu() is not None
 
 
 @pytest.fixture()
@@ -64,8 +66,10 @@ def run(args: list[str], out: Path):
 def compute(monkeypatch, gate: int, args: list[str], out: Path):
     """run(args, out) with the fork gate at gate."""
     monkeypatch.setattr(pio, "FORK_MIN_BYTES", gate)
-    if gate == FORKED:  # a one-CPU host forks too
+    if gate == FORKED:  # a one-CPU host forks too, and so does one that does not tell the parent's CPU
         allowed_cpus(monkeypatch, lambda real: real if len(real) >= 2 else real | {0, 1})
+        if not KNOWS_CPU:
+            monkeypatch.setattr(pio, "_current_cpu", lambda: 0)
     return run(args, out)
 
 
@@ -217,7 +221,7 @@ def in_the_child(monkeypatch, module, name, replace):
 
 
 class TestPlacement:
-    """The child runs on an allowed CPU other than the parent's, and only where there are two."""
+    """The child runs on the allowed CPUs other than the parent's; without one, or the parent's, no child."""
 
     ARGS = ["--events", EVENTS, "--impacts", IMPACTS, "--scalars", SCALARS]
 
@@ -226,14 +230,28 @@ class TestPlacement:
         [
             pytest.param({0, 1}, 0, {1}, id="two"),
             pytest.param({0, 1, 2, 3}, 2, {0, 1, 3}, id="four"),
-            pytest.param({3}, 3, None, id="one-cpu-forks-nothing"),
+            pytest.param({3}, 3, None, id="one-cpu"),
             pytest.param({3}, None, None, id="one-cpu-unknown-parent"),
-            pytest.param({0, 1}, None, set(), id="unknown-parent-unpinned"),
-            pytest.param(None, 0, set(), id="unknown-set-unpinned"),
+            pytest.param({0, 1}, None, None, id="unknown-parent"),
+            pytest.param(None, 0, None, id="no-affinity"),
         ],
     )
-    def test_child_cpus(self, allowed, parent, child):
-        assert pio._child_cpus(allowed, parent) == child
+    def test_where_the_child_runs(self, monkeypatch, forks, tmp_path, allowed, parent, child):
+        """child: the CPUs the child pins itself to, or None where compute forks no child."""
+        expected = compute(monkeypatch, SERIAL, self.ARGS, tmp_path / "serial")
+        seen = tmp_path / "child_cpus.json"
+        monkeypatch.setattr(pio, "FORK_MIN_BYTES", FORKED)
+        if allowed is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            allowed_cpus(monkeypatch, lambda real: allowed)
+        monkeypatch.setattr(pio, "_current_cpu", lambda: parent)
+        # called in the child alone, and recorded rather than made: these CPUs need not exist here
+        monkeypatch.setattr(
+            os, "sched_setaffinity", lambda pid, cpus: seen.write_text(json.dumps(sorted(cpus))), raising=False,
+        )
+        assert run(self.ARGS, tmp_path / "forked") == expected and len(forks) == (child is not None)
+        assert (set(json.loads(seen.read_text(encoding="utf-8"))) if seen.exists() else None) == child
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat") or AFFINITY is None, reason="no /proc or affinity")
     def test_current_cpu(self, monkeypatch):
@@ -251,13 +269,12 @@ class TestPlacement:
         allowed_cpus(monkeypatch, lambda real: {0})
         assert run(self.ARGS, tmp_path / "one-cpu") == expected and not forks
 
-    def test_unknown_parent_cpu_forks_unpinned(self, monkeypatch, forks, tmp_path):
+    def test_unknown_parent_cpu_reads_serially(self, monkeypatch, forks, tmp_path):
         expected = compute(monkeypatch, SERIAL, self.ARGS, tmp_path / "serial")
-        pinned = tmp_path / "pinned"
+        monkeypatch.setattr(pio, "FORK_MIN_BYTES", FORKED)
+        allowed_cpus(monkeypatch, lambda real: real if len(real) >= 2 else real | {0, 1})
         monkeypatch.setattr(pio, "_current_cpu", lambda: None)
-        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.touch(), raising=False)
-        assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
-        assert not pinned.exists()
+        assert run(self.ARGS, tmp_path / "forked") == expected and not forks
 
     @pytest.mark.skipif(AFFINITY is None, reason="the platform tells no CPU affinity")
     def test_the_parents_affinity_stays(self, monkeypatch, forks, tmp_path):
@@ -265,9 +282,9 @@ class TestPlacement:
         assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked")[0] == 0 and len(forks) == 1
         assert AFFINITY(0) == before
 
-    def test_a_failed_pin_leaves_the_child_unpinned(self, monkeypatch, forks, tmp_path):
+    def test_a_failed_pin_ends_the_child_and_the_parent_reads(self, monkeypatch, forks, tmp_path):
         expected = compute(monkeypatch, SERIAL, self.ARGS, tmp_path / "serial")
-        refused = tmp_path / "refused"
+        refused, read = tmp_path / "refused", tmp_path / "read"
 
         def refuse(pid, cpus):  # called in the child alone
             refused.touch()
@@ -275,8 +292,11 @@ class TestPlacement:
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
         monkeypatch.setattr(pio, "_current_cpu", lambda: 0)  # the parent's CPU is known, so the child pins itself
+        in_the_child(monkeypatch, pio, "load_impact_table", lambda load, path, fmt: (read.touch(), load(path, fmt))[1])
         assert compute(monkeypatch, FORKED, self.ARGS, tmp_path / "forked") == expected and len(forks) == 1
-        assert refused.exists()
+        assert refused.exists() and not read.exists()  # the child ended before it read the table
+        with pytest.raises(ChildProcessError):  # the child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(
         AFFINITY is None or len(AFFINITY(0)) < 2 or not os.path.exists("/proc/self/stat"),
@@ -385,7 +405,8 @@ def test_traced_compute_records_the_table_read_in_the_parent(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stderr.count("forked\n") == (AFFINITY is None or len(AFFINITY(0)) >= 2)  # one CPU forks nothing
+    # one CPU, or a parent CPU the platform does not tell, forks nothing
+    assert done.stderr.count("forked\n") == (AFFINITY is not None and len(AFFINITY(0)) >= 2 and KNOWS_CPU)
     spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
     (table,) = [span for span in spans if span[0] == "io.load_impact_table"]
     (events_span,) = [span for span in spans if span[0] == "io.load_events"]

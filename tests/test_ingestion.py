@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import io
 import json
@@ -538,6 +539,37 @@ class TestSaveTexts:
         monkeypatch.setattr(fcntl, "flock", no_locks)
         pio.save_texts({tmp_path / "a.csv": "a\n", tmp_path / "b.csv": "b\n"})
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.csv": "a\n", "b.csv": "b\n"}
+
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are opened without following links only on posix")
+    def test_a_symlink_at_a_staging_name_is_refused(self, tmp_path):
+        out, victim = tmp_path / "out", tmp_path / "victim.txt"
+        out.mkdir()
+        victim.write_text("victim\n")
+        (out / f".a.csv.{os.getpid()}.tmp").symlink_to(victim)
+        with pytest.raises(OSError) as excinfo:
+            pio.save_texts({out / "a.csv": "a\n"})
+        assert (excinfo.value.errno, excinfo.value.filename) == (errno.ELOOP, str(out / "a.csv"))
+        assert victim.read_text() == "victim\n" and list(out.iterdir()) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are removed only on posix")
+    def test_a_killed_runs_symlink_is_not_followed(self, tmp_path, monkeypatch):
+        import fcntl
+
+        dead = subprocess.Popen([sys.executable, "-c", ""])
+        dead.wait()
+        victim, flock, locked = tmp_path / "victim.txt", fcntl.flock, []
+        victim.write_text("victim\n")
+        link = tmp_path / f".a.csv.{dead.pid}.tmp"
+        link.symlink_to(victim)
+
+        def recording_flock(fd, operation):
+            locked.append(os.fstat(fd).st_ino)
+            return flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", recording_flock)
+        pio.save_texts({tmp_path / "a.csv": "a\n"})
+        assert victim.stat().st_ino not in locked  # the sweep never opened the link's target
+        assert victim.read_text() == "victim\n" and (tmp_path / "a.csv").read_text() == "a\n"
 
 
 class TestJsonFieldTypes:
