@@ -472,38 +472,61 @@ def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
     two different non-empty groups for one author are an error. Each
     distinct author id, group, journal, year and count text is parsed
     once per call, and rows that repeat it share the parsed object.
+
+    Exports list an author's rows together, so the author is looked up
+    once per run of rows: a row whose raw author_id and group equal the
+    previous row's is that author's again, with the group already
+    checked, and only its event is parsed. Any other row is looked up,
+    and its group filled or checked, after its event is parsed, so a
+    row's first fault is the one reported. A row whose journal is
+    non-empty and whose count is in 1..MAX_COUNT has its Event built
+    through Event._of_checked; any other row goes through Event, which
+    words the error.
     """
     events: dict[str, list[Event]] = {}
     groups: dict[str, str | None] = {}
     author_ids, group_names = _Parsed(_text, "author_id"), _Parsed(_text, "group")
     journals, years, counts = _Parsed(_text, "journal"), _Parsed(_parse_int, "year"), _Parsed(_parse_int, "count")
+    of_checked = Event._of_checked
+    last_author = last_group = object()  # the previous row's raw author_id and group: none before the first row
     try:
-        for lineno, (author_id, group, kind, journal, year, count) in _rows(source, fmt, EVENT_COLUMNS, "events"):
-            author_id = author_ids[author_id] if type(author_id) is str else _text(author_id, "author_id")
-            if not author_id:
-                raise _FieldError("empty author_id")
-            group = (group_names[group] if type(group) is str else _text(group, "group")) or None
+        for lineno, (raw_author, raw_group, kind, journal, year, count) in _rows(source, fmt, EVENT_COLUMNS, "events"):
+            # the last row was read, so its raw author_id is a str and its group a str or None: only an equal
+            # str (or None) equals them, and it reads the same
+            new_run = raw_author != last_author or raw_group != last_group
+            if new_run:
+                author_id = author_ids[raw_author] if type(raw_author) is str else _text(raw_author, "author_id")
+                if not author_id:
+                    raise _FieldError("empty author_id")
+                group = (group_names[raw_group] if type(raw_group) is str else _text(raw_group, "group")) or None
             try:
                 kind = _KINDS[kind]
             except (KeyError, TypeError):  # any other spelling, or a json non-string
                 kind = EventKind.parse(str(kind))
             year = years[year] if type(year) in _KEYS else _parse_int(year, "year")
             count = counts[count] if type(count) in _KEYS else _parse_int(count, "count")
-            event = Event(kind, journals[journal] if type(journal) is str else _text(journal, "journal"), year, count)
+            journal = journals[journal] if type(journal) is str else _text(journal, "journal")
+            if journal and 0 < count <= MAX_COUNT:
+                event = of_checked((kind, journal, year, count))
+            else:
+                event = Event(kind, journal, year, count)
 
-            author_events = events.get(author_id)
-            if author_events is None:
-                author_events = events[author_id] = []
-                groups[author_id] = group
-            elif group is not None:
-                if groups[author_id] is None:
+            if new_run:
+                author_events = events.get(author_id)
+                if author_events is None:
+                    author_events = events[author_id] = []
                     groups[author_id] = group
-                elif groups[author_id] != group:
-                    raise _FieldError(
-                        f"author {author_id!r} has conflicting groups "
-                        f"{groups[author_id]!r} and {group!r}"
-                    )
-            author_events.append(event)
+                elif group is not None:
+                    if groups[author_id] is None:
+                        groups[author_id] = group
+                    elif groups[author_id] != group:
+                        raise _FieldError(
+                            f"author {author_id!r} has conflicting groups "
+                            f"{groups[author_id]!r} and {group!r}"
+                        )
+                append = author_events.append
+                last_author, last_group = raw_author, raw_group
+            append(event)
     except (_FieldError, ModelError) as exc:
         raise _located(exc, "events", fmt, lineno) from None
 
@@ -675,14 +698,19 @@ def _remove_abandoned_temporaries(paths: Iterable[Path]) -> None:
 def _remove_unlocked(path: Path) -> None:
     """Remove path where no process holds its lock, taking the lock for the removal.
 
-    It opens for writing, as a lock over NFS needs, and without blocking,
-    so a fifo cannot stall it, and without following a symlink, so a
-    link's target is never opened. Whatever it cannot open, lock or
-    match to the file still at path stays.
+    A symlink is unlinked without being opened, so its target is never
+    touched: save_texts never stages a link, so none is a run's file.
+    Anything else is opened for writing, as a lock over NFS needs, and
+    without blocking, so a fifo cannot stall it, and without following a
+    symlink, in case one has taken its place since. Whatever it cannot
+    open, lock or match to the file still at path stays.
     """
     import fcntl
 
     try:
+        if os.path.islink(path):
+            os.unlink(path)
+            return
         fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
     except OSError:
         return

@@ -8,13 +8,22 @@ AuthorCorpus, CoverageDiagnostics, IndicatorProfile, and
 engine.MissingValuePolicy and io.ScalarMetrics) share one frozen base,
 FrozenValue: each names its fields once, in _fields, and its __init__
 checks the values and hands them to FrozenValue._freeze in that order.
-Building through the class checks every field; FrozenValue._of_checked
-builds the same value without the checks, for values whose fields hold
-by construction: the engine builds each CoverageDiagnostics and
-IndicatorProfile through it, from counts and means it has made itself.
 They are not dataclasses: every command is a new process, and importing
 dataclasses and building each class through it, which compiles its
 methods with exec, made up several milliseconds of every start.
+
+Building through the class checks every field. Three trusted
+constructors build the same value without the checks, for values whose
+fields hold by construction; every check and its message stay here:
+    FrozenValue._of_checked  the engine's CoverageDiagnostics and
+                             IndicatorProfile, from counts and means it
+                             has made itself
+    Event._of_checked        io.load_events' Event of a row whose journal
+                             is non-empty and whose count is in
+                             1..MAX_COUNT; any other row goes through
+                             Event, which words the error
+    ImpactTable._of_checked  io.load_impact_table's table, from rows it
+                             has checked one by one
 """
 
 from __future__ import annotations
@@ -196,6 +205,11 @@ class Event(_EventFields):
                 f"({kind.value}, {journal!r}, {year})"
             )
         return tuple.__new__(cls, (kind, journal, year, count))
+
+    # Event._of_checked((kind, journal, year, count)): the Event of fields the caller has checked as
+    # __new__ does (a non-empty journal, a count in 1..MAX_COUNT), built without the checks; it is
+    # tuple.__new__ itself, so no Python frame runs per event
+    _of_checked = classmethod(tuple.__new__)
 
 
 class AuthorCorpus(FrozenValue):

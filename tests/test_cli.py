@@ -119,6 +119,31 @@ class TestCompute:
         )
         assert result.exit_code == EXIT_INPUT
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            pytest.param({2: {"count": 0}}, "event count must be >= 1, got 0 (citation, 'J1', 2010)", id="count-0"),
+            pytest.param({2: {"journal": ""}}, "journal id must be non-empty", id="empty-journal"),
+            pytest.param({3: {"group": "H"}}, "author 'a' has conflicting groups 'G' and 'H'", id="group-on-last-row"),
+        ],
+    )
+    def test_a_bad_row_inside_an_authors_run_exits_with_its_message(self, runner, tmp_path, fmt, bad, message):
+        # author a's run is rows 0-3 of 5; each case breaks the one row it names
+        good = {"author_id": "a", "group": "G", "kind": "citation", "journal": "J1", "year": 2010, "count": 1}
+        data = [{**good, **bad.get(i, {})} for i in range(4)] + [{**good, "author_id": "b"}]
+        (index,) = bad
+        events, out = tmp_path / f"events.{fmt}", tmp_path / "o"
+        if fmt == "json":
+            events.write_text(json.dumps(data))
+        else:
+            events.write_text("".join(",".join(map(str, row)) + "\n" for row in [good, *(r.values() for r in data)]))
+        result = runner.invoke(main, ["compute", "--events", str(events), "--impacts", IMPACTS, "--out", str(out)])
+        where = f"line {index + 2}" if fmt == "csv" else f"row {index + 1}"
+        assert result.exit_code == EXIT_INPUT
+        assert f"Error: events: {where}: {message}\n" in result.output
+        assert not out.exists()
+
     def test_non_finite_impact_input_exit(self, runner, tmp_path):
         impacts = tmp_path / "impacts.csv"
         impacts.write_text("journal,year,indicator,value\nJ1,2010,SJR,1.5\nJ1,2011,SJR,nan\n")

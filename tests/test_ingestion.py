@@ -10,7 +10,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pirmetrics.io as pio
@@ -26,7 +26,7 @@ from pirmetrics.io import (
     save_impact_table,
     save_scalars,
 )
-from pirmetrics.model import AuthorCorpus, Event, EventKind, ImpactTable, YearWindow
+from pirmetrics.model import AuthorCorpus, Event, EventKind, ImpactTable, ModelError, YearWindow
 from pirmetrics.report import load_profiles
 
 WIN = YearWindow(2009, 2013)
@@ -570,6 +570,8 @@ class TestSaveTexts:
         pio.save_texts({tmp_path / "a.csv": "a\n"})
         assert victim.stat().st_ino not in locked  # the sweep never opened the link's target
         assert victim.read_text() == "victim\n" and (tmp_path / "a.csv").read_text() == "a\n"
+        assert not os.path.lexists(link)  # the link itself is gone
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "victim.txt"]
 
 
 class TestJsonFieldTypes:
@@ -801,6 +803,112 @@ class TestEventLoaderParity:
         with pytest.raises(IngestError, match=r"^events: line 3: new-line character seen in unquoted field"):
             load_events(csv_stream(text))
 
+
+
+def reference_load_events(source, fmt="csv"):
+    """load_events as it read rows before its run shortcut: every row looked up, every Event built through Event."""
+    events, groups = {}, {}
+    author_ids, group_names = pio._Parsed(pio._text, "author_id"), pio._Parsed(pio._text, "group")
+    journals, years = pio._Parsed(pio._text, "journal"), pio._Parsed(pio._parse_int, "year")
+    counts = pio._Parsed(pio._parse_int, "count")
+    try:
+        for lineno, (author_id, group, kind, journal, year, count) in pio._rows(source, fmt, pio.EVENT_COLUMNS, "events"):
+            author_id = author_ids[author_id] if type(author_id) is str else pio._text(author_id, "author_id")
+            if not author_id:
+                raise pio._FieldError("empty author_id")
+            group = (group_names[group] if type(group) is str else pio._text(group, "group")) or None
+            try:
+                kind = pio._KINDS[kind]
+            except (KeyError, TypeError):
+                kind = EventKind.parse(str(kind))
+            year = years[year] if type(year) in pio._KEYS else pio._parse_int(year, "year")
+            count = counts[count] if type(count) in pio._KEYS else pio._parse_int(count, "count")
+            event = Event(kind, journals[journal] if type(journal) is str else pio._text(journal, "journal"), year, count)
+            author_events = events.get(author_id)
+            if author_events is None:
+                author_events = events[author_id] = []
+                groups[author_id] = group
+            elif group is not None:
+                if groups[author_id] is None:
+                    groups[author_id] = group
+                elif groups[author_id] != group:
+                    raise pio._FieldError(
+                        f"author {author_id!r} has conflicting groups {groups[author_id]!r} and {group!r}"
+                    )
+            author_events.append(event)
+    except (pio._FieldError, ModelError) as exc:
+        raise pio._located(exc, "events", fmt, lineno) from None
+    return [AuthorCorpus(author_id, tuple(evs), group=groups[author_id]) for author_id, evs in events.items()]
+
+
+def _row(author_id, group, kind="citation", journal="J1", year=2010, count=1):
+    return {"author_id": author_id, "group": group, "kind": kind, "journal": journal, "year": year, "count": count}
+
+
+_IDS = st.sampled_from(["a", " a", "a ", "b", "", " ", None, 0, 1, True, 1.5])
+_GROUPS = st.sampled_from(["", "G", " G", "H", None, 0, False, 2.0])
+_KIND_SPELLINGS = st.just("citation") | st.sampled_from(["publication", " Reference", "patent", 5, None])
+_JOURNALS = st.just("J1") | st.sampled_from(["J2", " J1", "", " ", None, 3])
+_YEARS = st.just(2010) | st.sampled_from([2011, "2010", 2010.0, 2010.5, "x", "2_010", True, None])
+_COUNTS = st.just(1) | st.sampled_from([2, "1", 3.0, 0, "0", -1, 2**53, 2**53 + 1, str(2**53 + 1), True, "x"])
+
+
+@st.composite
+def _author_runs(draw):
+    """Runs of one author's rows, whose group may change mid-run, each field drawn from good and bad values."""
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        author_id, group = draw(_IDS), draw(_GROUPS)
+        for _ in range(draw(st.integers(1, 4))):
+            group = draw(st.just(group) | _GROUPS)
+            rows.append(_row(author_id, group, draw(_KIND_SPELLINGS), draw(_JOURNALS), draw(_YEARS), draw(_COUNTS)))
+    return rows
+
+
+class TestLoadEventsAgainstReference:
+    """load_events reads every input as reference_load_events does: the same corpora, or the same error."""
+
+    @staticmethod
+    def text_of(rows, fmt):
+        if fmt == "json":
+            return json.dumps(rows)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(pio.EVENT_COLUMNS)
+        writer.writerows([["" if v is None else str(v) for v in row.values()] for row in rows])
+        return buf.getvalue()
+
+    @staticmethod
+    def outcome(loader, text, fmt):
+        try:
+            corpora = loader(csv_stream(text), fmt=fmt)
+        except IngestError as exc:
+            return "error", str(exc)
+        return [(c.author_id, c.group, [(type(e), *e) for e in c.events]) for c in corpora]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=_author_runs())
+    # a group empty, then filled, then conflicting, inside one author's run
+    @example(rows=[_row("a", ""), _row("a", "G"), _row("a", ""), _row("a", "H"), _row("b", "G")])
+    # ids that differ only in whitespace are one author, interleaved with another
+    @example(rows=[_row(" a", "G"), _row("a", "G"), _row("b", ""), _row("a ", ""), _row("b", "H")])
+    # two faults in one row: the first one parsed is reported, before the group conflict
+    @example(rows=[_row("a", "G"), _row("a", "H", count=0), _row("a", "H", journal="")])
+    @example(rows=[_row("a", "G"), _row("a", "G"), _row("a", "H", year="x", count=0)])
+    @example(rows=[_row("a", "G"), _row("a", "G", journal="", count=2**53 + 1)])
+    # one fault inside a run: an empty journal, and counts either side of the range
+    @example(rows=[_row("a", "G"), _row("a", "G", journal=""), _row("a", "G")])
+    @example(rows=[_row("a", "G"), _row("a", "G", count=0), _row("a", "G")])
+    @example(rows=[_row("a", "G", count=2**53), _row("a", "G", count=2**53 + 1)])
+    # json null, "", numbers and bools as an id or a group, after a run they might equal
+    @example(rows=[_row("a", None), _row("a", ""), _row("a", None), _row(None, None)])
+    @example(rows=[_row("1", "0"), _row(1, "0")])
+    @example(rows=[_row("a", "0"), _row("a", 0)])
+    @example(rows=[_row("a", "True"), _row("a", True)])
+    def test_same_corpora_or_same_error(self, fmt, rows):
+        text = self.text_of(rows, fmt)
+        assert self.outcome(load_events, text, fmt) == self.outcome(reference_load_events, text, fmt)
 
 class TestSavedBytes:
     """The exact bytes of every save_* writer, in csv and json."""

@@ -50,6 +50,13 @@ class TestEvent:
         with pytest.raises(ModelError):
             Event(EventKind.CITATION, "", 2010, 1)
 
+    @pytest.mark.parametrize("count", [1, 7, 2**53])
+    def test_of_checked_is_the_event_built_through_the_class(self, count):
+        checked = Event._of_checked((EventKind.REFERENCE, "J1", 2010, count))
+        built = Event(EventKind.REFERENCE, "J1", 2010, count)
+        assert type(checked) is Event and checked == built and hash(checked) == hash(built)
+        assert pickle.loads(pickle.dumps(checked)) == built
+
     def test_kind_parse_case_insensitive(self):
         assert EventKind.parse("Publication") is EventKind.PUBLICATION
         assert EventKind.parse("CITATION") is EventKind.CITATION
