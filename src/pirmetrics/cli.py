@@ -2,11 +2,14 @@
 
 Each setting comes from its flag, else from the json config file given
 with --config, else from its default; the PIRMETRICS_OUT environment
-variable stands in only for the default output directory. Config values
-go through the same types and checks as flags, and each command ignores
-the config keys it does not read, so one config file serves the whole
-pipeline. Logs go to stderr, data to files named
-<dataset>.<report>.<format> under the output directory.
+variable stands in only for the default output directory. The config
+keys are the parameter names of the options marked as settings, and a
+key's json type follows from its option's kind: a flag takes a boolean
+or a string, a repeatable option a string or a list of strings, any
+other a string. Config values go through the same types and checks as
+flags, and each command ignores the config keys it does not read, so one
+config file serves the whole pipeline. Logs go to stderr, data to files
+named <dataset>.<report>.<format> under the output directory.
 
 A command returns its files rather than writing them, and the group's
 invoke writes the whole set: every file or, on any error, none, so a
@@ -74,11 +77,6 @@ DEFAULT_FAMILIES = (SJR, SNIP)
 # what a command returns for Pipeline.invoke to write: the output directory, the dataset
 # name and the (report name, text, extension) of each file
 Files = tuple[str, str, list[tuple[str, str, str]]]
-# the settings a config file may hold; any other key is ignored
-CONFIG_KEYS = frozenset({"events", "impacts", "scalars", "profiles", "out", "format", "window",
-                         "families", "missing", "window_policy", "fail_fast", "name"})
-# the json type of each config value, as its flag reads it; every other key holds a string
-CONFIG_TYPES = {"families": "a string or a list of strings", "fail_fast": "a boolean or a string"}
 
 
 def _fail(message: str, exit_code: int) -> click.ClickException:
@@ -131,6 +129,10 @@ class Pipeline(click.Group):
                 gc.enable()
 
 
+class _Setting(click.Option):
+    """An option a --config file may set, under its parameter name."""
+
+
 def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) -> None:
     """Make the json object in the --config file the command's defaults."""
     if value is None:
@@ -145,19 +147,22 @@ def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) 
         raise _fail(f"config file {path} is not valid json: {exc}", EXIT_INPUT)
     if not isinstance(config, dict):
         raise _fail(f"config file {path} must hold a json object", EXIT_INPUT)
-    if isinstance(config.get("families"), str):
-        config["families"] = [config["families"]]
-    # a null value leaves its setting at the default
-    ctx.default_map = {
-        key: value for key, value in config.items() if key in CONFIG_KEYS and value is not None
-    }
+    # the keys are the settings of all the group's commands, so a key this command ignores is still
+    # checked; any other key is ignored
+    settings = {p.name: p for c in ctx.find_root().command.commands.values() for p in c.params if isinstance(p, _Setting)}
+    # a null value leaves its setting at the default; a lone string is a multiple option's one value
+    ctx.default_map = {key: [value] if settings[key].multiple and isinstance(value, str) else value
+                       for key, value in config.items() if key in settings and value is not None}
     try:
         for key, value in ctx.default_map.items():
-            if key == "fail_fast" and isinstance(value, bool):
+            option = settings[key]
+            if option.is_flag and isinstance(value, bool):
                 continue
-            texts = value if key == "families" and isinstance(value, list) else [value]
+            texts = value if option.multiple and isinstance(value, list) else [value]
             if not all(isinstance(text, str) for text in texts):
-                raise _FieldError(f"{key} must be {CONFIG_TYPES.get(key, 'a string')}, got {value!r}")
+                kind = ("a boolean or a string" if option.is_flag
+                        else "a string or a list of strings" if option.multiple else "a string")
+                raise _FieldError(f"{key} must be {kind}, got {value!r}")
             for text in texts:  # a json escape may spell a lone surrogate, which no path, file name or output can hold
                 _encodable(text, key)
     except _FieldError as exc:
@@ -197,23 +202,23 @@ def _check_variables(ctx: click.Context, param: click.Parameter, value: tuple[st
 
 
 def _input_option(flag: str, help: str):
-    return click.option(flag, type=str, callback=_input_file, help=help)
+    return click.option(flag, cls=_Setting, type=str, callback=_input_file, help=help)
 
 
 scalars_option = _input_option("--scalars", "Scalar metrics (csv/json).")
 profiles_option = _input_option("--profiles", "Precomputed profiles (csv/json).")
 # a callable default rather than envvar=, which would let the environment beat the config
 out_option = click.option(
-    "--out", type=str, default=lambda: os.environ.get("PIRMETRICS_OUT", "out"), help="Output directory."
+    "--out", cls=_Setting, type=str, default=lambda: os.environ.get("PIRMETRICS_OUT", "out"), help="Output directory."
 )
 format_option = click.option(
-    "--format", type=click.Choice(["csv", "json", "text"]), default="csv", help="Output format."
+    "--format", cls=_Setting, type=click.Choice(["csv", "json", "text"]), default="csv", help="Output format."
 )
 config_option = click.option(
     "--config", type=str, is_eager=True, expose_value=False, callback=_load_config,
     help="JSON config file (flags win).",
 )
-name_option = click.option("--name", type=str, help="Dataset label used in output file names.")
+name_option = click.option("--name", cls=_Setting, type=str, help="Dataset label used in output file names.")
 
 
 def table_options(fn):
@@ -285,15 +290,15 @@ def main() -> None:
 @scalars_option
 @out_option
 @format_option
-@click.option("--window", type=str, default=DEFAULT_WINDOW, callback=_parsed_by(YearWindow.parse),
+@click.option("--window", cls=_Setting, type=str, default=DEFAULT_WINDOW, callback=_parsed_by(YearWindow.parse),
               help="Target window START:END.")
-@click.option("--family", "families", multiple=True, default=DEFAULT_FAMILIES, callback=_check_families,
+@click.option("--family", "families", cls=_Setting, multiple=True, default=DEFAULT_FAMILIES, callback=_check_families,
               help="Indicator family (repeatable).")
-@click.option("--missing", type=str, default="drop", callback=_parsed_by(MissingValuePolicy.parse),
+@click.option("--missing", cls=_Setting, type=str, default="drop", callback=_parsed_by(MissingValuePolicy.parse),
               help="strict | drop | nearest:K.")
-@click.option("--window-policy", type=click.Choice([p.value for p in WindowPolicy]), default="strict",
+@click.option("--window-policy", cls=_Setting, type=click.Choice([p.value for p in WindowPolicy]), default="strict",
               callback=_parsed_by(WindowPolicy.parse), help="Window policy.")
-@click.option("--fail-fast", is_flag=True, help="Abort on first author failure.")
+@click.option("--fail-fast", cls=_Setting, is_flag=True, help="Abort on first author failure.")
 @config_option
 @name_option
 def compute(

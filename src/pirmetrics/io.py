@@ -22,6 +22,7 @@ import csv
 import io as _stdio
 import math
 import os
+import stat
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from functools import partial
@@ -698,17 +699,18 @@ def _remove_abandoned_temporaries(paths: Iterable[Path]) -> None:
 def _remove_unlocked(path: Path) -> None:
     """Remove path where no process holds its lock, taking the lock for the removal.
 
-    A symlink is unlinked without being opened, so its target is never
-    touched: save_texts never stages a link, so none is a run's file.
-    Anything else is opened for writing, as a lock over NFS needs, and
-    without blocking, so a fifo cannot stall it, and without following a
-    symlink, in case one has taken its place since. Whatever it cannot
-    open, lock or match to the file still at path stays.
+    save_texts stages only regular files, so anything else but a directory
+    (a symlink, a fifo, a socket) is no run's file and is unlinked without
+    being opened: a link's target is never touched, and a fifo goes even
+    when no process reads it. A regular file is opened for writing, as a
+    lock over NFS needs, and without blocking or following a symlink, in
+    case one has taken its place since. Whatever it cannot open, lock or
+    match to the file still at path stays, and so does a directory.
     """
     import fcntl
 
     try:
-        if os.path.islink(path):
+        if stat.S_IFMT(os.lstat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
             os.unlink(path)
             return
         fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK | os.O_NOFOLLOW)

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -23,6 +24,9 @@ from pirmetrics.cli import (
     EXIT_MISSING_IMPACT,
     EXIT_NO_AUTHORS,
     EXIT_UNKNOWN_NAME,
+    Pipeline,
+    _Setting,
+    config_option,
     main,
 )
 from pirmetrics.data import fixture_path
@@ -448,6 +452,18 @@ class TestCompute:
                          "a string or a list of strings", id="families-object"),
             pytest.param("families", ["SJR", 1], ["compute", "--events", EVENTS, "--impacts", IMPACTS],
                          "a string or a list of strings", id="families-list-int"),
+            *[
+                pytest.param(key, 1, args, "a string", id=f"{key}-int")
+                for key, args in [
+                    ("events", ["compute", "--impacts", IMPACTS]),
+                    ("impacts", ["compute", "--events", EVENTS]),
+                    ("scalars", ["summarize", "--profiles", PROFILES]),
+                    ("profiles", ["summarize"]),
+                    ("format", ["summarize", "--profiles", PROFILES]),
+                    ("missing", ["compute", "--events", EVENTS, "--impacts", IMPACTS]),
+                    ("window_policy", ["compute", "--events", EVENTS, "--impacts", IMPACTS]),
+                ]
+            ],
         ],
     )
     def test_config_value_of_the_wrong_json_type_usage_error(self, runner, tmp_path, monkeypatch, key, value, args, kind):
@@ -1154,6 +1170,55 @@ class TestOptionSets:
         files = sorted(p.name for p in plain.iterdir())
         assert files and sorted(p.name for p in configured.iterdir()) == files
         assert all((configured / f).read_bytes() == (plain / f).read_bytes() for f in files)
+
+
+class TestSettingsFromMarks:
+    """A config's keys and their json types follow from the options marked as settings, in any group."""
+
+    @staticmethod
+    def invoke(runner, tmp_path, config):
+        seen = []
+
+        @click.group(cls=Pipeline)
+        def toy():
+            pass
+
+        @toy.command()
+        @click.option("--loud", cls=_Setting, is_flag=True)
+        @click.option("--tag", "tags", cls=_Setting, multiple=True)
+        @click.option("--note", type=str)
+        @config_option
+        def step(loud, tags, note):
+            seen.append((loud, tags, note))
+            return str(tmp_path / "out"), "toy", []
+
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        return runner.invoke(toy, ["step", "--config", str(path)]), seen
+
+    @pytest.mark.parametrize(
+        "config, read",
+        [
+            ({"loud": True, "tags": "a"}, (True, ("a",), None)),
+            ({"loud": "false", "tags": ["a", "b"]}, (False, ("a", "b"), None)),
+            # an option without the mark is no config key, so its value is neither read nor checked
+            ({"note": 1, "tags": None}, (False, (), None)),
+        ],
+    )
+    def test_config_sets_the_marked_options(self, runner, tmp_path, config, read):
+        result, seen = self.invoke(runner, tmp_path, config)
+        assert result.exit_code == 0, result.output
+        assert seen == [read]
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("loud", 2, "a boolean or a string"), ("tags", ["a", 1], "a string or a list of strings")],
+    )
+    def test_json_type_follows_the_kind_of_option(self, runner, tmp_path, key, value, kind):
+        result, seen = self.invoke(runner, tmp_path, {key: value})
+        assert result.exit_code == 2, result.output
+        assert f"Error: config file {tmp_path / 'run.json'}: {key} must be {kind}, got {value!r}\n" in result.output
+        assert seen == []
 
 
 class TestExitCodeByKind:

@@ -573,6 +573,17 @@ class TestSaveTexts:
         assert not os.path.lexists(link)  # the link itself is gone
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "victim.txt"]
 
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are removed only on posix")
+    def test_a_killed_runs_fifo_is_removed_and_a_directory_stays(self, tmp_path):
+        dead = subprocess.Popen([sys.executable, "-c", ""])
+        dead.wait()
+        # no process reads the fifo, so it cannot be opened for writing; the cleanup unlinks it unopened
+        os.mkfifo(tmp_path / f".a.csv.{dead.pid}.tmp")
+        (tmp_path / f".b.csv.{dead.pid}.tmp").mkdir()
+        pio.save_texts({tmp_path / "a.csv": "a\n", tmp_path / "b.csv": "b\n"})
+        assert (tmp_path / "a.csv").read_text() == "a\n" and (tmp_path / "b.csv").read_text() == "b\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f".b.csv.{dead.pid}.tmp", "a.csv", "b.csv"]
+
 
 class TestJsonFieldTypes:
     ROWS = {
@@ -685,6 +696,11 @@ class TestDecimalText:
         assert sorted(table.entries()) == [("J1", 2010, "SJR", 15.0), ("J1", 2011, "SJR", 0.5)]
 
 
+def json_containers(inner):
+    """Json arrays and objects of inner's values, up to three of them."""
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
 class TestLoaderFuzz:
     """Whatever the input, a loader returns or raises IngestError, nothing else."""
 
@@ -704,7 +720,7 @@ class TestLoaderFuzz:
     JSON_VALUES = st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
         | st.sampled_from(["NA", "publication", "SJR", "2010", "2.7"]),
-        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        json_containers,
         max_leaves=4,
     )
 

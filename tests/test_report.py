@@ -16,6 +16,7 @@ from pirmetrics.report import (
     SCALAR_FIELDS,
     AuthorTableRow,
     DimensionCells,
+    GroupError,
     ReportError,
     aggregate_report,
     author_table,
@@ -804,6 +805,12 @@ class TestLibraryGuards:
     def test_no_rows(self, build):
         with pytest.raises(ReportError, match="^no rows$"):
             build([])
+
+    def test_aggregate_report_of_a_variable_no_row_defines(self, fixture_rows):
+        # summarize builds its group table first, which meets such a column and names the group
+        rows = [row._replace(families={f: c._replace(p=None) for f, c in row.families.items()}) for row in fixture_rows]
+        with pytest.raises(GroupError, match=r"^no defined values for 'p_sjr'$"):
+            aggregate_report(rows, ["p_sjr"])
 
     def test_author_table_of_no_families(self):
         with pytest.raises(ReportError, match="^at least one profile family required$"):
