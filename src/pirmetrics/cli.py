@@ -59,7 +59,8 @@ from .engine import (
     WindowPolicy,
     compute_profiles,
 )
-from .io import IngestError, _encodable, _FieldError, _TableRead, load_events, load_impact_table, load_scalars, save_texts
+from .io import IngestError, _by_name, _encodable, _FieldError, _RepeatedKey, _TableRead, load_events, load_impact_table
+from .io import load_scalars, save_texts
 from .model import SJR, SNIP, YearWindow, __version__
 from .report import GroupError, ReportError
 from .stats import StatsError
@@ -140,11 +141,14 @@ def _load_config(ctx: click.Context, param: click.Parameter, value: str | None) 
     import json  # here, so a run on csv files alone, without --config, never loads it
     path = Path(value)
     try:
-        config = json.loads(path.read_text(encoding="utf-8"))
+        # utf-8-sig drops a leading byte order mark; _by_name makes an object that repeats a key a _RepeatedKey
+        config = json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=_by_name)
     except OSError as exc:
         raise _fail(f"config file {path} cannot be read: {exc.strerror or exc}", EXIT_INPUT)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the recursion limit
         raise _fail(f"config file {path} is not valid json: {exc}", EXIT_INPUT)
+    if isinstance(config, _RepeatedKey):
+        raise _fail(f"config file {path}: duplicate key {config.key!r}", EXIT_INPUT)
     if not isinstance(config, dict):
         raise _fail(f"config file {path} must hold a json object", EXIT_INPUT)
     # the keys are the settings of all the group's commands, so a key this command ignores is still

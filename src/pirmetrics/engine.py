@@ -12,12 +12,13 @@ streams, and the four ratios P/I, P/R, I/R and (P+I)/2R are derived from
 the dimensions.
 
 A batch works out its family's lookups once: compute_profiles builds one
-_FamilyContext (the value dict, the window bounds, the policies, the
-family's year span) and every stream of every author reads from it. The
-context also holds the batch's gap memo, so the drop or nearest:K policy
-fills each absent (journal, year) once per batch, however many streams
-lack it. compute_profile and weighted_mean_impact build a context for
-their one author or stream.
+_FamilyContext (the value dict, the window bounds, the window policy) and
+every stream of every author reads from it. The context also holds the
+batch's gap memo, whose fill is the missing-value policy: drop or
+nearest:K fills each absent (journal, year) once per batch, however many
+streams lack it, and strict has no fill, so a gap raises.
+compute_profile and weighted_mean_impact build a context for their one
+author or stream.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .model import (
     JournalRef,
     YearWindow,
     _decimal,
+    _Memo,
     derive_ratios,
     merge_counts,
     variable_name,
@@ -145,15 +147,16 @@ DEFAULT_WINDOW_POLICY = WindowPolicy.STRICT
 
 
 def _missing_value(
-    values: Mapping[tuple[JournalRef, int], float], journal: JournalRef, year: int,
+    key: tuple[JournalRef, int], values: Mapping[tuple[JournalRef, int], float],
     missing: MissingValuePolicy, span: tuple[int, int] | None,
 ) -> float | None:
-    """What stands in for an absent impact value under the drop or nearest policy.
+    """What stands in for the absent impact value of key, (journal, year), under the drop or nearest policy.
 
     span is the family's (first, last) year, None if it has no values; as no
     year outside holds one, nearest:K starts where the nearer end of the span
     comes into reach and stops once both candidates are past the farther end.
     """
+    journal, year = key
     if missing.mode == MissingValuePolicy.NEAREST and span:
         first, last = span
         reach = min(max(year - first, last - year), missing.max_distance)
@@ -165,20 +168,18 @@ def _missing_value(
     return None
 
 
-_UNSEEN = object()  # a gap the memo has not met yet; None is a stored drop
-
-
 class _FamilyContext:
     """One family's lookups under one window and pair of policies, read by every stream of a batch.
 
     gaps is the batch's memo of what fills each gap, {(journal, year): value
-    or None}, None for a drop: _missing_value runs once per (journal, year)
-    a stream lacks, however many streams lack it. Under strict the first gap
-    raises, so nothing is stored. A context lives for one call, so two
-    tables, families or policies never share a memo.
+    or None}, None for a drop. Under drop and nearest it is a _Memo whose
+    fill is _missing_value, run once per (journal, year) a stream lacks,
+    however many streams lack it. Under strict it is a plain dict that
+    stays empty, so looking a gap up raises KeyError. A context lives for
+    one call, so two tables, families or policies never share a memo.
     """
 
-    __slots__ = ("indicator", "window", "values", "get", "lo", "hi", "open_kinds", "missing", "span", "gaps")
+    __slots__ = ("indicator", "window", "values", "get", "lo", "hi", "open_kinds", "gaps")
 
     def __init__(
         self, table: ImpactTable, indicator: IndicatorName, window: YearWindow,
@@ -191,9 +192,8 @@ class _FamilyContext:
         # the kinds whose events count outside the window; publications never do
         open_references = window_policy == WindowPolicy.OPEN_REFERENCES
         self.open_kinds = (EventKind.CITATION, EventKind.REFERENCE) if open_references else ()
-        self.missing = missing
-        self.span = table.year_spans.get(indicator) if missing.mode == MissingValuePolicy.NEAREST else None
-        self.gaps: dict[tuple[JournalRef, int], float | None] = {}
+        span = table.year_spans.get(indicator) if missing.mode == MissingValuePolicy.NEAREST else None
+        self.gaps = {} if missing.mode == MissingValuePolicy.STRICT else _Memo(_missing_value, self.values, missing, span)
 
 
 def _weighted_mean(
@@ -208,26 +208,25 @@ def _weighted_mean(
     eligible (journal, year) the family lacks.
     """
     open_years = kind in context.open_kinds
-    lo, hi, get = context.lo, context.hi, context.get
+    lo, hi, get, gaps = context.lo, context.hi, context.get, context.gaps
     matched_terms: list[float] = []
     matched = 0
     dropped = 0
-    for key, count in merged.items():
-        if not (open_years or lo <= key[1] <= hi):
-            continue
-        value = get(key)
-        if value is None:
-            if context.missing.mode == MissingValuePolicy.STRICT:
-                absent = (k for k in merged if (open_years or lo <= k[1] <= hi) and k not in context.values)
-                raise MissingImpactError(*min(absent), context.indicator)
-            value = context.gaps.get(key, _UNSEEN)
-            if value is _UNSEEN:
-                value = context.gaps[key] = _missing_value(context.values, *key, context.missing, context.span)
-        if value is None:
-            dropped += count
-        else:
-            matched += count
-            matched_terms.append(count * value)
+    try:
+        for key, count in merged.items():
+            if not (open_years or lo <= key[1] <= hi):
+                continue
+            value = get(key)
+            if value is None:
+                value = gaps[key]
+            if value is None:
+                dropped += count
+            else:
+                matched += count
+                matched_terms.append(count * value)
+    except KeyError:  # only strict's plain dict raises it: drop's and nearest's fill calls nothing but dict.get
+        absent = (k for k in merged if (open_years or lo <= k[1] <= hi) and k not in context.values)
+        raise MissingImpactError(*min(absent), context.indicator) from None
 
     # matched + dropped is the total and no count is negative, as CoverageDiagnostics() would check
     total = matched + dropped

@@ -30,7 +30,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import MAX_COUNT, AuthorCorpus, Event, EventKind, FrozenValue, ImpactTable, ModelError, _decimal
+from .model import MAX_COUNT, AuthorCorpus, Event, EventKind, FrozenValue, ImpactTable, ModelError, _decimal, _Memo
 
 
 class IngestError(ValueError):
@@ -218,26 +218,10 @@ class _FieldError(IngestError):
     """A bad field or row, raised without its location; see _located."""
 
 
-_KEYS = frozenset({str, int})  # the raw types a _Parsed memo may hold
-
-
-class _Parsed(dict):
-    """One loader call's memo of a field: raw value -> parse(raw, what), parsed on first sight.
-
-    Rows with equal text then share one object, and a repeated text costs
-    one lookup. Only exact str raws, and exact int raws from json, are
-    looked up here: True, 1 and 1.0 hash alike, so a bool, float, list or
-    object goes straight to the parse. A parse that raises stores nothing.
-    """
-
-    __slots__ = ("parse", "what")
-
-    def __init__(self, parse, what: str):
-        self.parse, self.what = parse, what
-
-    def __missing__(self, raw):
-        value = self[raw] = self.parse(raw, self.what)
-        return value
+# The raw types a loader's field memo, _Memo(parse, what), may be looked up by. Rows with equal text
+# then share one parsed object, and a repeated text costs one lookup. True, 1 and 1.0 hash alike, so
+# a bool, float, list or object goes straight to the parse.
+_KEYS = frozenset({str, int})
 
 
 def _located(exc: Exception, label: str, fmt: str, lineno: int) -> IngestError:
@@ -423,7 +407,7 @@ def load_impact_table(source, fmt: str = "csv") -> ImpactTable:
         source = source.path
     # indicator -> ({(journal, year): value}, {(journal, year): first line})
     families: dict[str, tuple[dict[tuple[str, int], float], dict[tuple[str, int], int]]] = {}
-    journals, indicators, years = _Parsed(_text, "journal"), _Parsed(_text, "indicator"), _Parsed(_parse_int, "year")
+    journals, indicators, years = _Memo(_text, "journal"), _Memo(_text, "indicator"), _Memo(_parse_int, "year")
     try:
         for lineno, (journal, year, indicator, value) in _rows(source, fmt, IMPACT_COLUMNS, "impact table"):
             journal = journals[journal] if type(journal) is str else _text(journal, "journal")
@@ -471,23 +455,22 @@ def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
     Repeated (author, kind, journal, year) rows are kept as separate
     events; counts merge when used. The group column may be empty, but
     two different non-empty groups for one author are an error. Each
-    distinct author id, group, journal, year and count text is parsed
-    once per call, and rows that repeat it share the parsed object.
+    distinct journal, year and count text is parsed once per call, and
+    rows that repeat it share the parsed object.
 
-    Exports list an author's rows together, so the author is looked up
-    once per run of rows: a row whose raw author_id and group equal the
-    previous row's is that author's again, with the group already
-    checked, and only its event is parsed. Any other row is looked up,
-    and its group filled or checked, after its event is parsed, so a
-    row's first fault is the one reported. A row whose journal is
-    non-empty and whose count is in 1..MAX_COUNT has its Event built
-    through Event._of_checked; any other row goes through Event, which
-    words the error.
+    Exports list an author's rows together, so the author id and group
+    are parsed, and the author looked up, once per run of rows: a row
+    whose raw author_id and group equal the previous row's is that
+    author's again, with the group already checked, and only its event
+    is parsed. Any other row is looked up, and its group filled or
+    checked, after its event is parsed, so a row's first fault is the
+    one reported. A row whose journal is non-empty and whose count is in
+    1..MAX_COUNT has its Event built through Event._of_checked; any other
+    row goes through Event, which words the error.
     """
     events: dict[str, list[Event]] = {}
     groups: dict[str, str | None] = {}
-    author_ids, group_names = _Parsed(_text, "author_id"), _Parsed(_text, "group")
-    journals, years, counts = _Parsed(_text, "journal"), _Parsed(_parse_int, "year"), _Parsed(_parse_int, "count")
+    journals, years, counts = _Memo(_text, "journal"), _Memo(_parse_int, "year"), _Memo(_parse_int, "count")
     of_checked = Event._of_checked
     last_author = last_group = object()  # the previous row's raw author_id and group: none before the first row
     try:
@@ -496,10 +479,10 @@ def load_events(source, fmt: str = "csv") -> list[AuthorCorpus]:
             # str (or None) equals them, and it reads the same
             new_run = raw_author != last_author or raw_group != last_group
             if new_run:
-                author_id = author_ids[raw_author] if type(raw_author) is str else _text(raw_author, "author_id")
+                author_id = _text(raw_author, "author_id")
                 if not author_id:
                     raise _FieldError("empty author_id")
-                group = (group_names[raw_group] if type(raw_group) is str else _text(raw_group, "group")) or None
+                group = _text(raw_group, "group") or None
             try:
                 kind = _KINDS[kind]
             except (KeyError, TypeError):  # any other spelling, or a json non-string

@@ -1,7 +1,9 @@
 """Core domain model: windows, events, author corpora, impact tables, profiles.
 
-Everything here is an immutable value type with no I/O and no statistics.
-Instances are safe to share across threads.
+Every public type here is an immutable value type with no I/O and no
+statistics, and its instances are safe to share across threads. Two
+private helpers are shared with io and engine: _decimal, the one digit
+rule, and _Memo, the one memo: a mutable dict that lives for one call.
 
 The value types that check their fields when built (YearWindow,
 AuthorCorpus, CoverageDiagnostics, IndicatorProfile, and
@@ -63,6 +65,24 @@ def _decimal(text: str) -> bool:
     config values.
     """
     return text.isascii() and "_" not in text
+
+
+class _Memo(dict):
+    """A dict that fills a key it lacks with fill(key, *args), stored on first sight.
+
+    The one memo: io's loaders keep one per field, raw text -> parsed value,
+    and engine's gap memo fills each absent (journal, year) under the
+    missing-value policy. A fill that raises stores nothing.
+    """
+
+    __slots__ = ("fill", "args")
+
+    def __init__(self, fill, *args):
+        self.fill, self.args = fill, args
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key, *self.args)
+        return value
 
 
 class ModelError(ValueError):

@@ -16,7 +16,7 @@ import functools
 import math
 import operator
 from collections.abc import Mapping, Sequence
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import NamedTuple
 
 
@@ -328,17 +328,14 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationCell:
 def average_ranks(values: Sequence[float]) -> list[float]:
     """Ascending ranks 1..n with ties sharing their average rank."""
     vals = _check_sample(values)
-    order = sorted(range(len(vals)), key=vals.__getitem__)
     ranks = [0.0] * len(vals)
     start = 0
-    while start < len(vals):
-        end = start
-        while end + 1 < len(vals) and vals[order[end + 1]] == vals[order[start]]:
-            end += 1
-        shared = (start + end + 2) / 2.0
-        for k in range(start, end + 1):
-            ranks[order[k]] = shared
-        start = end + 1
+    for _, run in groupby(sorted(range(len(vals)), key=vals.__getitem__), key=vals.__getitem__):
+        run = list(run)
+        shared = (2 * start + len(run) + 1) / 2.0  # the mean of ranks start + 1 .. start + len(run)
+        for k in run:
+            ranks[k] = shared
+        start += len(run)
     return ranks
 
 

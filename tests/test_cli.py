@@ -327,6 +327,35 @@ class TestCompute:
         run(runner, "summarize", "--config", str(config))
         assert (tmp_path / "from_config" / "cfg.aggregate.csv").exists()
 
+    def test_config_with_a_byte_order_mark_reads_as_without(self, runner, tmp_path):
+        written = {}
+        for name, bom in [("plain", b""), ("bom", b"\xef\xbb\xbf")]:
+            config = tmp_path / f"{name}.json"
+            config.write_bytes(bom + json.dumps({"profiles": PROFILES, "name": "cfg", "out": str(tmp_path / name)}).encode())
+            run(runner, "summarize", "--config", str(config))
+            written[name] = {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+        assert written["bom"] == written["plain"] and "cfg.aggregate.csv" in written["plain"]
+
+    def test_config_that_repeats_a_key_exit_3_before_any_input_is_read(self, runner, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text('{"name": "a", "profiles": "absent.csv", "name": "b"}')
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["summarize", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT, result.output
+        assert result.output == f"Error: config file {config}: duplicate key 'name'\n"
+        assert not out.exists()
+
+    def test_config_value_that_repeats_a_key_usage_error(self, runner, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text('{"families": {"a": 1, "a": 2}}')
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["compute", "--events", EVENTS, "--impacts", IMPACTS, "--config", str(config),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert (f"Error: config file {config}: families must be a string or a list of strings, "
+                f"got an object that repeats the key 'a'\n") in result.output
+        assert not out.exists()
+
     def test_flags_beat_config(self, runner, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"events": EVENTS, "impacts": IMPACTS, "name": "cfg"}))
@@ -1433,6 +1462,18 @@ class TestUnreadableInputs:
         result = runner.invoke(main, ["summarize", "--profiles", PROFILES, "--scalars", scalars, "--out", str(out)])
         assert result.exit_code == EXIT_INPUT, result.output
         assert "scalars: line 301: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0" in result.output
+        assert isinstance(result.exception, SystemExit) and not out.exists()
+
+    def test_non_utf8_json_events_name_their_line(self, runner, tmp_path):
+        # a json input is decoded as text first, so it is reported as a csv is, not as invalid json
+        rows = [json.dumps({"author_id": f"Author {k % 20:02d}", "group": f"G{k % 20 % 3}", "kind": "publication",
+                            "journal": f"Journal of Tests {k % 7}", "year": 2010, "count": 1}) for k in range(400)]
+        lines = ["[\n", *(f"{row},\n" for row in rows[:-1]), f"{rows[-1]}\n", "]\n"]
+        events = self.with_bad_line(tmp_path / "events.json", lines, 301)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["compute", "--events", events, "--impacts", IMPACTS, "--out", str(out)])
+        assert result.exit_code == EXIT_INPUT, result.output
+        assert "events: line 301: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0" in result.output
         assert isinstance(result.exception, SystemExit) and not out.exists()
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pirmetrics import engine
 from pirmetrics.engine import (
     BatchError,
     EngineError,
@@ -377,6 +378,35 @@ class TestComputeProfiles:
             for family, value in values.items():
                 batch = compute_profiles(corpora, table, family, WIN, missing)
                 assert [(p.p, p.coverage[PUB]) for p in batch] == [(value, CoverageDiagnostics(1, 1, 0))] * 2
+
+    @pytest.mark.parametrize(
+        "policy, calls, ps", [("nearest:1", 1, [3.0, 2.5]), ("drop", 1, [4.0, 4.0]), ("strict", 0, None)]
+    )
+    def test_a_gap_two_streams_lack_is_filled_once_per_batch(self, monkeypatch, policy, calls, ps):
+        # both authors lack (J1, 2011): nearest:1 fills it with 2010's value, drop leaves it out, strict raises
+        missing = MissingValuePolicy.parse(policy)
+        table = table_of(("J1", 2010, 2.0), ("J2", 2011, 4.0))
+        corpora = [
+            AuthorCorpus("a", (pub("J1", 2011, 1), pub("J2", 2011, 1))),
+            AuthorCorpus("b", (pub("J1", 2011, 3), pub("J2", 2011, 1))),
+        ]
+
+        def batch():
+            try:
+                profiles = compute_profiles(corpora, table, "SJR", WIN, missing)
+                return [(p.author_id, p.p, p.coverage[PUB]) for p in profiles]
+            except BatchError as exc:
+                return [(author_id, str(error)) for author_id, error in exc.failures]
+
+        unpatched, fills = batch(), []
+        fill = engine._missing_value
+        monkeypatch.setattr(engine, "_missing_value", lambda *args: fills.append(args[0]) or fill(*args))
+        assert batch() == unpatched
+        assert fills == [("J1", 2011)] * calls
+        if ps is None:
+            assert unpatched == [(a, "no SJR impact value for journal 'J1' in year 2011") for a in ("a", "b")]
+        else:
+            assert [p for _, p, _ in unpatched] == ps
 
     def test_duplicate_author_ids_rejected(self):
         corpora = [AuthorCorpus("a", ()), AuthorCorpus("a", ())]

@@ -379,6 +379,21 @@ class TestPathInputs:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    def test_a_file_whose_second_read_decodes_is_not_utf8_without_a_line(self, tmp_path, monkeypatch):
+        # the bytes read again for the line number may differ from the first read's: one rewritten meanwhile, say
+        header = b"author_id,group,kind,journal,year,count\n"
+        path = tmp_path / "events.csv"
+        path.write_bytes(header + b"a,G,publication,J\xff,2010,1\n")
+        real_open = open
+
+        def open_reading_valid_bytes(file, mode="r", *args, **kwargs):
+            return io.BytesIO(header) if mode == "rb" else real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(pio, "open", open_reading_valid_bytes, raising=False)
+        with pytest.raises(IngestError) as excinfo:
+            load_events(path)
+        assert str(excinfo.value) == "events: not UTF-8"
+
 
 class TestAtomicWrites:
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
@@ -583,6 +598,23 @@ class TestSaveTexts:
         pio.save_texts({tmp_path / "a.csv": "a\n", tmp_path / "b.csv": "b\n"})
         assert (tmp_path / "a.csv").read_text() == "a\n" and (tmp_path / "b.csv").read_text() == "b\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [f".b.csv.{dead.pid}.tmp", "a.csv", "b.csv"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the process's descriptors in /proc")
+    def test_a_failed_lock_descriptor_closes_the_file_and_names_the_path(self, tmp_path, monkeypatch):
+        (tmp_path / "a.csv").write_bytes(b"old a\n")
+        files = {tmp_path / "a.csv": "new a\n", tmp_path / "b.csv": "new b\n"}
+
+        def no_descriptor_left(fd):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        before = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(pio.os, "dup", no_descriptor_left)
+        with pytest.raises(OSError) as excinfo:
+            pio.save_texts(files)
+        monkeypatch.undo()
+        assert (excinfo.value.errno, excinfo.value.filename) == (errno.EMFILE, str(tmp_path / "a.csv"))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a.csv": b"old a\n"}
+        assert len(os.listdir("/proc/self/fd")) == before  # the staged file's descriptor was closed
 
 
 class TestJsonFieldTypes:
@@ -824,9 +856,9 @@ class TestEventLoaderParity:
 def reference_load_events(source, fmt="csv"):
     """load_events as it read rows before its run shortcut: every row looked up, every Event built through Event."""
     events, groups = {}, {}
-    author_ids, group_names = pio._Parsed(pio._text, "author_id"), pio._Parsed(pio._text, "group")
-    journals, years = pio._Parsed(pio._text, "journal"), pio._Parsed(pio._parse_int, "year")
-    counts = pio._Parsed(pio._parse_int, "count")
+    author_ids, group_names = pio._Memo(pio._text, "author_id"), pio._Memo(pio._text, "group")
+    journals, years = pio._Memo(pio._text, "journal"), pio._Memo(pio._parse_int, "year")
+    counts = pio._Memo(pio._parse_int, "count")
     try:
         for lineno, (author_id, group, kind, journal, year, count) in pio._rows(source, fmt, pio.EVENT_COLUMNS, "events"):
             author_id = author_ids[author_id] if type(author_id) is str else pio._text(author_id, "author_id")
