@@ -12,8 +12,9 @@ config file serves the whole pipeline. Logs go to stderr, data to files
 named <dataset>.<report>.<format> under the output directory.
 
 A command returns its files rather than writing them, and the group's
-invoke writes the whole set: every file or, on any error, none, so a
-failed run leaves an earlier run's files as they were.
+invoke writes the whole set through io.save_texts: an error before the
+renames writes none of them, and each file holds an earlier run's bytes
+or this run's, whole.
 
 Where the platform can fork, the process may run on two CPUs or more
 and the platform tells which one compute runs on, compute reads a large
@@ -249,7 +250,7 @@ def _read(loader, path: Path):
 
 
 def _write_files(out: str, dataset: str, files: list[tuple[str, str, str]]) -> None:
-    """Write each (report name, text, extension) file under out, all of them or none."""
+    """Write each (report name, text, extension) file under out, as io.save_texts does."""
     paths = [Path(out) / f"{dataset}.{report_name}.{ext}" for report_name, _, ext in files]
     try:
         Path(out).mkdir(parents=True, exist_ok=True)

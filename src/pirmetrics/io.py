@@ -587,15 +587,18 @@ def save_text(text: str, destination) -> None:
 
 
 def save_texts(files: Mapping[Path, str]) -> None:
-    """Write each path's text, the whole set or none of it.
+    """Write each path's text: each path keeps its old text or gets its new one, whole.
 
     Every text goes first to a temporary file in its path's directory;
     only once all are complete does each replace its path, so a failed
-    write leaves every earlier file untouched and no temporary file
-    behind. An OSError raised here names the path being written as its
+    write of a text leaves every path untouched and no temporary file
+    behind. A replace that fails partway (a later path that is a
+    directory, say) leaves the paths replaced before it with their new
+    text. An OSError raised here names the path being written as its
     filename. On posix each temporary file is held locked until it has
     replaced its path, and since a killed run can leave no cleanup behind
-    it, each path's temporary files that no run holds are removed first.
+    it, each path's temporary files whose lock no process holds are
+    removed first: the lock alone tells a live run's file.
     """
     posix = os.name == "posix"
     if posix:
@@ -651,12 +654,20 @@ def _open_locked(path: Path, flags: int, held: list[int]) -> int:
 def _remove_abandoned_temporaries(paths: Iterable[Path]) -> None:
     """Remove each path's .<name>.<pid>.tmp files that no run is writing.
 
-    A file goes only when its pid names no process here and no process
-    holds its lock. A pid is known only in its own pid namespace, so a run
-    in another container, or on another host, sharing the directory can
-    look dead here; save_texts's lock keeps that run's files. A run of a
-    version without the lock keeps them only where its pid can be seen.
+    A run holds each of its staging files locked until it has replaced its
+    path, so a file whose lock no process holds is no live run's, whatever
+    its pid names: pids are reused, and mean nothing in another container
+    or on another host sharing the directory. save_texts stages only
+    regular files, so anything else but a directory (a symlink, a fifo, a
+    socket) is no run's file and is unlinked without being opened: a
+    link's target is never touched, and a fifo goes even when no process
+    reads it. A regular file is opened for writing, as a lock over NFS
+    needs, and without blocking or following a symlink, in case one has
+    taken its place since. Whatever cannot be opened, locked or matched to
+    the file still at its name stays, and so does a directory.
     """
+    import fcntl
+
     names: dict[Path, set[str]] = {}
     for path in paths:
         names.setdefault(path.parent, set()).add(path.name)
@@ -671,42 +682,18 @@ def _remove_abandoned_temporaries(paths: Iterable[Path]) -> None:
                 continue
             if not (pid.isascii() and pid.isdigit()):  # the pid save_texts writes, in ascii digits
                 continue
-            try:
-                os.kill(int(pid), 0)
-            except ProcessLookupError:
-                _remove_unlocked(directory / entry)
-            except (OSError, OverflowError):  # not ours to signal, or no pid at all
-                pass
-
-
-def _remove_unlocked(path: Path) -> None:
-    """Remove path where no process holds its lock, taking the lock for the removal.
-
-    save_texts stages only regular files, so anything else but a directory
-    (a symlink, a fifo, a socket) is no run's file and is unlinked without
-    being opened: a link's target is never touched, and a fifo goes even
-    when no process reads it. A regular file is opened for writing, as a
-    lock over NFS needs, and without blocking or following a symlink, in
-    case one has taken its place since. Whatever it cannot open, lock or
-    match to the file still at path stays, and so does a directory.
-    """
-    import fcntl
-
-    try:
-        if stat.S_IFMT(os.lstat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
-            os.unlink(path)
-            return
-        fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
-    except OSError:
-        return
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        if os.path.samestat(os.fstat(fd), os.stat(path)):
-            os.unlink(path)
-    except OSError:  # held by a run that is writing it, or gone
-        pass
-    finally:
-        os.close(fd)
+            tmp = directory / entry
+            with suppress(OSError):  # gone, a directory, or held by a run that is writing it
+                if stat.S_IFMT(os.lstat(tmp).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+                    os.unlink(tmp)
+                    continue
+                fd = os.open(tmp, os.O_WRONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    if os.path.samestat(os.fstat(fd), os.stat(tmp)):
+                        os.unlink(tmp)
+                finally:
+                    os.close(fd)
 
 
 def _encode_table(header: Sequence[str], data: Iterable[Sequence], fmt: str) -> str:

@@ -1663,6 +1663,22 @@ class TestAllOrNoneWrites:
         assert "wrote" not in result.output and "Traceback" not in result.output
         assert snapshot(earlier) == before  # no new file, and no temporary one
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 5: a rename that fails partway keeps the renames"
+                       " before it, so the earlier targets already hold the new run's files")
+    def test_a_later_target_that_cannot_be_replaced_keeps_the_earlier_files(self, runner, tmp_path):
+        out = tmp_path / "out"
+        run(runner, "summarize", "--profiles", PROFILES, "--out", str(out), "--name", "t")
+        (out / "t.deltas.csv").unlink()
+        (out / "t.deltas.csv").mkdir()
+        kept = ("t.groups.csv", "t.aggregate.csv")
+        for name in kept:
+            (out / name).write_bytes(b"earlier run\n")
+        before = {name: ((out / name).read_bytes(), (out / name).stat().st_ino) for name in kept}
+        result = runner.invoke(main, ["summarize", "--profiles", PROFILES, "--out", str(out), "--name", "t"])
+        assert result.exit_code == 2, result.output
+        assert f"Error: cannot write {out / 't.deltas.csv'}: Is a directory" in result.output
+        assert {name: ((out / name).read_bytes(), (out / name).stat().st_ino) for name in kept} == before
+
     def test_single_group_warning_comes_before_its_one_write(self, runner, tmp_path):
         rows = [row for row in read_rows(Path(PROFILES)) if row["group"] == "Phy"]
         profiles = write_table(tmp_path / "phy.csv", rows)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -467,30 +468,23 @@ class TestSaveTexts:
         assert excinfo.value.filename == str(tmp_path / "a.csv")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.skipif(os.name != "posix", reason="os.kill(pid, 0) probes a process only on posix")
-    def test_a_killed_runs_temporary_file_is_removed(self, tmp_path, monkeypatch):
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are removed only on posix")
+    def test_an_unlocked_temporary_file_is_removed_whatever_its_pid(self, tmp_path, monkeypatch):
         dead = subprocess.Popen([sys.executable, "-c", ""])
         dead.wait()  # reaped: its pid names no process
-        hidden = dead.pid + 1  # a pid this process may not signal
-        kill = os.kill
 
-        def guarded_kill(pid, sig):
-            if pid == hidden:
-                raise PermissionError(1, "Operation not permitted")
-            return kill(pid, sig)
+        def no_probe(pid, sig):
+            raise AssertionError(f"probed pid {pid}")
 
-        monkeypatch.setattr(pio.os, "kill", guarded_kill)
-        planted = {
-            name: tmp_path / name
-            for name in (f".a.csv.{dead.pid}.tmp", f".a.csv.{os.getppid()}.tmp", f".a.csv.{hidden}.tmp",
-                         f".b.csv.{dead.pid}.tmp", ".a.csv.x.tmp", "a.csv.tmp")
-        }
-        for path in planted.values():
-            path.write_text("partial")
+        monkeypatch.setattr(pio.os, "kill", no_probe)
+        # a reaped pid, this process's live parent, pid 1, alive everywhere, and a pid no process can have
+        removed = {f".a.csv.{pid}.tmp" for pid in (dead.pid, os.getppid(), 1, 10**29)}
+        kept = {f".b.csv.{dead.pid}.tmp", ".a.csv.x.tmp", "a.csv.tmp"}
+        for name in removed | kept:
+            (tmp_path / name).write_text("partial")
         pio.save_texts({tmp_path / "a.csv": "a\n"})
-        # only the dead run's file beside a.csv goes; b.csv was not written, and the others name no dead pid
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*planted, "a.csv"} - {f".a.csv.{dead.pid}.tmp"})
-
+        # b.csv was not written, and the other two are no names save_texts stages under
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*kept, "a.csv"})
 
     @pytest.mark.skipif(os.name != "posix", reason="temporary files are locked only on posix")
     def test_a_locked_temporary_file_stays(self, tmp_path):
@@ -505,6 +499,27 @@ class TestSaveTexts:
             fcntl.flock(held, fcntl.LOCK_EX)
             pio.save_texts({tmp_path / "a.csv": "a\n"})
             assert foreign.read_text() == "partial"
+        pio.save_texts({tmp_path / "a.csv": "a\n"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+        # a live process that holds its staging file locked, as a run does until its rename
+        hold = (
+            "import fcntl, os, sys\n"
+            "with open(os.path.join(sys.argv[1], f'.a.csv.{os.getpid()}.tmp'), 'w') as f:\n"
+            "    f.write('partial')\n"
+            "    f.flush()\n"
+            "    fcntl.flock(f, fcntl.LOCK_EX)\n"
+            "    print('locked', flush=True)\n"
+            "    sys.stdin.read()\n"
+        )
+        with subprocess.Popen([sys.executable, "-c", hold, str(tmp_path)], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, text=True) as holder:
+            staged = tmp_path / f".a.csv.{holder.pid}.tmp"
+            assert holder.stdout.readline() == "locked\n"
+            pio.save_texts({tmp_path / "a.csv": "a\n"})
+            assert staged.read_text() == "partial"
+            holder.communicate()  # stdin closes, so the holder ends and its lock goes
+        assert holder.returncode == 0 and staged.exists()
         pio.save_texts({tmp_path / "a.csv": "a\n"})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
 
@@ -555,12 +570,28 @@ class TestSaveTexts:
         pio.save_texts({tmp_path / "a.csv": "a\n", tmp_path / "b.csv": "b\n"})
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.csv": "a\n", "b.csv": "b\n"}
 
-    @pytest.mark.skipif(os.name != "posix", reason="temporary files are opened without following links only on posix")
-    def test_a_symlink_at_a_staging_name_is_refused(self, tmp_path):
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are removed only on posix")
+    def test_a_symlink_at_the_runs_own_staging_name_is_removed(self, tmp_path):
         out, victim = tmp_path / "out", tmp_path / "victim.txt"
         out.mkdir()
         victim.write_text("victim\n")
         (out / f".a.csv.{os.getpid()}.tmp").symlink_to(victim)
+        pio.save_texts({out / "a.csv": "a\n"})
+        assert victim.read_text() == "victim\n"
+        assert {p.name: p.read_text() for p in out.iterdir()} == {"a.csv": "a\n"}
+
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are opened without following links only on posix")
+    def test_a_symlink_planted_after_the_sweep_is_refused(self, tmp_path, monkeypatch):
+        out, victim = tmp_path / "out", tmp_path / "victim.txt"
+        out.mkdir()
+        victim.write_text("victim\n")
+        sweep = pio._remove_abandoned_temporaries
+
+        def sweep_then_plant(paths):
+            sweep(paths)
+            (out / f".a.csv.{os.getpid()}.tmp").symlink_to(victim)
+
+        monkeypatch.setattr(pio, "_remove_abandoned_temporaries", sweep_then_plant)
         with pytest.raises(OSError) as excinfo:
             pio.save_texts({out / "a.csv": "a\n"})
         assert (excinfo.value.errno, excinfo.value.filename) == (errno.ELOOP, str(out / "a.csv"))
@@ -589,15 +620,42 @@ class TestSaveTexts:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "victim.txt"]
 
     @pytest.mark.skipif(os.name != "posix", reason="temporary files are removed only on posix")
-    def test_a_killed_runs_fifo_is_removed_and_a_directory_stays(self, tmp_path):
-        dead = subprocess.Popen([sys.executable, "-c", ""])
-        dead.wait()
-        # no process reads the fifo, so it cannot be opened for writing; the cleanup unlinks it unopened
-        os.mkfifo(tmp_path / f".a.csv.{dead.pid}.tmp")
-        (tmp_path / f".b.csv.{dead.pid}.tmp").mkdir()
+    def test_a_fifo_or_socket_is_removed_and_a_directory_stays(self, tmp_path, monkeypatch):
+        import socket
+
+        monkeypatch.chdir(tmp_path)  # a socket's path is bound relative, within the length a socket address allows
+        # no process reads the fifo, so it cannot be opened for writing; the sweep unlinks it unopened
+        os.mkfifo(".a.csv.1.tmp")
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind(f".a.csv.{os.getppid()}.tmp")
+        Path(".b.csv.1.tmp").mkdir()
         pio.save_texts({tmp_path / "a.csv": "a\n", tmp_path / "b.csv": "b\n"})
         assert (tmp_path / "a.csv").read_text() == "a\n" and (tmp_path / "b.csv").read_text() == "b\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == [f".b.csv.{dead.pid}.tmp", "a.csv", "b.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".b.csv.1.tmp", "a.csv", "b.csv"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="temporary files are locked only on posix")
+    def test_two_processes_writing_the_same_paths_each_keep_their_own_files(self, tmp_path):
+        # each process writes both paths 50 times once both have started, sweeping the other's staging files
+        race = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from pirmetrics.io import save_texts\n"
+            "out, me, other = Path(sys.argv[1]), sys.argv[2], sys.argv[3]\n"
+            "(out.parent / me).touch()\n"
+            "while not (out.parent / other).exists():\n"
+            "    time.sleep(0.001)\n"
+            "for _ in range(50):\n"
+            "    save_texts({out / 'a.csv': f'{me}\\n' * 4000, out / 'b.csv': f'{me}\\n' * 6000})\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(pio.__file__).resolve().parents[1])}
+        runs = [subprocess.Popen([sys.executable, "-c", race, str(out), me, other], env=env)
+                for me, other in (("x", "y"), ("y", "x"))]
+        assert [run.wait(timeout=60) for run in runs] == [0, 0]
+        texts = {p.name: p.read_text() for p in out.iterdir()}
+        assert sorted(texts) == ["a.csv", "b.csv"]  # no staging file is left
+        assert texts["a.csv"] in ("x\n" * 4000, "y\n" * 4000) and texts["b.csv"] in ("x\n" * 6000, "y\n" * 6000)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the process's descriptors in /proc")
     def test_a_failed_lock_descriptor_closes_the_file_and_names_the_path(self, tmp_path, monkeypatch):
