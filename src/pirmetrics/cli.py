@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import gc
 import os
+from contextlib import suppress
 from pathlib import Path
 
 import click
@@ -250,8 +251,12 @@ def _read(loader, path: Path):
 
 
 def _write_files(out: str, dataset: str, files: list[tuple[str, str, str]]) -> None:
-    """Write each (report name, text, extension) file under out, as io.save_texts does."""
+    """Write each (report name, text, extension) file under out, as io.save_texts does.
+
+    A failed write removes the directories made for out again, each unless another run has filled it.
+    """
     paths = [Path(out) / f"{dataset}.{report_name}.{ext}" for report_name, _, ext in files]
+    made = [d for d in (Path(out), *Path(out).parents) if not os.path.exists(d)]  # deepest first
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -259,6 +264,9 @@ def _write_files(out: str, dataset: str, files: list[tuple[str, str, str]]) -> N
     try:
         save_texts({path: text for path, (_, text, _) in zip(paths, files)})
     except OSError as exc:
+        for directory in made:
+            with suppress(OSError):
+                directory.rmdir()
         raise _fail(f"cannot write {exc.filename}: {exc.strerror or exc}", EXIT_USAGE)
     for path in paths:
         _log(f"wrote {path}")

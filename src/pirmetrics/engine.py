@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
 from .model import (
@@ -77,7 +78,7 @@ class BatchError(EngineError):
         super().__init__(f"{len(failures)} author(s) failed: {detail}")
 
 
-class MissingValuePolicy(FrozenValue):
+class MissingValuePolicy(FrozenValue, namedtuple("MissingValuePolicy", "mode max_distance")):
     """What to do when an event's (journal, year) has no impact value.
 
     strict   -> raise MissingImpactError naming the stream's smallest
@@ -87,18 +88,18 @@ class MissingValuePolicy(FrozenValue):
                 (ties resolved toward the earlier year), else drop
     """
 
-    __slots__ = _fields = ("mode", "max_distance")
+    __slots__ = ()
 
     STRICT = "strict"
     DROP = "drop"
     NEAREST = "nearest"
 
-    def __init__(self, mode: str, max_distance: int = 0):
-        if mode not in (self.STRICT, self.DROP, self.NEAREST):
+    def __new__(cls, mode: str, max_distance: int = 0):
+        if mode not in (cls.STRICT, cls.DROP, cls.NEAREST):
             raise EngineError(f"unknown missing-value mode {mode!r}")
         if max_distance < 0:
             raise EngineError("max_distance must be non-negative")
-        self._freeze(mode, max_distance)
+        return tuple.__new__(cls, (mode, max_distance))
 
     @classmethod
     def parse(cls, text: str) -> "MissingValuePolicy":
@@ -231,12 +232,12 @@ def _weighted_mean(
     # matched + dropped is the total and no count is negative, as CoverageDiagnostics() would check
     total = matched + dropped
     if matched == 0:
-        return None, CoverageDiagnostics._of_checked(total, 0, total)
+        return None, CoverageDiagnostics._of_checked((total, 0, total))
     try:
         mean = math.fsum(matched_terms) / matched
     except OverflowError:  # the terms are non-negative, so the sum overflows
         mean = math.inf
-    return mean, CoverageDiagnostics._of_checked(total, matched, dropped)
+    return mean, CoverageDiagnostics._of_checked((total, matched, dropped))
 
 
 def weighted_mean_impact(
@@ -299,7 +300,7 @@ def _profile(corpus: AuthorCorpus, context: _FamilyContext) -> IndicatorProfile:
             indicator = context.indicator
             raise EngineError(f"{indicator} cell {variable_name(name, indicator)} is not finite ({value})")
     # p, i and r are means of non-negative terms, as IndicatorProfile() checks, and coverage is this profile's own
-    return IndicatorProfile._of_checked(corpus.author_id, context.indicator, context.window, *cells, coverage)
+    return IndicatorProfile._of_checked((corpus.author_id, context.indicator, context.window, *cells, coverage))
 
 
 def compute_profiles(

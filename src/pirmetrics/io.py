@@ -23,6 +23,7 @@ import io as _stdio
 import math
 import os
 import stat
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from functools import partial
@@ -532,7 +533,7 @@ def save_events(corpora: Iterable[AuthorCorpus], destination, fmt: str = "csv") 
 # ---------------------------------------------------------------------------
 # scalar metrics
 
-class ScalarMetrics(FrozenValue):
+class ScalarMetrics(FrozenValue, namedtuple("ScalarMetrics", "author_id papers cites h")):
     """Supplied whole-career counters for one author.
 
     h can never exceed the paper count, and cannot exceed the citation
@@ -540,16 +541,16 @@ class ScalarMetrics(FrozenValue):
     cites is assumed.
     """
 
-    __slots__ = _fields = ("author_id", "papers", "cites", "h")
+    __slots__ = ()
 
-    def __init__(self, author_id: str, papers: int, cites: int, h: int):
+    def __new__(cls, author_id: str, papers: int, cites: int, h: int):
         if min(papers, cites, h) < 0:
             raise _FieldError(f"{author_id!r}: negative scalar metric")
         if h > papers:
             raise _FieldError(f"{author_id!r}: h ({h}) exceeds paper count ({papers})")
         if papers > 0 and h > cites:
             raise _FieldError(f"{author_id!r}: h ({h}) exceeds citation count ({cites})")
-        self._freeze(author_id, papers, cites, h)
+        return tuple.__new__(cls, (author_id, papers, cites, h))
 
 
 def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
@@ -572,7 +573,7 @@ def load_scalars(source, fmt: str = "csv") -> dict[str, ScalarMetrics]:
 
 
 def save_scalars(scalars: Mapping[str, ScalarMetrics], destination, fmt: str = "csv") -> None:
-    save_text(_encode_table(ScalarMetrics._fields, [m._values() for m in scalars.values()], fmt), destination)
+    save_text(_encode_table(ScalarMetrics._fields, scalars.values(), fmt), destination)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +675,7 @@ def _remove_abandoned_temporaries(paths: Iterable[Path]) -> None:
     for directory, wanted in names.items():
         try:
             entries = os.listdir(directory)
-        except OSError:  # staging meets and words it
+        except OSError:  # unreadable or missing: staging's open then meets the same error and names the path
             continue
         for entry in entries:
             name, _, pid = entry[1:-4].rpartition(".")

@@ -5,18 +5,27 @@ statistics, and its instances are safe to share across threads. Two
 private helpers are shared with io and engine: _decimal, the one digit
 rule, and _Memo, the one memo: a mutable dict that lives for one call.
 
-The value types that check their fields when built (YearWindow,
+The value types that check their fields when built (Event, YearWindow,
 AuthorCorpus, CoverageDiagnostics, IndicatorProfile, and
-engine.MissingValuePolicy and io.ScalarMetrics) share one frozen base,
-FrozenValue: each names its fields once, in _fields, and its __init__
-checks the values and hands them to FrozenValue._freeze in that order.
-They are not dataclasses: every command is a new process, and importing
+engine.MissingValuePolicy and io.ScalarMetrics) are all named tuples,
+declared one way: each subclasses a collections.namedtuple of its fields
+and checks them in a __new__ that ends in tuple.__new__(cls, (...)). All
+but Event also subclass FrozenValue, which keeps the two rules in which
+they differ from a tuple: a value equals only a value of its own class,
+and no attribute can be set or deleted. Event is a plain tuple of its
+fields and equals one. namedtuple gives the fields, repr, hash and
+pickling; pickle and copy rebuild a value through the checking __new__.
+_replace and _make skip the checks, as _of_checked does. The types are
+not dataclasses: every command is a new process, and importing
 dataclasses and building each class through it, which compiles its
 methods with exec, made up several milliseconds of every start.
 
-Building through the class checks every field. Three trusted
-constructors build the same value without the checks, for values whose
-fields hold by construction; every check and its message stay here:
+Building through the class checks every field. Trusted constructors
+build the same value without the checks, for values whose fields hold by
+construction; every check and its message stay here. They take two
+forms: a named tuple's _of_checked is classmethod(tuple.__new__), called
+with one tuple of the fields, so no Python frame runs per value, and
+ImpactTable's takes the families it holds:
     FrozenValue._of_checked  the engine's CoverageDiagnostics and
                              IndicatorProfile, from counts and means it
                              has made itself
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from operator import itemgetter
@@ -89,51 +99,35 @@ class ModelError(ValueError):
     """Invalid construction of a domain value."""
 
 
-# bound once: _freeze sets every field of every checked value through it
-_set = object.__setattr__
-
-
 class FrozenValue:
-    """Base of an immutable value with named fields, compared and hashed by their values.
+    """Base of a checked named tuple: the two rules in which it differs from a tuple.
 
-    A subclass lists its fields in _fields, and its __init__ sets them
-    all through _freeze once it has checked them; assigning or deleting
-    an attribute afterwards raises AttributeError. A value equals only a
-    value of the same class with equal fields.
+    A value equals only a value of its own class with equal fields, so it
+    never equals a plain tuple of its fields; and assigning or deleting an
+    attribute raises AttributeError. Each subclass also subclasses a
+    collections.namedtuple, which gives it its fields, repr, hash and
+    pickling, and checks its fields in a __new__ that ends in
+    tuple.__new__(cls, (...)).
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
-    def _freeze(self, *values) -> None:
-        """Set the fields to the values given, in _fields order; the one place a field is set."""
-        for name, value in zip(self._fields, values):
-            _set(self, name, value)
+    # cls._of_checked((field, ...)): the value of fields the caller has already checked, in _fields
+    # order, built without __new__'s checks; a mapping field is taken as given, not copied, so it must
+    # be the new value's own
+    _of_checked = classmethod(tuple.__new__)
 
-    @classmethod
-    def _of_checked(cls, *values):
-        """A value of fields the caller has already checked, in _fields order, built without __init__'s checks.
-
-        A mapping field is taken as given, not copied, so it must be the new value's own.
-        """
-        value = cls.__new__(cls)
-        value._freeze(*values)
-        return value
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    __hash__ = tuple.__hash__
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # False, not NotImplemented, to a tuple of another class: its reflected __eq__ would compare the fields
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
-        return f"{self.__class__.__qualname__}({fields})"
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -141,23 +135,19 @@ class FrozenValue:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):
-        # pickle and copy rebuild a value through __init__, since no field can be set afterwards
-        return self.__class__, self._values()
 
-
-class YearWindow(FrozenValue):
+class YearWindow(FrozenValue, namedtuple("YearWindow", "start_year end_year")):
     """Inclusive range of calendar years under evaluation.
 
     The canonical target window is five years long, e.g. 2009..2013.
     """
 
-    __slots__ = _fields = ("start_year", "end_year")
+    __slots__ = ()
 
-    def __init__(self, start_year: int, end_year: int):
+    def __new__(cls, start_year: int, end_year: int):
         if start_year > end_year:
             raise ModelError(f"window start {start_year} is after end {end_year}")
-        self._freeze(start_year, end_year)
+        return tuple.__new__(cls, (start_year, end_year))
 
     @classmethod
     def parse(cls, text: str) -> "YearWindow":
@@ -199,14 +189,7 @@ class EventKind(enum.Enum):
             ) from None
 
 
-class _EventFields(NamedTuple):
-    kind: EventKind
-    journal: JournalRef
-    year: int
-    count: int
-
-
-class Event(_EventFields):
+class Event(namedtuple("Event", "kind journal year count")):
     """A counted bibliographic event in one journal and year.
 
     A named tuple (kind, journal, year, count), checked when made: one is
@@ -232,7 +215,7 @@ class Event(_EventFields):
     _of_checked = classmethod(tuple.__new__)
 
 
-class AuthorCorpus(FrozenValue):
+class AuthorCorpus(FrozenValue, namedtuple("AuthorCorpus", "author_id events group")):
     """All recorded events for one author, optionally tagged with a group.
 
     Multiple events with the same (kind, journal, year) are allowed and
@@ -240,14 +223,13 @@ class AuthorCorpus(FrozenValue):
     """
 
     # no __slots__: the cached merged property keeps its value in the instance __dict__
-    _fields = ("author_id", "events", "group")
 
-    def __init__(self, author_id: str, events: Iterable[Event], group: str | None = None):
+    def __new__(cls, author_id: str, events: Iterable[Event], group: str | None = None):
         if not author_id:
             raise ModelError("author_id must be non-empty")
         if group is not None and not group:
             raise ModelError("group, when present, must be non-empty")
-        self._freeze(author_id, tuple(events), group)
+        return tuple.__new__(cls, (author_id, tuple(events), group))
 
     def events_of_kind(self, kind: EventKind) -> tuple[Event, ...]:
         return tuple(e for e in self.events if e.kind == kind)
@@ -353,7 +335,7 @@ class ImpactTable:
         return f"ImpactTable({len(self)} entries)"
 
 
-class CoverageDiagnostics(FrozenValue):
+class CoverageDiagnostics(FrozenValue, namedtuple("CoverageDiagnostics", "total_count matched_count dropped_count")):
     """How much of one event stream was usable in a weighted mean.
 
     total_count counts events eligible under the window policy,
@@ -361,9 +343,9 @@ class CoverageDiagnostics(FrozenValue):
     skipped under the missing-value policy. matched + dropped == total.
     """
 
-    __slots__ = _fields = ("total_count", "matched_count", "dropped_count")
+    __slots__ = ()
 
-    def __init__(self, total_count: int = 0, matched_count: int = 0, dropped_count: int = 0):
+    def __new__(cls, total_count: int = 0, matched_count: int = 0, dropped_count: int = 0):
         if min(total_count, matched_count, dropped_count) < 0:
             raise ModelError("coverage counts must be non-negative")
         if matched_count + dropped_count != total_count:
@@ -371,7 +353,7 @@ class CoverageDiagnostics(FrozenValue):
                 f"coverage counts inconsistent: {matched_count} matched "
                 f"+ {dropped_count} dropped != {total_count} total"
             )
-        self._freeze(total_count, matched_count, dropped_count)
+        return tuple.__new__(cls, (total_count, matched_count, dropped_count))
 
 
 def derive_ratios(
@@ -394,7 +376,9 @@ def derive_ratios(
     return p_over_i, p_over_r, i_over_r, pi_over_2r
 
 
-class IndicatorProfile(FrozenValue):
+class IndicatorProfile(FrozenValue, namedtuple(
+    "IndicatorProfile", "author_id indicator window p i r p_over_i p_over_r i_over_r pi_over_2r coverage"
+)):
     """Per-author dimensions and ratios for one indicator family.
 
     p, i and r are weighted mean impacts of the publication, citation and
@@ -403,11 +387,10 @@ class IndicatorProfile(FrozenValue):
     hashable.
     """
 
-    __slots__ = _fields = ("author_id", "indicator", "window", "p", "i", "r",
-                           "p_over_i", "p_over_r", "i_over_r", "pi_over_2r", "coverage")
+    __slots__ = ()
 
-    def __init__(
-        self, author_id: str, indicator: IndicatorName, window: YearWindow,
+    def __new__(
+        cls, author_id: str, indicator: IndicatorName, window: YearWindow,
         p: float | None, i: float | None, r: float | None,
         p_over_i: float | None, p_over_r: float | None, i_over_r: float | None, pi_over_2r: float | None,
         coverage: Mapping[EventKind, CoverageDiagnostics] = {},  # copied, so never changed
@@ -415,7 +398,8 @@ class IndicatorProfile(FrozenValue):
         for name, v in (("p", p), ("i", i), ("r", r)):
             if v is not None and v < 0:
                 raise ModelError(f"dimension {name} must be non-negative, got {v}")
-        self._freeze(author_id, indicator, window, p, i, r, p_over_i, p_over_r, i_over_r, pi_over_2r, dict(coverage))
+        return tuple.__new__(cls, (author_id, indicator, window, p, i, r, p_over_i, p_over_r, i_over_r, pi_over_2r,
+                                   dict(coverage)))
 
 
 class DimensionCells(NamedTuple):

@@ -689,7 +689,29 @@ class TestSummarize:
         assert result.exit_code == 2
         assert f"cannot write {out / 'a' / 'b.groups.csv'}: " in result.output
         assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_write_removes_only_the_directories_it_made(self, runner, tmp_path):
+        made = tmp_path / "a" / "b"
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (made, kept):
+            result = runner.invoke(main, ["summarize", "--profiles", PROFILES, "--out", str(out), "--name", "sub/t"])
+            assert result.exit_code == 2
+            assert result.output == f"Error: cannot write {out / 'sub' / 't.groups.csv'}: No such file or directory\n"
+        assert sorted(tmp_path.iterdir()) == [kept] and list(kept.iterdir()) == []
+
+    def test_failed_write_keeps_a_directory_another_run_has_filled(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "a" / "b"
+
+        def fill_and_fail(texts):
+            (out / "other.csv").write_text("another run\n")
+            raise OSError(28, "No space left on device", str(out / "t.groups.csv"))
+
+        monkeypatch.setattr(cli, "save_texts", fill_and_fail)
+        result = runner.invoke(main, ["summarize", "--profiles", PROFILES, "--out", str(out), "--name", "t"])
+        assert result.exit_code == 2 and "No space left on device" in result.output
+        assert [p.name for p in out.iterdir()] == ["other.csv"]
 
 
 class TestCorrelate:

@@ -630,9 +630,9 @@ def test_engine_matches_direct_reference_bitwise(policy, window_policy, seed):
             assert profiles and failures  # both outcomes are exercised
         for profile in profiles:
             # the engine builds its values unchecked; the checked constructors give the same ones
-            assert profile == IndicatorProfile(*profile._values())
+            assert profile == IndicatorProfile(*profile)
             for diag in profile.coverage.values():
-                checked = CoverageDiagnostics(*diag._values())
+                checked = CoverageDiagnostics(*diag)
                 assert diag == checked and repr(diag) == repr(checked)
             coverages.append(profile.coverage)
             events = by_author[profile.author_id].events

@@ -2,6 +2,7 @@ import copy
 import inspect
 import pickle
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -264,9 +265,35 @@ class TestValueSemantics:
         make, _, _ = VALUE_TYPES[name]
         value = make()
         values = tuple(getattr(value, field) for field in fields(value))
-        assert value.__eq__(values) is NotImplemented
+        assert value.__eq__(values) is False
         assert value.__eq__(object()) is NotImplemented
         assert value != values
+
+    @each_type
+    def test_a_plain_tuple_of_the_fields_is_unequal(self, name):
+        make, _, _ = VALUE_TYPES[name]
+        value = make()
+        values = tuple(getattr(value, field) for field in fields(value))
+        assert not value == values and not values == value
+        assert value != values and values != value
+        assert value == mock.ANY and not value != mock.ANY
+
+    def test_an_event_equals_the_plain_tuple_of_its_fields(self):
+        values = (EventKind.PUBLICATION, "J1", 2010, 2)
+        assert EVENT == values and values == EVENT and not EVENT != values and hash(EVENT) == hash(values)
+
+    @each_type
+    def test_of_checked_takes_one_tuple_of_the_fields(self, name):
+        make, _, text = VALUE_TYPES[name]
+        value = make()
+        checked = type(value)._of_checked(tuple(value))
+        for made in (checked, pickle.loads(pickle.dumps(checked))):
+            assert type(made) is type(value) and made == value and repr(made) == text
+        if name == "IndicatorProfile":  # its coverage is a dict
+            with pytest.raises(TypeError):
+                hash(checked)
+        else:
+            assert hash(checked) == hash(value)
 
     @each_type
     def test_hash(self, name):
